@@ -12,14 +12,6 @@ namespace symphase {
 
 namespace {
 
-/// Word-block granularity of the engine: big enough that the per-block
-/// setup (undecided mask init, early-exit checks) amortizes, small
-/// enough that out + undecided + coin buffers stay L1-resident.
-constexpr std::size_t kNoiseBlockWords = 128;
-
-/// Batch size for buffered gap / pattern-index draws.
-constexpr std::size_t kDrawBatch = 256;
-
 constexpr unsigned kMaxPatternMembers = 6;
 
 /// Refinement pass for a set digit of p: undecided bits where the coin
@@ -65,84 +57,20 @@ bool refine_digit_zero(Word* undecided, const Word* r, std::size_t n) {
   return acc.nonzero() || tail != 0;
 }
 
-/// Converts raw uniform words to (unfloored) exponential gaps
-/// log(u) / log1p(-q) >= 0 with u = ((raw >> 11) + 1) * 2^-53 in
-/// (0, 1]; the consumer truncates, which equals floor for non-negative
-/// values. The log is an atanh-series polynomial over explicit
-/// std::fma, so the loop is branch-free and vectorizes (std::floor here
-/// would defeat GCC's vectorizer, which is why flooring is left to the
-/// consumer), and — unlike libm's std::log — gives bit-identical gaps
-/// on every platform. |relative error| < 1e-11, i.e. the Geometric(q)
-/// law is met to ~1e-11.
-void batch_exponential_gaps(const std::uint64_t* raw, double* gaps,
-                            std::size_t n, double inv_log1m) {
-  constexpr double kLn2 = 0.6931471805599453;
-  constexpr double kSqrt2 = 1.4142135623730951;
-  constexpr std::uint64_t kMantissaMask = (std::uint64_t{1} << 52) - 1;
-  constexpr std::uint64_t kOneBits = 0x3FF0000000000000ull;
-  for (std::size_t i = 0; i < n; ++i) {
-    const std::uint64_t y = (raw[i] >> 11) + 1;         // (0, 2^53]
-    const double yd = static_cast<double>(y);           // exact
-    const std::uint64_t bits = std::bit_cast<std::uint64_t>(yd);
-    const auto eu =
-        static_cast<double>(static_cast<std::int64_t>(bits >> 52));
-    double m =
-        std::bit_cast<double>((bits & kMantissaMask) | kOneBits);  // [1, 2)
-    const double fold = m > kSqrt2 ? 1.0 : 0.0;  // -> [sqrt2/2, sqrt2)
-    m = m > kSqrt2 ? 0.5 * m : m;
-    // yd = m * 2^e with e = (eu - 1023) + fold; u = yd * 2^-53.
-    const double e = eu - (1023.0 + 53.0) + fold;
-    // log(m) = 2 atanh(z) with z = (m-1)/(m+1), |z| <= sqrt2 - 1.
-    const double z = (m - 1.0) / (m + 1.0);
-    const double w = z * z;
-    double s = 1.0 / 13.0;
-    s = std::fma(w, s, 1.0 / 11.0);
-    s = std::fma(w, s, 1.0 / 9.0);
-    s = std::fma(w, s, 1.0 / 7.0);
-    s = std::fma(w, s, 1.0 / 5.0);
-    s = std::fma(w, s, 1.0 / 3.0);
-    s = std::fma(w, s, 1.0);
-    const double log_m = (2.0 * z) * s;
-    const double log_u = std::fma(e, kLn2, log_m);  // <= 0
-    gaps[i] = log_u * inv_log1m;
-  }
-}
-
-/// Per-event pattern draws for sparse event blocks: indices are drawn
-/// lazily from small buffered batches of raw words (Lemire
-/// multiply-shift; the rejection branch fires with probability < 2^-60
-/// and falls back to serial redraws), then deposited with single-bit
-/// XORs — cheap because set bits are few, and no counting pre-scan is
-/// needed (the word walk skips empty words at one test each).
+/// Per-event pattern draws for sparse event blocks: one
+/// PauliPatternDrawer per block, deposited with single-bit XORs — cheap
+/// because set bits are few, and no counting pre-scan is needed (the
+/// word walk skips empty words at one test each).
 void sparse_patterns(Rng& rng, const Word* events, std::size_t n,
                      unsigned members, Word* const* masks,
                      std::size_t mask_offset) {
-  constexpr std::size_t kIndexBatch = 16;
-  const std::uint64_t pattern_count = (std::uint64_t{1} << members) - 1;
-  const std::uint64_t threshold = (0 - pattern_count) % pattern_count;
-  std::uint64_t raw[kIndexBatch];
-  std::size_t pos = kIndexBatch;
-  const auto next_pattern = [&]() -> std::uint64_t {
-    if (pos == kIndexBatch) {
-      fill_random_words(rng, raw, kIndexBatch);
-      pos = 0;
-    }
-    std::uint64_t x = raw[pos++];
-    __uint128_t prod = static_cast<__uint128_t>(x) * pattern_count;
-    auto low = static_cast<std::uint64_t>(prod);
-    while (low < threshold) {
-      x = rng();
-      prod = static_cast<__uint128_t>(x) * pattern_count;
-      low = static_cast<std::uint64_t>(prod);
-    }
-    return static_cast<std::uint64_t>(prod >> 64) + 1;
-  };
+  PauliPatternDrawer drawer(members);
   for (std::size_t w = 0; w < n; ++w) {
     Word bits = events[w];
     while (bits != 0) {
       const auto k = static_cast<std::size_t>(std::countr_zero(bits));
       bits &= bits - 1;
-      const std::uint64_t pattern = next_pattern();
+      const std::uint64_t pattern = drawer.next(rng);
       for (unsigned j = 0; j < members; ++j) {
         if (((pattern >> j) & 1) != 0 && masks[j] != nullptr) {
           masks[j][mask_offset + w] ^= Word{1} << k;
@@ -265,44 +193,16 @@ void BiasedBitPlan::fill_refine(Rng& rng, Word* out, std::size_t count) const {
 
 void BiasedBitPlan::fill_geometric(Rng& rng, Word* out,
                                    std::size_t count) const {
-  const bool inverted = strategy_ == BiasStrategy::kGeometricInverted;
-  wide::fill_words(out, inverted ? ~Word{0} : Word{0}, count);
-  const std::size_t total_bits = count * kWordBits;
-  std::uint64_t raw[kDrawBatch];
-  double gaps[kDrawBatch];
-  // First batch sized to the expected event count (+ slack), so
-  // ultra-sparse fills don't pay a full batch of conversions; later
-  // batches ramp up to amortize the draw/convert call overhead.
-  std::size_t batch = static_cast<std::size_t>(
-                          event_rate_ * static_cast<double>(total_bits)) +
-                      2;
-  if (batch > kDrawBatch) {
-    batch = kDrawBatch;
-  }
-  std::size_t bit = 0;
-  for (;;) {
-    fill_random_words(rng, raw, batch);
-    batch_exponential_gaps(raw, gaps, batch, inv_log1m_);
-    for (std::size_t i = 0; i < batch; ++i) {
-      // Truncation == floor: gaps are non-negative, and for the integer
-      // bound floor(g) >= remaining iff g >= remaining.
-      if (gaps[i] >= static_cast<double>(total_bits - bit)) {
-        return;
-      }
-      bit += static_cast<std::size_t>(gaps[i]);
-      if (inverted) {
-        out[word_index(bit)] &= ~bit_mask(bit);
-      } else {
-        out[word_index(bit)] |= bit_mask(bit);
-      }
-      ++bit;
-      if (bit >= total_bits) {
-        return;
-      }
-    }
-    batch = batch < kDrawBatch ? (batch * 4 < kDrawBatch ? batch * 4
-                                                         : kDrawBatch)
-                               : kDrawBatch;
+  if (strategy_ == BiasStrategy::kGeometricInverted) {
+    wide::fill_words(out, ~Word{0}, count);
+    for_each_event(rng, count, [out](std::size_t bit) {
+      out[word_index(bit)] &= ~bit_mask(bit);
+    });
+  } else {
+    wide::clear_words(out, count);
+    for_each_event(rng, count, [out](std::size_t bit) {
+      out[word_index(bit)] |= bit_mask(bit);
+    });
   }
 }
 
@@ -336,7 +236,7 @@ void fill_pauli_patterns(Rng& rng, const Word* events, std::size_t words,
   SYMPHASE_ASSERT(members >= 1 && members <= kMaxPatternMembers);
   // Path choice by expected density, not by counting: sparse blocks then
   // skip every scan except the deposit walk itself.
-  const bool dense = event_probability * static_cast<double>(kWordBits) >= 1.0;
+  const bool dense = !sparse_pauli_patterns(event_probability);
   for (std::size_t off = 0; off < words; off += kNoiseBlockWords) {
     const std::size_t n =
         words - off < kNoiseBlockWords ? words - off : kNoiseBlockWords;

@@ -5,6 +5,7 @@
 #include <netdb.h>
 #include <netinet/in.h>
 #include <netinet/tcp.h>
+#include <poll.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
@@ -27,6 +28,25 @@ void set_nodelay(int fd) {
   // Best effort: a transport that works without Nagle disabled still
   // works with it, just with worse small-frame latency.
   (void)::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof one);
+}
+
+/// A blocking connect() that a signal interrupts (EINTR) keeps
+/// connecting in the background and cannot be restarted; wait for it
+/// and return its outcome, leaving errno set on failure.
+bool finish_interrupted_connect(int fd) {
+  pollfd p{fd, POLLOUT, 0};
+  while (::poll(&p, 1, -1) < 0) {
+    if (errno != EINTR) {
+      return false;
+    }
+  }
+  int error = 0;
+  socklen_t len = sizeof error;
+  if (::getsockopt(fd, SOL_SOCKET, SO_ERROR, &error, &len) != 0) {
+    return false;
+  }
+  errno = error;
+  return error == 0;
 }
 
 struct AddrInfoHolder {
@@ -166,7 +186,8 @@ Socket tcp_connect(const HostPort& to) {
       last_error = std::strerror(errno);
       continue;
     }
-    if (::connect(socket.fd(), ai->ai_addr, ai->ai_addrlen) != 0) {
+    if (::connect(socket.fd(), ai->ai_addr, ai->ai_addrlen) != 0 &&
+        !(errno == EINTR && finish_interrupted_connect(socket.fd()))) {
       last_error = std::strerror(errno);
       continue;
     }

@@ -7,6 +7,149 @@
 
 namespace symphase {
 
+namespace {
+
+// A sparse depolarizing group's events are drawn with one
+// PauliPatternDrawer, as fill_pauli_patterns does per noise block.
+static_assert(kSampleShardWords <= kNoiseBlockWords);
+
+constexpr std::uint32_t kNoRow = UINT32_MAX;
+constexpr unsigned kMaxMembers = 4;
+
+// Cost model behind the scatter's path choice (docs/performance.md,
+// "Which path a group takes"), per word of shots. An event group flips
+// 64 · p · share · W output bits, where W is its Mᵀ weight (readers,
+// summed over its used members) and share is the chance that an event
+// flips a given member; a flip costs about kFlipWords word XORs. A
+// scratch row costs W word XORs plus a fixed overhead: clearing the row
+// (Bernoulli), or also filling the event row and scanning it for
+// patterns (depolarizing). Fitted on d9 surface codes.
+constexpr double kFlipWords = 6;
+constexpr double kBernoulliOverheadWords = 1;
+constexpr double kDepolarizeOverheadWords = 20;
+
+/// Whether the scatter hands a random group's events to the output rows
+/// one bit at a time (an event group) rather than through a scratch row.
+/// `weight()` gives the group's W; it is only asked for when p is high
+/// enough for W to matter.
+template <typename Weight>
+bool scatters_events(const SymbolGroup& group, const BiasedBitPlan& plan,
+                     Weight&& weight) {
+  if (plan.strategy() != BiasStrategy::kGeometric) {
+    return false;
+  }
+  const bool bernoulli = group.kind == SymbolGroupKind::kBernoulli;
+  // A depolarizing group's patterns must be drawn one event at a time.
+  if (!bernoulli && !sparse_pauli_patterns(group.probability)) {
+    return false;
+  }
+  // An event flips a given member in 2^(m-1) of the 2^m - 1 non-identity
+  // patterns over m members (all of them for a Bernoulli group, m = 1).
+  const unsigned m = group.num_symbols;
+  const double share = static_cast<double>(1u << (m - 1)) /
+                       static_cast<double>((1u << m) - 1);
+  // Flip cost per reader, less the one word a scratch row XORs for it.
+  const double excess =
+      kFlipWords * static_cast<double>(kWordBits) * group.probability *
+          share -
+      1;
+  const double overhead =
+      bernoulli ? kBernoulliOverheadWords : kDepolarizeOverheadWords;
+  return excess <= 0 || static_cast<double>(weight()) * excess < overhead;
+}
+
+/// generate_shard's deposit: every group is generated straight into its
+/// rows of B.
+struct BRowDeposit {
+  static constexpr bool kScatters = false;
+
+  Word* row(unsigned /*member*/, std::uint32_t b_row) {
+    return b.row(b_row) + word0;
+  }
+  void commit(const std::uint32_t* /*b_rows*/, unsigned /*members*/) {}
+
+  BitMatrix& b;
+  std::size_t word0;
+};
+
+/// scatter_shard_block's deposit: a bit of B row r lands in every output
+/// row that reads r, i.e. in the rows Mᵀ lists for r. Event groups flip
+/// single output bits; every other group is generated into scratch rows
+/// that commit() XORs into their output rows.
+class ScatterDeposit {
+ public:
+  static constexpr bool kScatters = true;
+
+  ScatterDeposit(const ScatterTargets& targets, BitMatrix& out,
+                 std::size_t words)
+      : targets_(targets), out_(out), words_(words) {}
+
+  Word* row(unsigned member, std::uint32_t /*b_row*/) {
+    // Depolarizing fills XOR pattern bits in, so rows start cleared.
+    wide::clear_words(scratch_[member], words_);
+    return scratch_[member];
+  }
+
+  void commit(const std::uint32_t* b_rows, unsigned members) {
+    for (unsigned k = 0; k < members; ++k) {
+      if (b_rows[k] == kNoRow) {
+        continue;
+      }
+      for (const std::uint32_t t : targets_.readers(b_rows[k])) {
+        wide::xor_words(out_.row(t), scratch_[k], words_);
+      }
+    }
+  }
+
+  /// A group's Mᵀ weight: readers, summed over its used members.
+  std::size_t weight(const std::uint32_t* b_rows, unsigned members) const {
+    std::size_t w = 0;
+    for (unsigned k = 0; k < members; ++k) {
+      if (b_rows[k] != kNoRow) {
+        w += targets_.readers(b_rows[k]).size();
+      }
+    }
+    return w;
+  }
+
+  void flip(std::uint32_t b_row, std::size_t bit) {
+    const std::size_t w = word_index(bit);
+    const Word mask = bit_mask(bit);
+    for (const std::uint32_t t : targets_.readers(b_row)) {
+      out_.row(t)[w] ^= mask;
+    }
+  }
+
+ private:
+  const ScatterTargets& targets_;
+  BitMatrix& out_;
+  std::size_t words_;
+  alignas(64) Word scratch_[kMaxMembers][kSampleShardWords];
+};
+
+}  // namespace
+
+ScatterTargets::ScatterTargets(const SparseBitMatrix& m)
+    : num_outputs_(m.rows()), offsets_(m.cols() + 1, 0) {
+  SYMPHASE_CHECK(m.nnz() <= UINT32_MAX);
+  for (std::size_t k = 0; k < m.rows(); ++k) {
+    for (const std::uint32_t c : m.row(k)) {
+      ++offsets_[c + 1];
+    }
+  }
+  for (std::size_t c = 0; c < m.cols(); ++c) {
+    offsets_[c + 1] += offsets_[c];
+  }
+  rows_.resize(offsets_.back());
+  // Walking M's rows in order appends each B row's readers ascending.
+  std::vector<std::uint32_t> next(offsets_.begin(), offsets_.end() - 1);
+  for (std::size_t k = 0; k < m.rows(); ++k) {
+    for (const std::uint32_t c : m.row(k)) {
+      rows_[next[c]++] = static_cast<std::uint32_t>(k);
+    }
+  }
+}
+
 SymbolValueSampler::SymbolValueSampler(const SymbolTable& table,
                                        std::vector<std::uint32_t> used_symbols)
     : table_(table), used_symbols_(std::move(used_symbols)) {
@@ -47,59 +190,96 @@ std::uint32_t SymbolValueSampler::row_of(std::uint32_t symbol) const {
   return row_lookup_[symbol] - 1;
 }
 
-void SymbolValueSampler::generate_shard(BitMatrix& b, std::size_t word0,
-                                        std::size_t words, Rng rng) const {
+template <typename Deposit>
+void SymbolValueSampler::walk_groups(std::size_t words, Rng& rng,
+                                     Deposit& deposit) const {
+  SYMPHASE_ASSERT(words <= kShardWords);
   // Event-bit scratch shared by the depolarizing groups of this shard.
-  std::vector<Word> events(words);
-  // Row pointer for a group member (offset to this shard's word range),
-  // or nullptr if that member is unused.
-  const auto member_row = [&](std::uint32_t symbol) -> Word* {
-    if (symbol >= row_lookup_.size() || row_lookup_[symbol] == 0) {
-      return nullptr;
-    }
-    return b.row(row_lookup_[symbol] - 1) + word0;
-  };
-
+  alignas(64) Word events[kShardWords];
+  // Event positions of a sparse depolarizing group (scatter only).
+  std::vector<std::uint32_t> positions;
   for (const std::uint32_t gi : active_groups_) {
     const SymbolGroup& group = table_.groups()[gi];
-    switch (group.kind) {
-      case SymbolGroupKind::kConstant: {
-        Word* row = member_row(group.first_symbol);
-        SYMPHASE_ASSERT(row != nullptr);
-        wide::fill_words(row, ~Word{0}, words);
-        break;
-      }
-      case SymbolGroupKind::kCoin: {
-        Word* row = member_row(group.first_symbol);
-        SYMPHASE_ASSERT(row != nullptr);
-        fill_random_words(rng, row, words);
-        break;
-      }
-      case SymbolGroupKind::kBernoulli: {
-        Word* row = member_row(group.first_symbol);
-        SYMPHASE_ASSERT(row != nullptr);
-        group_plans_[gi].fill(rng, row, words);
-        break;
-      }
-      case SymbolGroupKind::kDepolarize1:
-      case SymbolGroupKind::kDepolarize2: {
-        // Joint sampling: an "event" Bernoulli(p) per shot; on event, a
-        // uniform non-identity pattern over the member bits. The engine
-        // deposits pattern bits straight into the (pre-zeroed) member
-        // rows; unused members still consume their pattern randomness
-        // but are not materialized.
-        const std::uint32_t member_count = group.num_symbols;
-        Word* rows[4] = {nullptr, nullptr, nullptr, nullptr};
-        for (std::uint32_t k = 0; k < member_count; ++k) {
-          rows[k] = member_row(group.first_symbol + k);
+    const BiasedBitPlan& plan = group_plans_[gi];
+    const unsigned members = group.num_symbols;
+    SYMPHASE_ASSERT(members <= kMaxMembers);
+    // B row of each member, or kNoRow if that member is unused
+    // (row_lookup_ holds row + 1, and 0 - 1 wraps to kNoRow).
+    std::uint32_t b_rows[kMaxMembers];
+    for (unsigned k = 0; k < members; ++k) {
+      const std::uint32_t symbol = group.first_symbol + k;
+      b_rows[k] = symbol < row_lookup_.size() ? row_lookup_[symbol] - 1
+                                              : kNoRow;
+    }
+
+    if constexpr (Deposit::kScatters) {
+      // Event groups: the draws are the fills' own visitors, so the
+      // generator advances identically.
+      if (scatters_events(group, plan,
+                          [&] { return deposit.weight(b_rows, members); })) {
+        if (group.kind == SymbolGroupKind::kBernoulli) {
+          plan.for_each_event(rng, words, [&](std::size_t bit) {
+            deposit.flip(b_rows[0], bit);
+          });
+          continue;
         }
-        group_plans_[gi].fill(rng, events.data(), words);
-        fill_pauli_patterns(rng, events.data(), words, member_count, rows,
-                            group.probability);
-        break;
+        // Every event draw precedes every pattern draw, as in the fill.
+        positions.clear();
+        plan.for_each_event(rng, words, [&](std::size_t bit) {
+          positions.push_back(static_cast<std::uint32_t>(bit));
+        });
+        PauliPatternDrawer drawer(members);
+        for (const std::uint32_t bit : positions) {
+          const std::uint64_t pattern = drawer.next(rng);
+          for (unsigned k = 0; k < members; ++k) {
+            if (((pattern >> k) & 1) != 0 && b_rows[k] != kNoRow) {
+              deposit.flip(b_rows[k], bit);
+            }
+          }
+        }
+        continue;
       }
     }
+
+    Word* rows[kMaxMembers] = {nullptr, nullptr, nullptr, nullptr};
+    for (unsigned k = 0; k < members; ++k) {
+      if (b_rows[k] != kNoRow) {
+        rows[k] = deposit.row(k, b_rows[k]);
+      }
+    }
+    switch (group.kind) {
+      case SymbolGroupKind::kConstant:
+        SYMPHASE_ASSERT(rows[0] != nullptr);
+        wide::fill_words(rows[0], ~Word{0}, words);
+        break;
+      case SymbolGroupKind::kCoin:
+        SYMPHASE_ASSERT(rows[0] != nullptr);
+        fill_random_words(rng, rows[0], words);
+        break;
+      case SymbolGroupKind::kBernoulli:
+        SYMPHASE_ASSERT(rows[0] != nullptr);
+        plan.fill(rng, rows[0], words);
+        break;
+      case SymbolGroupKind::kDepolarize1:
+      case SymbolGroupKind::kDepolarize2:
+        // Joint sampling: an "event" Bernoulli(p) per shot; on event, a
+        // uniform non-identity pattern over the member bits. The engine
+        // deposits pattern bits straight into the (cleared) member
+        // rows; unused members still consume their pattern randomness
+        // but are not materialized.
+        plan.fill(rng, events, words);
+        fill_pauli_patterns(rng, events, words, members, rows,
+                            group.probability);
+        break;
+    }
+    deposit.commit(b_rows, members);
   }
+}
+
+void SymbolValueSampler::generate_shard(BitMatrix& b, std::size_t word0,
+                                        std::size_t words, Rng rng) const {
+  BRowDeposit deposit{b, word0};
+  walk_groups(words, rng, deposit);
 }
 
 void SymbolValueSampler::generate_shard_block(std::size_t shard,
@@ -119,6 +299,30 @@ void SymbolValueSampler::generate_shard_block(std::size_t shard,
     const Word mask = tail_mask(e.shots);
     for (std::size_t r = 0; r < block.rows(); ++r) {
       block.row(r)[e.words - 1] &= mask;
+    }
+  }
+}
+
+void SymbolValueSampler::scatter_shard_block(std::size_t shard,
+                                             std::size_t num_samples,
+                                             std::uint64_t seed,
+                                             const ScatterTargets& targets,
+                                             BitMatrix& out) const {
+  const ShardExtent e = sample_shard_extent(shard, num_samples);
+  SYMPHASE_CHECK(shard < num_sample_shards(num_samples));
+  SYMPHASE_CHECK(targets.num_b_rows() == num_rows());
+  SYMPHASE_CHECK(out.rows() == targets.num_outputs());
+  SYMPHASE_CHECK(out.words_per_row() >= e.words);
+  // Every deposit XORs into the block, so it starts from zero.
+  out.clear_all();
+  Rng rng = Rng(seed).stream(shard);
+  ScatterDeposit deposit(targets, out, e.words);
+  walk_groups(e.words, rng, deposit);
+  // B's tail bits are zero, so are M·B's: drop what landed beyond.
+  if (e.shots % kWordBits != 0) {
+    const Word mask = tail_mask(e.shots);
+    for (std::size_t r = 0; r < out.rows(); ++r) {
+      out.row(r)[e.words - 1] &= mask;
     }
   }
 }

@@ -1,34 +1,74 @@
 #pragma once
 
 /// \file symbol_value_sampler.hpp
-/// Batched generation of the symbol-sample matrix B of Algorithm 1.
+/// Generation of the symbol-sample matrix B of Algorithm 1, either as B
+/// itself or scattered straight into M·B.
 ///
 /// Column j of the paper's B is one joint sample b_j of all symbols;
-/// we store B row-per-symbol with shots packed 64 per word, so XORing
-/// expression rows (the sparse M·B product) runs word-parallel across
-/// shots.
+/// rows of B are stored row-per-symbol with shots packed 64 per word, so
+/// XORing expression rows (the sparse M·B product) runs word-parallel
+/// across shots.
 ///
 /// Only symbols that actually appear in some measurement expression get
 /// a row: symbols that no expression reads cannot affect any outcome, so
-/// skipping them leaves the product M·B unchanged while keeping B's
-/// footprint proportional to the useful work. Correlated groups
-/// (depolarize) are sampled jointly; unused members of a used group are
-/// simply not materialized.
+/// skipping them leaves the product M·B unchanged while keeping the work
+/// proportional to what is read. Correlated groups (depolarize) are
+/// sampled jointly; unused members of a used group are simply not
+/// materialized.
+///
+/// One walk over the symbol groups, in a fixed order with fixed draws,
+/// deposits the bits in one of two ways:
+///   - generate / generate_shard_block write the rows of B (the dense
+///     reference, and what SymPhaseSampler::sample multiplies);
+///   - scatter_shard_block never builds B: groups with few events per
+///     reader hand each event to the output rows that read it (through
+///     Mᵀ), the other groups go through 128-word scratch rows; a cost
+///     model picks the path per group (docs/performance.md). Since M·B
+///     is linear over F2 and no bit of B changes, its output is M·B bit
+///     for bit.
 ///
 /// Generation is shot-sharded like FrameSimulator::sample: fixed
 /// word-aligned shards of the shot axis, one counter-based RNG stream per
-/// shard, so the matrix is bit-identical for any thread count.
+/// shard, so the result is bit-identical for any thread count.
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "bitvec/bit_matrix.hpp"
+#include "bitvec/sparse_bit_matrix.hpp"
 #include "common/noise.hpp"
 #include "common/parallel.hpp"
 #include "common/rng.hpp"
 #include "symbolic/symbol_table.hpp"
 
 namespace symphase {
+
+/// Mᵀ, stored compressed for the scatter: for each B row, the rows of
+/// M (outputs) whose expressions read it, ascending. Built once per
+/// sampler; two flat arrays, so a build costs no per-row allocation and
+/// a lookup touches contiguous memory.
+class ScatterTargets {
+ public:
+  ScatterTargets() = default;
+  /// Transposes `m`, whose columns index B rows.
+  explicit ScatterTargets(const SparseBitMatrix& m);
+
+  std::size_t num_b_rows() const { return offsets_.size() - 1; }
+  std::size_t num_outputs() const { return num_outputs_; }
+
+  /// The output rows that read B row `b_row`.
+  std::span<const std::uint32_t> readers(std::uint32_t b_row) const {
+    SYMPHASE_ASSERT(std::size_t{b_row} + 1 < offsets_.size());
+    return {rows_.data() + offsets_[b_row],
+            offsets_[b_row + 1] - offsets_[b_row]};
+  }
+
+ private:
+  std::size_t num_outputs_ = 0;
+  std::vector<std::uint32_t> offsets_ = {0};  // num_b_rows() + 1 entries
+  std::vector<std::uint32_t> rows_;
+};
 
 class SymbolValueSampler {
  public:
@@ -62,6 +102,16 @@ class SymbolValueSampler {
   void generate_shard_block(std::size_t shard, std::size_t num_samples,
                             std::uint64_t seed, BitMatrix& block) const;
 
+  /// Symbol-major shard pass: computes global shard `shard` of M·B into
+  /// the leading words of `out` (a `targets.num_outputs()` x
+  /// kSampleShardBits scratch matrix, fully overwritten) without
+  /// materializing B; `targets` is ScatterTargets(M). Bit-identical to
+  /// generate_shard_block followed by M.multiply_word_range. Thread-safe
+  /// for distinct `out`s.
+  void scatter_shard_block(std::size_t shard, std::size_t num_samples,
+                           std::uint64_t seed, const ScatterTargets& targets,
+                           BitMatrix& out) const;
+
   const std::vector<std::uint32_t>& used_symbols() const {
     return used_symbols_;
   }
@@ -71,6 +121,12 @@ class SymbolValueSampler {
   /// the shard's private stream.
   void generate_shard(BitMatrix& b, std::size_t word0, std::size_t words,
                       Rng rng) const;
+
+  /// The one walk over the active groups of a `words`-word shard, in
+  /// group order with the shard's draws; `Deposit` decides where each
+  /// group's bits go (see symbol_value_sampler.cpp).
+  template <typename Deposit>
+  void walk_groups(std::size_t words, Rng& rng, Deposit& deposit) const;
 
   const SymbolTable& table_;
   std::vector<std::uint32_t> used_symbols_;

@@ -39,6 +39,8 @@ SymPhaseSampler::SymPhaseSampler(
   }
   if (strategy_ == MultiplyStrategy::kDense) {
     dense_matrix_ = expr_matrix_.to_dense();
+  } else {
+    expr_transpose_ = ScatterTargets(expr_matrix_);
   }
 }
 
@@ -67,24 +69,22 @@ void SymPhaseSampler::sample_shard_block(std::size_t shard,
                                          std::size_t num_samples,
                                          std::uint64_t seed,
                                          BitMatrix& block) const {
-  const ShardExtent e = sample_shard_extent(shard, num_samples);
   SYMPHASE_CHECK(block.rows() == num_measurements());
+  if (strategy_ == MultiplyStrategy::kSparse) {
+    values_.scatter_shard_block(shard, num_samples, seed, expr_transpose_,
+                                block);
+    return;
+  }
+  const ShardExtent e = sample_shard_extent(shard, num_samples);
   SYMPHASE_CHECK(block.words_per_row() >= e.words);
   BitMatrix b(values_.num_rows(), kSampleShardBits);
   values_.generate_shard_block(shard, num_samples, seed, b);
-  if (strategy_ == MultiplyStrategy::kDense) {
-    // The dense product is column-separable, so multiplying the shard's
-    // B-block alone yields exactly this word range of the full product.
-    const BitMatrix prod = dense_matrix_.multiply(b);
-    for (std::size_t r = 0; r < block.rows(); ++r) {
-      wide::copy_words(block.row(r), prod.row(r), e.words);
-    }
-    return;
+  // The dense product is column-separable, so multiplying the shard's
+  // B-block alone yields exactly this word range of the full product.
+  const BitMatrix prod = dense_matrix_.multiply(b);
+  for (std::size_t r = 0; r < block.rows(); ++r) {
+    wide::copy_words(block.row(r), prod.row(r), e.words);
   }
-  // multiply_word_range leaves rows with no expression entries untouched;
-  // a reused scratch block must be cleared so those rows read zero.
-  block.clear_all();
-  expr_matrix_.multiply_word_range(b, block, 0, e.words);
 }
 
 double SymPhaseSampler::outcome_probability(std::size_t k) const {

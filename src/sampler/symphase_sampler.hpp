@@ -6,8 +6,16 @@
 ///
 /// Built from a compiled circuit's measurement expressions. Two multiply
 /// strategies are provided:
-///   - kSparse (default, what SymPhase.jl ships): XOR-accumulate the B
-///     rows named by each expression — O(nnz · n_smp / 64);
+///   - kSparse (default): the product over the sparse expression rows.
+///     The shard path (sample_shard_block, behind every session and CLI
+///     run) is symbol-major and never builds B: it walks the symbol
+///     groups and sends each group's bits through Mᵀ into the output
+///     rows that read them — a single bit flip per noise event and
+///     output row for sparse noise, a 128-word row XOR otherwise (see
+///     SymbolValueSampler::scatter_shard_block and docs/performance.md).
+///     sample() still materializes B and XOR-accumulates the B rows
+///     named by each expression, O(nnz · n_smp / 64): the reference
+///     the shard path is pinned against;
 ///   - kDense: materialize M densely and use the dense F2 product — the
 ///     §3.2.3 ablation point.
 /// Results come back measurement-major: row k of the output is
@@ -41,9 +49,9 @@ class SymPhaseSampler {
 
   /// Generates `num_samples` joint samples of all measurements.
   /// Output: num_measurements x num_samples bit-matrix (row = one
-  /// measurement across shots). Both the B generation and the sparse
-  /// M·B product are shot-sharded across worker threads; the result is
-  /// deterministic in `seed` and independent of `num_threads`
+  /// measurement across shots). Materializes the whole B, then runs the
+  /// M·B product; both are shot-sharded across worker threads, and the
+  /// result is deterministic in `seed` and independent of `num_threads`
   /// (0 = hardware concurrency).
   BitMatrix sample(std::size_t num_samples, std::uint64_t seed,
                    std::size_t num_threads = 0) const;
@@ -53,7 +61,7 @@ class SymPhaseSampler {
   /// `block` (num_measurements() x kSampleShardBits scratch, fully
   /// overwritten). Concatenating the blocks for shards 0..num_sample_shards
   /// reproduces sample() bit-for-bit; see docs/api.md. Thread-safe for
-  /// distinct `block`s.
+  /// distinct `block`s. kSparse scatters through Mᵀ without a B block.
   void sample_shard_block(std::size_t shard, std::size_t num_samples,
                           std::uint64_t seed, BitMatrix& block) const;
 
@@ -70,6 +78,8 @@ class SymPhaseSampler {
   SymbolValueSampler values_;
   /// Expressions with symbol ids remapped to B-row indices.
   SparseBitMatrix expr_matrix_;
+  /// Mᵀ (kSparse only): the output rows that read each B row.
+  ScatterTargets expr_transpose_;
   /// Dense M (kDense strategy only): materialized once instead of per
   /// sample() call so the shard-streamed path can reuse it.
   BitMatrix dense_matrix_;

@@ -53,9 +53,19 @@ TEST(Cli, UnknownCommand) {
 }
 
 TEST(Cli, UnknownOptionRejected) {
+  // Rejected before the command runs: the usage error is the first and
+  // only thing printed, with no samples or circuit output ahead of it.
   const std::string path = write_temp_circuit("M 0\n");
-  const CommandResult r = run_cli("sample " + path + " --bogus 1");
-  EXPECT_EQ(r.exit_code, 2);
+  for (const std::string& args :
+       {"sample " + path + " --shots 3 --bogus 1",
+        "detect " + path + " --shots 3 --bogus 1",
+        "analyze " + path + " --bogus 1", "dem " + path + " --bogus 1",
+        std::string("gen surface --distance 3 --bogus 1")}) {
+    const CommandResult r = run_cli(args);
+    EXPECT_EQ(r.exit_code, 2) << args;
+    EXPECT_EQ(r.output.rfind("error: unknown option --bogus\n", 0), 0u)
+        << args << "\n" << r.output;
+  }
 }
 
 TEST(Cli, SampleDeterministicCircuit) {

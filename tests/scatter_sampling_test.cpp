@@ -1,0 +1,246 @@
+// The symbol-major shard path (SymPhaseSampler::sample_shard_block,
+// which scatters noise events through Mᵀ) against the dense reference
+// built from public pieces: SymbolValueSampler::generate_shard_block
+// followed by SparseBitMatrix::multiply_word_range. A synthetic symbol
+// table covers every group kind and every probability band the scatter
+// splits on — including bands no corpus circuit reaches: p in
+// [1/64, 1/32) (geometric fills on the scratch path, with word-parallel
+// pattern rounds for depolarizing groups) and p > 31/32 (inverted
+// fills) — groups on either side of the path rule's Mᵀ-weight cut,
+// unused group members and empty expressions, over ragged and
+// multi-shard shot counts at 1 and 4 threads.
+
+#include <gtest/gtest.h>
+
+#include <algorithm>
+#include <cstdint>
+#include <vector>
+
+#include "api/sample_sink.hpp"
+#include "api/sample_stream.hpp"
+#include "bitvec/sparse_bit_matrix.hpp"
+#include "circuit/surface_code.hpp"
+#include "common/parallel.hpp"
+#include "core/symphase.hpp"
+#include "sampler/symbol_value_sampler.hpp"
+#include "sampler/symphase_sampler.hpp"
+
+namespace symphase {
+namespace {
+
+constexpr std::size_t kShotCounts[] = {1, 63, 8191, 8192 + 9,
+                                       2 * 8192 + 777};
+
+/// The dense reference for one expression set: B rows for the used
+/// symbols and M with its columns remapped to those rows.
+struct Reference {
+  explicit Reference(const SymbolTable& table,
+                     const std::vector<MeasurementExpression>& exprs)
+      : values(table, used_symbols(exprs)), m(exprs.size(), values.num_rows()) {
+    for (std::size_t k = 0; k < exprs.size(); ++k) {
+      std::vector<std::uint32_t> rows;
+      for (const std::uint32_t s : exprs[k].symbols) {
+        rows.push_back(values.row_of(s));
+      }
+      m.set_row(k, std::move(rows));
+    }
+  }
+
+  static std::vector<std::uint32_t> used_symbols(
+      const std::vector<MeasurementExpression>& exprs) {
+    std::vector<std::uint32_t> used;
+    for (const auto& e : exprs) {
+      used.insert(used.end(), e.symbols.begin(), e.symbols.end());
+    }
+    std::sort(used.begin(), used.end());
+    used.erase(std::unique(used.begin(), used.end()), used.end());
+    return used;
+  }
+
+  /// generate_shard_block + multiply_word_range, shard by shard.
+  BitMatrix sample(std::size_t shots, std::uint64_t seed) const {
+    BitMatrix out(m.rows(), shots);
+    BitMatrix b(values.num_rows(), kSampleShardBits);
+    BitMatrix block(m.rows(), kSampleShardBits);
+    for (std::size_t shard = 0; shard < num_sample_shards(shots); ++shard) {
+      const ShardExtent e = sample_shard_extent(shard, shots);
+      values.generate_shard_block(shard, shots, seed, b);
+      block.clear_all();
+      m.multiply_word_range(b, block, 0, e.words);
+      for (std::size_t r = 0; r < m.rows(); ++r) {
+        std::copy(block.row(r), block.row(r) + e.words, out.row(r) + e.word0);
+      }
+    }
+    return out;
+  }
+
+  SymbolValueSampler values;
+  SparseBitMatrix m;
+};
+
+/// The production shard path, streamed through the session engine (which
+/// reuses its scratch blocks across shards) at `threads` workers.
+BitMatrix stream(const SymPhaseSampler& sampler, std::size_t shots,
+                 std::uint64_t seed, std::size_t threads) {
+  StreamSpec spec;
+  spec.bits_per_shot = sampler.num_measurements();
+  spec.num_shots = shots;
+  spec.num_threads = threads;
+  BitMatrixSink sink;
+  stream_sample_blocks(
+      spec,
+      [&](std::size_t, std::size_t shard, BitMatrix& block) {
+        sampler.sample_shard_block(shard, shots, seed, block);
+      },
+      sink);
+  return sink.take();
+}
+
+void expect_scatter_matches_reference(
+    const SymbolTable& table, const std::vector<MeasurementExpression>& exprs,
+    const char* what) {
+  const SymPhaseSampler sampler(table, exprs);
+  const Reference reference(table, exprs);
+  for (const std::size_t shots : kShotCounts) {
+    for (const std::uint64_t seed : {3u, 77u}) {
+      const BitMatrix expected = reference.sample(shots, seed);
+      for (const std::size_t threads : {1u, 4u}) {
+        EXPECT_EQ(stream(sampler, shots, seed, threads), expected)
+            << what << ": shots=" << shots << " seed=" << seed
+            << " threads=" << threads;
+      }
+      // The full-B path agrees too (same draws, same product).
+      EXPECT_EQ(sampler.sample(shots, seed, 2), expected)
+          << what << ": shots=" << shots << " seed=" << seed;
+    }
+  }
+}
+
+/// A table with one group per kind and band the scatter distinguishes,
+/// and measurement-like expressions over it.
+struct Synthetic {
+  SymbolTable table;
+  std::vector<MeasurementExpression> measurements;
+  std::vector<MeasurementExpression> detections;
+};
+
+Synthetic make_synthetic() {
+  Synthetic s;
+  // Symbols the expressions may read; members left out stay unused.
+  std::vector<std::uint32_t> pool = {0};
+  pool.push_back(s.table.add_coin());
+  pool.push_back(s.table.add_coin());
+  for (const double p : {0.0, 1e-4, 1e-3, 0.02, 0.1, 0.5, 0.99, 1.0}) {
+    pool.push_back(s.table.add_bernoulli(p));
+  }
+  std::vector<std::uint32_t> pairs;  // both members of one group
+  for (const double p : {1e-3, 0.015, 0.02, 0.1}) {
+    const std::uint32_t d1 = s.table.add_depolarize1(p);
+    pool.insert(pool.end(), {d1, d1 + 1});
+    pairs.push_back(d1);
+    pool.push_back(s.table.add_depolarize1(p) + 1);  // X member unused
+    const std::uint32_t d2 = s.table.add_depolarize2(p);
+    pool.insert(pool.end(), {d2, d2 + 1, d2 + 2, d2 + 3});
+    pairs.push_back(d2 + 2);
+    const std::uint32_t half = s.table.add_depolarize2(p);
+    pool.insert(pool.end(), {half, half + 3});  // members 1, 2 unused
+  }
+
+  // The path rule weighs p against the group's Mᵀ weight W. At these p
+  // a group read by one or two rows takes the event path and one read
+  // by a dozen rows the scratch path, in both expression sets.
+  const std::uint32_t light_bernoulli = s.table.add_bernoulli(0.0035);
+  const std::uint32_t heavy_bernoulli = s.table.add_bernoulli(0.0035);
+  const std::uint32_t light_depolarize = s.table.add_depolarize1(0.015);
+  const std::uint32_t heavy_depolarize = s.table.add_depolarize1(0.015);
+
+  Rng rng(2024);
+  s.measurements.push_back({{}, false});
+  s.measurements.push_back({{0}, false});
+  s.measurements.push_back({{light_bernoulli, light_depolarize}, false});
+  for (std::size_t k = 0; k < 24; ++k) {
+    // Heavy groups in every other row, so that the detection XORs of
+    // consecutive rows keep them too.
+    std::vector<std::uint32_t> symbols = {pool[k % pool.size()]};
+    if (k % 2 == 0) {
+      symbols.insert(symbols.end(), {heavy_bernoulli, heavy_depolarize,
+                                     heavy_depolarize + 1});
+    }
+    std::sort(symbols.begin(), symbols.end());
+    symbols.erase(std::unique(symbols.begin(), symbols.end()), symbols.end());
+    s.measurements.push_back({std::move(symbols), false});
+  }
+  for (const std::uint32_t first : pairs) {
+    // Both members in one row: a Y-like pattern cancels in it.
+    s.measurements.push_back({{first, first + 1}, false});
+  }
+  for (std::size_t k = 0; k < pool.size() + 10; ++k) {
+    std::vector<std::uint32_t> symbols = {pool[k % pool.size()]};
+    const std::size_t extra = rng.next_below(4);
+    for (std::size_t i = 0; i < extra; ++i) {
+      symbols.push_back(pool[rng.next_below(pool.size())]);
+    }
+    std::sort(symbols.begin(), symbols.end());
+    symbols.erase(std::unique(symbols.begin(), symbols.end()), symbols.end());
+    s.measurements.push_back({std::move(symbols), false});
+  }
+  s.measurements.push_back({{}, false});
+
+  // Detector-like XORs of consecutive measurements (some cancel to
+  // empty), then one observable-like XOR over a stride.
+  for (std::size_t k = 0; k + 1 < s.measurements.size(); ++k) {
+    s.detections.push_back(
+        {xor_symbol_lists(s.measurements[k].symbols,
+                          s.measurements[k + 1].symbols),
+         false});
+  }
+  s.detections.push_back({{}, false});
+  std::vector<std::uint32_t> observable;
+  for (std::size_t k = 0; k < s.measurements.size(); k += 5) {
+    observable = xor_symbol_lists(observable, s.measurements[k].symbols);
+  }
+  s.detections.push_back({std::move(observable), false});
+  return s;
+}
+
+TEST(ScatterSampling, SyntheticMeasurementsMatchDenseReference) {
+  const Synthetic s = make_synthetic();
+  expect_scatter_matches_reference(s.table, s.measurements, "measurements");
+}
+
+TEST(ScatterSampling, SyntheticDetectionsMatchDenseReference) {
+  const Synthetic s = make_synthetic();
+  expect_scatter_matches_reference(s.table, s.detections, "detections");
+}
+
+TEST(ScatterSampling, NoisySurfaceCodeMatchesDenseReference) {
+  // p-data 0.02 puts every data DEPOLARIZE1 in [1/64, 1/32).
+  SurfaceCodeOptions options;
+  options.distance = 3;
+  options.rounds = 3;
+  options.data_depolarization = 0.02;
+  options.measurement_flip_probability = 0.001;
+  const CompiledSampler cs = CompiledSampler::compile(
+      surface_code_memory(options));
+  std::vector<MeasurementExpression> joint = cs.detector_expressions();
+  joint.insert(joint.end(), cs.observable_expressions().begin(),
+               cs.observable_expressions().end());
+  expect_scatter_matches_reference(cs.symbols(), cs.expressions(),
+                                   "measurements");
+  expect_scatter_matches_reference(cs.symbols(), joint, "detections");
+}
+
+TEST(ScatterSampling, NoUsedSymbolsGivesZeroRows) {
+  SymbolTable table;
+  table.add_bernoulli(0.01);
+  const std::vector<MeasurementExpression> exprs = {{{}, false},
+                                                    {{}, false}};
+  const SymPhaseSampler sampler(table, exprs);
+  BitMatrix block(2, kSampleShardBits);
+  block.row(1)[5] = 0xff;  // stale scratch contents are overwritten
+  sampler.sample_shard_block(0, 100, 1, block);
+  EXPECT_EQ(block.count_ones(), 0u);
+}
+
+}  // namespace
+}  // namespace symphase

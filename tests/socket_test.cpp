@@ -12,8 +12,11 @@
 #include <gtest/gtest.h>
 
 #include <fcntl.h>
+#include <netinet/in.h>
 #include <poll.h>
+#include <pthread.h>
 #include <signal.h>
+#include <sys/socket.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
@@ -207,6 +210,63 @@ INSTANTIATE_TEST_SUITE_P(Corpus, SocketDifferentialTest,
                            }
                            return name;
                          });
+
+TEST(SocketTest, ConnectInterruptedBySignalStillConnects) {
+  // A blocking connect() that a signal interrupts fails with EINTR while
+  // the handshake goes on in the background. The listener's accept
+  // queue is full, so the kernel drops the first SYN and the connect
+  // blocks until the SYN is resent (about 1 s later); signals fire at
+  // the connecting thread all along. tcp_connect must still connect.
+  struct sigaction action {};
+  struct sigaction previous {};
+  action.sa_handler = [](int) {};
+  sigemptyset(&action.sa_mask);
+  action.sa_flags = 0;  // deliberately no SA_RESTART
+  ASSERT_EQ(sigaction(SIGALRM, &action, &previous), 0);
+
+  // Backlog 0: one queued connection fills the accept queue.
+  Socket listener(::socket(AF_INET, SOCK_STREAM, 0));
+  ASSERT_TRUE(listener.valid());
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  ASSERT_EQ(::bind(listener.fd(), reinterpret_cast<const sockaddr*>(&addr),
+                   sizeof addr),
+            0);
+  ASSERT_EQ(::listen(listener.fd(), 0), 0);
+  const HostPort at{"127.0.0.1", local_port(listener)};
+  const Socket queued = tcp_connect(at);
+
+  const pthread_t connecting = pthread_self();
+  std::atomic<bool> done{false};
+  std::thread signaller([&] {
+    const auto start = std::chrono::steady_clock::now();
+    Socket accepted;
+    while (!done.load()) {
+      pthread_kill(connecting, SIGALRM);
+      std::this_thread::sleep_for(std::chrono::milliseconds(20));
+      // Free the queue so that the resent SYN is accepted.
+      if (!accepted.valid() &&
+          std::chrono::steady_clock::now() - start >
+              std::chrono::milliseconds(200)) {
+        accepted = tcp_accept(listener);
+      }
+    }
+  });
+  std::string failure;
+  Socket connected;
+  try {
+    connected = tcp_connect(at);
+  } catch (const std::exception& e) {
+    failure = e.what();
+  }
+  done.store(true);
+  signaller.join();
+  ASSERT_EQ(sigaction(SIGALRM, &previous, nullptr), 0);
+
+  EXPECT_EQ(failure, "");
+  EXPECT_TRUE(connected.valid());
+}
 
 TEST(SocketServerTest, MultipleClientsShareOneCompiledSession) {
   const std::string circuit_text = "H 0\nCNOT 0 1\nX_ERROR(0.05) 0 1\nM 0 1\n";

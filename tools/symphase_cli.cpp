@@ -149,7 +149,8 @@ class Options {
     return values_.contains(key);
   }
 
-  /// Called after the command consumed its options; rejects leftovers.
+  /// Called once the command has read its options and before it does
+  /// any work; rejects leftovers, so a mistyped flag never runs.
   void finish() const {
     for (const auto& [key, value] : values_) {
       if (!consumed_.contains(key)) {
@@ -266,10 +267,9 @@ SampleTask task_from_options(SampleTarget target, Options& opt) {
   return task;
 }
 
-/// Flags that only mean something with --connect must fail *before*
-/// the local sampling run, not via the post-run finish() sweep — a
-/// forgotten --connect would otherwise sample for minutes and then
-/// exit 2.
+/// Flags that only mean something with --connect get their own usage
+/// error, checked before the local run's finish() would call them
+/// unknown.
 void reject_remote_only_flags(const Options& opt) {
   for (const char* flag : {"priority", "deadline-ms", "repeat", "pipeline",
                            "retries", "retry-backoff-ms", "timeout-ms"}) {
@@ -325,6 +325,7 @@ int run_remote(const std::string& address, const std::string& path,
   policy.max_backoff_ms =
       std::max<std::uint64_t>(policy.initial_backoff_ms, 5000);
   policy.request_timeout_ms = opt.get_u64("timeout-ms", 0);
+  opt.finish();
   const std::string circuit_text = load_circuit_text(path);
 
   if (repeat > 1) {
@@ -436,6 +437,7 @@ int cmd_sample(const std::string& path, Options& opt) {
     return run_remote(connect, path, RequestVerb::kSample, task, format, opt);
   }
   reject_remote_only_flags(opt);
+  opt.finish();
   const SimulatorSession session(load_circuit(path));
   WriterSink sink(std::cout, format);
   session.run(task, sink);
@@ -452,6 +454,7 @@ int cmd_detect(const std::string& path, Options& opt) {
     return run_remote(connect, path, RequestVerb::kDetect, task, format, opt);
   }
   reject_remote_only_flags(opt);
+  opt.finish();
   const SimulatorSession session(load_circuit(path));
   if (session.num_detectors() == 0 && session.num_observables() == 0) {
     std::cerr << "error: circuit declares no detectors or observables; "
@@ -467,6 +470,7 @@ int cmd_detect(const std::string& path, Options& opt) {
 
 int cmd_analyze(const std::string& path, Options& opt) {
   const auto max_expr = opt.get_u64("max-expr", 32);
+  opt.finish();
   const Circuit circuit = load_circuit(path);
   const CircuitStats stats = circuit.stats();
   const CompiledSampler sampler = CompiledSampler::compile(circuit);
@@ -494,7 +498,7 @@ int cmd_analyze(const std::string& path, Options& opt) {
 }
 
 int cmd_dem(const std::string& path, Options& opt) {
-  (void)opt;
+  opt.finish();
   const Circuit circuit = load_circuit(path);
   const CompiledSampler sampler = CompiledSampler::compile(circuit);
   std::cout << sampler.error_model().to_text();
@@ -906,6 +910,7 @@ int cmd_gen(const std::string& family, Options& opt) {
     sc.data_depolarization = opt.get_double("p-data", 0.0);
     sc.gate_depolarization = opt.get_double("p-gate", 0.0);
     sc.measurement_flip_probability = opt.get_double("p-meas", 0.0);
+    opt.finish();
     std::cout << surface_code_memory(sc).to_text();
     return 0;
   }
@@ -916,6 +921,7 @@ int cmd_gen(const std::string& family, Options& opt) {
     rc.data_error_probability = opt.get_double("p-data", 0.0);
     rc.gate_error_probability = opt.get_double("p-gate", 0.0);
     rc.measurement_error_probability = opt.get_double("p-meas", 0.0);
+    opt.finish();
     std::cout << repetition_code_memory(rc).to_text();
     return 0;
   }
@@ -924,6 +930,7 @@ int cmd_gen(const std::string& family, Options& opt) {
     st.rounds = opt.get_u64("rounds", 3);
     st.data_error_probability = opt.get_double("p-data", 0.0);
     st.measurement_error_probability = opt.get_double("p-meas", 0.0);
+    opt.finish();
     std::cout << steane_code_memory(st).to_text();
     return 0;
   }
@@ -934,6 +941,7 @@ int cmd_gen(const std::string& family, Options& opt) {
     lc.cnot_pairs_per_layer = opt.get_u64("cnot-pairs", 5);
     lc.depolarize_probability = opt.get_double("p-depolarize", 0.0);
     Rng rng(opt.get_u64("seed", 2024));
+    opt.finish();
     std::cout << layered_random_circuit(lc, rng).to_text();
     return 0;
   }
@@ -954,14 +962,12 @@ int main(int argc, char** argv) {
       if (target == "--stdio") {
         Options opt(argc, argv, 3, {"trace"});
         code = cmd_serve(opt);
-        opt.finish();
       } else if (target == "--listen") {
         if (argc < 4) {
           usage("serve --listen needs HOST:PORT");
         }
         Options opt(argc, argv, 4, {"log-json", "trace"});
         code = cmd_serve_listen(argv[3], opt);
-        opt.finish();
       } else {
         usage("serve requires --stdio or --listen HOST:PORT");
       }
@@ -989,7 +995,6 @@ int main(int argc, char** argv) {
     } else {
       usage("unknown command '" + command + "'");
     }
-    opt.finish();
     return code;
   } catch (const std::invalid_argument& e) {
     std::cerr << "error: " << e.what() << '\n';
