@@ -1,5 +1,7 @@
 #include "api/sample_sink.hpp"
 
+#include <stdexcept>
+
 #include "common/check.hpp"
 #include "common/simd_word.hpp"
 
@@ -21,19 +23,22 @@ void BitMatrixSink::consume(const SampleChunk& chunk) {
   }
 }
 
-void WriterSink::consume(const SampleChunk& chunk) {
+void check_writable_chunk(const SampleChunk& chunk, SampleFormat format,
+                          const SampleStreamInfo& info) {
   SYMPHASE_CHECK(chunk.bits != nullptr);
-  shots_seen_ += chunk.num_shots;
-  // Packed ptb64 records cover 64 shots each: a ragged chunk is only
-  // serializable as the very last one (its final group is zero-padded,
-  // exactly like the materialized writer's tail).
-  SYMPHASE_CHECK_MSG(format_ != SampleFormat::kPtb64 ||
+  SYMPHASE_CHECK_MSG(format != SampleFormat::kPtb64 ||
                          chunk.num_shots % kWordBits == 0 ||
-                         shots_seen_ == info_.num_shots,
+                         chunk.shot_offset + chunk.num_shots == info.num_shots,
                      "ptb64 stream flushed on a non-64-shot boundary mid-run");
-  write_samples(*chunk.bits, format_, out_, info_.num_detectors,
+}
+
+void WriterSink::consume(const SampleChunk& chunk) {
+  check_writable_chunk(chunk, format_, info_);
+  write_samples(*chunk.bits, format_, out_, buffer_, info_.num_detectors,
                 chunk.num_shots);
-  out_.flush();
+  if (!out_.flush()) {
+    throw std::runtime_error("cannot write samples: the output stream failed");
+  }
 }
 
 }  // namespace symphase

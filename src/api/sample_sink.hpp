@@ -78,28 +78,34 @@ class BitMatrixSink final : public SampleSink {
   BitMatrix matrix_;
 };
 
-/// Streams chunks through the SampleFormat serializers into an ostream.
+/// Throws unless a shot-major writer can render `chunk` in `format` as
+/// part of the run `info` describes. Packed kPtb64 records cover 64
+/// shots, so a chunk that ends mid-group must be the run's last one:
+/// any earlier one would be zero-padded mid-stream and diverge from the
+/// materialized output (its final group is padded exactly like the
+/// materialized writer's tail). The engine's word-aligned shard chunks
+/// always satisfy this (tests/streaming_session_test.cpp's ragged-shot
+/// regressions); WriterSink and the service's frame sink both check it.
+void check_writable_chunk(const SampleChunk& chunk, SampleFormat format,
+                          const SampleStreamInfo& info);
+
+/// Streams chunks through the SampleFormat renderer into an ostream.
 /// The concatenated output is byte-identical to write_samples() on the
 /// materialized matrix, but peak memory is one shard, not the run.
 ///
-/// Flushing is chunk-aligned: the stream is flushed after every chunk,
-/// so an incremental consumer (the service's wire frames, a pipe) sees
-/// whole serialized chunks, never a partial record. For the packed
-/// kPtb64 format — whose records span 64 shots — a non-final chunk must
-/// cover a multiple of 64 shots or the per-chunk serialization would
-/// zero-pad mid-stream and diverge from the materialized output; the
-/// sink rejects such chunks outright (the engine's word-aligned shard
-/// chunks always satisfy this, see tests/streaming_session_test.cpp's
-/// ragged-shot regressions).
+/// Each chunk is rendered through write_samples into one byte buffer the
+/// sink reuses, a fixed number of 64-shot groups per stream write, and
+/// then the stream is flushed once, so an incremental consumer (a pipe,
+/// a file) sees whole serialized chunks, never a partial record. After
+/// that flush the sink checks the stream and throws std::runtime_error
+/// if it failed (a full disk, a closed pipe), so the run stops at that
+/// chunk instead of finishing silently with truncated output.
 class WriterSink final : public SampleSink {
  public:
   WriterSink(std::ostream& out, SampleFormat format)
       : out_(out), format_(format) {}
 
-  void begin(const SampleStreamInfo& info) override {
-    info_ = info;
-    shots_seen_ = 0;
-  }
+  void begin(const SampleStreamInfo& info) override { info_ = info; }
   void consume(const SampleChunk& chunk) override;
   void end() override { out_.flush(); }
 
@@ -107,7 +113,7 @@ class WriterSink final : public SampleSink {
   std::ostream& out_;
   SampleFormat format_;
   SampleStreamInfo info_;
-  std::size_t shots_seen_ = 0;
+  std::string buffer_;
 };
 
 /// Hands each chunk to a user callback — the extension point for custom

@@ -6,7 +6,14 @@
 /// Sample matrices everywhere in this library are measurement-major
 /// (row = one measurement/detector across shots). Files are shot-major
 /// (one record per shot), matching what decoders and analysis scripts
-/// consume; the writer performs the transposition.
+/// consume. The renderer transposes in 64×64-bit tiles, never bit by
+/// bit: for each 64-shot group it gathers that group's word from every
+/// row (zero past the last row), transposes each 64-row block with
+/// transpose_64x64_strided, and is left with shot j's record as
+/// contiguous little-endian words (record bit k at word k/64, bit
+/// k%64). Every shot-major format is then a byte-level rewrite of those
+/// words into a byte buffer; kPtb64 is already the matrix's own word
+/// layout and copies the masked row words instead.
 ///
 /// Formats:
 ///   k01  — ASCII '0'/'1' per bit, one line per shot.
@@ -26,12 +33,14 @@
 /// Record boundaries vs. streaming: k01/kHex/kB8/kDets records are
 /// per-shot, so any shot-aligned chunking concatenates cleanly. kPtb64
 /// records span 64 shots, so a streamed writer may only flush on
-/// 64-shot-aligned boundaries (WriterSink enforces this; the engine's
+/// 64-shot-aligned boundaries (the streaming sinks enforce this through
+/// check_writable_chunk in api/sample_sink.hpp; the engine's
 /// word-aligned shard chunks always satisfy it).
 
 #include <cstdint>
 #include <ostream>
 #include <string>
+#include <string_view>
 
 #include "bitvec/bit_matrix.hpp"
 
@@ -42,18 +51,36 @@ enum class SampleFormat { k01, kHex, kB8, kPtb64, kDets };
 /// Parses "01", "hex", "b8", "ptb64", "dets"; throws on anything else.
 SampleFormat sample_format_from_name(std::string_view name);
 
-/// Writes `samples` (measurement-major) to `out` shot-major in `format`.
+/// Appends shots [shot_begin, shot_end) of `samples` (measurement-major)
+/// to `out`, shot-major in `format`. `shot_begin` must be a multiple of
+/// 64; `shot_end` is capped at samples.cols(). Columns at or past
+/// `shot_end` never reach the output, so a fixed-width block with stale
+/// columns renders exactly like a matrix holding only the valid shots.
 /// For kDets, rows with index >= num_detectors are rendered as
-/// "L<index - num_detectors>"; pass num_detectors == rows for pure
-/// detector output. `num_shots` caps how many leading columns are
-/// written (default: all) — the streaming WriterSink uses this to emit
-/// only the valid shots of a fixed-width shard block.
+/// "L<index - num_detectors>" (SIZE_MAX: every row is a detector).
+void append_samples(std::string& out, const BitMatrix& samples,
+                    SampleFormat format, std::size_t num_detectors,
+                    std::size_t shot_begin, std::size_t shot_end);
+
+/// Writes `samples` to `out` shot-major in `format`. Renders a fixed
+/// number of 64-shot groups at a time into `buffer` and hands each batch
+/// to the stream with one write, so memory stays bounded however many
+/// shots there are; the caller keeps `buffer` to reuse its allocation
+/// across calls. `num_shots` caps how many leading columns are written
+/// (default: all) — the streaming WriterSink uses this to emit only the
+/// valid shots of a fixed-width shard block.
+void write_samples(const BitMatrix& samples, SampleFormat format,
+                   std::ostream& out, std::string& buffer,
+                   std::size_t num_detectors = SIZE_MAX,
+                   std::size_t num_shots = SIZE_MAX);
+
+/// write_samples with a buffer of its own.
 void write_samples(const BitMatrix& samples, SampleFormat format,
                    std::ostream& out,
                    std::size_t num_detectors = SIZE_MAX,
                    std::size_t num_shots = SIZE_MAX);
 
-/// Convenience: serialize to a string.
+/// Convenience: render to a string.
 std::string samples_to_string(const BitMatrix& samples, SampleFormat format,
                               std::size_t num_detectors = SIZE_MAX,
                               std::size_t num_shots = SIZE_MAX);

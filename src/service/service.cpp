@@ -85,10 +85,11 @@ std::string render_server_timing(const StageBreakdown& s) {
   return oss.str();
 }
 
-/// SampleSink that serializes chunks through WriterSink (so format
-/// bytes, flushing discipline, and ptb64 alignment checks are exactly
-/// the streaming CLI's) and ships the bytes as wire data frames, split
-/// at the payload cap. end() appends the final status frame.
+/// SampleSink that renders each chunk with append_samples into one
+/// reused byte buffer (the same renderer and ptb64 alignment check as
+/// the streaming CLI's WriterSink) and ships the bytes as wire data
+/// frames, split at the payload cap. end() appends the final status
+/// frame.
 class FrameSink final : public SampleSink {
  public:
   FrameSink(std::uint64_t request_id, SampleFormat format,
@@ -101,8 +102,8 @@ class FrameSink final : public SampleSink {
         progress_(progress),
         ticket_(ticket),
         group_(group),
-        want_timing_(want_timing),
-        writer_(buffer_, format) {}
+        format_(format),
+        want_timing_(want_timing) {}
 
   /// Installs the pre-execution clock marks the final timing frame
   /// needs. Called once the compile stage has finished, before any
@@ -114,12 +115,24 @@ class FrameSink final : public SampleSink {
     compile_done_ns_ = compile_done_ns;
   }
 
-  void begin(const SampleStreamInfo& info) override { writer_.begin(info); }
+  void begin(const SampleStreamInfo& info) override { info_ = info; }
 
   void consume(const SampleChunk& chunk) override {
     const std::uint64_t t0 = trace::now_ns();
-    writer_.consume(chunk);
-    ship_buffer();
+    check_writable_chunk(chunk, format_, info_);
+    buffer_.clear();
+    append_samples(buffer_, *chunk.bits, format_, info_.num_detectors, 0,
+                   chunk.num_shots);
+    for (std::size_t offset = 0; offset < buffer_.size();
+         offset += max_payload_) {
+      FrameHeader header;
+      header.request_id = request_id_;
+      header.chunk_index = next_chunk_++;
+      const std::string_view slice =
+          std::string_view(buffer_).substr(offset, max_payload_);
+      header.payload_bytes = static_cast<std::uint32_t>(slice.size());
+      emit_(header, slice);
+    }
     const std::uint64_t t1 = trace::now_ns();
     emit_ns_ += t1 - t0;
     trace::span("emit", t0, t1, request_id_, ticket_, group_, next_chunk_);
@@ -132,12 +145,7 @@ class FrameSink final : public SampleSink {
   }
 
   void end() override {
-    const std::uint64_t t0 = trace::now_ns();
-    writer_.end();
-    ship_buffer();
-    const std::uint64_t t1 = trace::now_ns();
-    emit_ns_ += t1 - t0;
-    end_ns_ = t1;
+    end_ns_ = trace::now_ns();
     FrameHeader header;
     header.request_id = request_id_;
     header.chunk_index = next_chunk_++;
@@ -166,35 +174,21 @@ class FrameSink final : public SampleSink {
   std::uint64_t end_ns() const { return end_ns_; }
 
  private:
-  void ship_buffer() {
-    const std::string bytes = buffer_.str();
-    buffer_.str({});
-    for (std::size_t offset = 0; offset < bytes.size();
-         offset += max_payload_) {
-      FrameHeader header;
-      header.request_id = request_id_;
-      header.chunk_index = next_chunk_++;
-      const std::string_view slice =
-          std::string_view(bytes).substr(offset, max_payload_);
-      header.payload_bytes = static_cast<std::uint32_t>(slice.size());
-      emit_(header, slice);
-    }
-  }
-
   std::uint64_t request_id_;
   std::size_t max_payload_;
   const FrameFn& emit_;
   std::atomic<std::uint64_t>* progress_;
   std::uint64_t ticket_;
   std::uint64_t group_;
+  SampleFormat format_;
   bool want_timing_;
+  SampleStreamInfo info_;
   std::uint64_t accept_ns_ = 0;
   std::uint64_t claim_ns_ = 0;
   std::uint64_t compile_done_ns_ = 0;
   std::uint64_t emit_ns_ = 0;
   std::uint64_t end_ns_ = 0;
-  std::ostringstream buffer_;
-  WriterSink writer_;
+  std::string buffer_;
   std::uint32_t next_chunk_ = 0;
 };
 

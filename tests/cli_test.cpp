@@ -1,11 +1,15 @@
-// Subprocess tests for the symphase CLI binary. The binary path is
-// injected by CMake (SYMPHASE_CLI_PATH).
+// Subprocess tests for the symphase CLI binary. The binary path and the
+// corpus directory are injected by CMake (SYMPHASE_CLI_PATH,
+// SYMPHASE_DATA_DIR).
 
 #include <gtest/gtest.h>
 
 #include <array>
 #include <cstdio>
+#include <filesystem>
 #include <string>
+
+#include "service/digest.hpp"
 
 namespace symphase {
 namespace {
@@ -15,9 +19,8 @@ struct CommandResult {
   std::string output;
 };
 
-CommandResult run_cli(const std::string& args) {
-  const std::string command =
-      std::string(SYMPHASE_CLI_PATH) + " " + args + " 2>&1";
+/// Runs a shell command; `output` is what it wrote to stdout.
+CommandResult run_shell(const std::string& command) {
   FILE* pipe = popen(command.c_str(), "r");
   EXPECT_NE(pipe, nullptr);
   CommandResult result;
@@ -29,6 +32,11 @@ CommandResult run_cli(const std::string& args) {
   const int status = pclose(pipe);
   result.exit_code = WEXITSTATUS(status);
   return result;
+}
+
+/// Runs the CLI; `output` holds its stdout and stderr, interleaved.
+CommandResult run_cli(const std::string& args) {
+  return run_shell(std::string(SYMPHASE_CLI_PATH) + " " + args + " 2>&1");
 }
 
 std::string write_temp_circuit(const std::string& text) {
@@ -200,6 +208,64 @@ TEST(Cli, ParseErrorReported) {
   const CommandResult r = run_cli("sample " + path);
   EXPECT_EQ(r.exit_code, 1);
   EXPECT_NE(r.output.find("parse error"), std::string::npos);
+}
+
+TEST(Cli, FailedOutputWriteExitsOne) {
+  // A full disk must not leave a truncated file behind a zero exit.
+  if (!std::filesystem::exists("/dev/full")) {
+    GTEST_SKIP() << "no /dev/full on this system";
+  }
+  const std::string circuit =
+      std::string(SYMPHASE_DATA_DIR) + "/surface_d3_r3_noisy.stim";
+  for (const std::string& args :
+       {"sample " + circuit + " --shots 100000 --format b8",
+        "detect " + circuit + " --shots 100000 --format dets",
+        std::string("gen surface --distance 3")}) {
+    // stderr goes to the pipe, stdout to the full device.
+    const CommandResult r = run_shell(std::string(SYMPHASE_CLI_PATH) + " " +
+                                      args + " 2>&1 >/dev/full");
+    EXPECT_EQ(r.exit_code, 1) << args;
+    EXPECT_EQ(r.output.rfind("error: ", 0), 0u) << args << "\n" << r.output;
+  }
+}
+
+TEST(Cli, OutputBytesPinned) {
+  // FNV-128 digests of stdout, recorded with the per-bit writer the tile
+  // renderer replaced. They pin every format's bytes across versions and
+  // across the scalar and SIMD builds; surface d5 records (145
+  // measurement, 121 detection bits) are wider than 64 bits and not a
+  // multiple of 8.
+  const std::string d3 =
+      std::string(SYMPHASE_DATA_DIR) + "/surface_d3_r3_noisy.stim";
+  const std::string d5 = ::testing::TempDir() + "/cli_surface_d5.stim";
+  ASSERT_EQ(run_cli("gen surface --distance 5 --rounds 5 --p-data 0.01 "
+                    "--p-meas 0.01 > " + d5)
+                .exit_code,
+            0);
+  const std::string run = " --shots 20001 --seed 11 --threads 3 --format ";
+  const struct {
+    std::string args;
+    const char* digest;
+  } cases[] = {
+      {"sample " + d3 + run + "01", "5b9fba1cce5665a84fd2c4a42bbd0ffa"},
+      {"sample " + d3 + run + "hex", "5873e8f3a2c3ba2f8daeb345037a577c"},
+      {"sample " + d3 + run + "b8", "0be9c90326c43591cb00a4feaf30033c"},
+      {"sample " + d3 + run + "ptb64", "c76726201a42dce40403d719b43bef2c"},
+      {"detect " + d3 + run + "dets", "e71c3a388968e6f175889db3aa5ce4d7"},
+      {"detect " + d3 + run + "01", "ce7125e760641b754905ebd2a41d93a6"},
+      {"detect " + d3 + run + "b8", "255d4cdcb8ce7469178e620cbbdfdd07"},
+      {"sample " + d5 + run + "01", "f779a0bc8ee6edc7156b57fa39dcbad8"},
+      {"sample " + d5 + run + "b8", "93a80d27c04977cf035326b40a88d8a2"},
+      {"detect " + d5 + run + "01", "1b15785e72b5cd474afbc599c3a347a2"},
+      {"detect " + d5 + run + "b8", "e69798679e58256a5a3a29ead04df5e0"},
+      {"detect " + d5 + run + "dets", "d86e63140ac492ed4cb8d551f03fd5f6"},
+  };
+  for (const auto& c : cases) {
+    const CommandResult r =
+        run_shell(std::string(SYMPHASE_CLI_PATH) + " " + c.args);
+    ASSERT_EQ(r.exit_code, 0) << c.args;
+    EXPECT_EQ(fnv128_hex(r.output), c.digest) << c.args;
+  }
 }
 
 }  // namespace

@@ -4,6 +4,7 @@
 
 #include <sstream>
 
+#include "api/sample_sink.hpp"
 #include "common/rng.hpp"
 #include "core/symphase.hpp"
 
@@ -137,11 +138,21 @@ class WriterRoundTrip : public ::testing::TestWithParam<SampleFormat> {};
 
 TEST_P(WriterRoundTrip, RandomMatricesRoundTrip) {
   Rng rng(static_cast<std::uint64_t>(GetParam()) + 17);
-  for (const std::size_t bits : {1u, 3u, 8u, 9u, 64u, 65u, 200u}) {
-    for (const std::size_t shots : {0u, 1u, 7u, 100u}) {
+  for (const std::size_t bits : {0u, 1u, 3u, 8u, 9u, 64u, 65u, 200u, 600u}) {
+    for (const std::size_t shots :
+         {0u, 1u, 7u, 63u, 64u, 65u, 100u, 8201u}) {
       const BitMatrix original = BitMatrix::random(bits, shots, rng);
       std::stringstream stream;
       write_samples(original, GetParam(), stream);
+      if (bits == 0) {
+        // Zero-width records cannot be counted back: 01 and hex write an
+        // empty line per shot, b8 writes nothing.
+        EXPECT_EQ(stream.str(), GetParam() == SampleFormat::kB8
+                                    ? std::string()
+                                    : std::string(shots, '\n'))
+            << "shots=" << shots;
+        continue;
+      }
       const BitMatrix back = read_samples(stream, GetParam(), bits);
       ASSERT_EQ(back, original) << "bits=" << bits << " shots=" << shots;
     }
@@ -152,6 +163,120 @@ INSTANTIATE_TEST_SUITE_P(Formats, WriterRoundTrip,
                          ::testing::Values(SampleFormat::k01,
                                            SampleFormat::kHex,
                                            SampleFormat::kB8));
+
+/// dets rendered one bit test at a time: the reference the tile
+/// renderer must match (dets is write-only, so no round trip covers it).
+std::string dets_reference(const BitMatrix& samples,
+                           std::size_t num_detectors) {
+  std::string out;
+  for (std::size_t shot = 0; shot < samples.cols(); ++shot) {
+    out += "shot";
+    for (std::size_t k = 0; k < samples.rows(); ++k) {
+      if (samples.get(k, shot)) {
+        out += k < num_detectors ? " D" + std::to_string(k)
+                                 : " L" + std::to_string(k - num_detectors);
+      }
+    }
+    out += '\n';
+  }
+  return out;
+}
+
+TEST(SampleWriter, DetsMatchesPerBitReference) {
+  Rng rng(29);
+  for (const std::size_t bits : {1u, 9u, 64u, 65u, 200u, 600u}) {
+    for (const std::size_t shots : {0u, 1u, 63u, 65u, 300u}) {
+      const BitMatrix samples = BitMatrix::random(bits, shots, rng);
+      for (const std::size_t num_detectors : {std::size_t{0}, bits / 2, bits}) {
+        ASSERT_EQ(samples_to_string(samples, SampleFormat::kDets,
+                                    num_detectors),
+                  dets_reference(samples, num_detectors))
+            << "bits=" << bits << " shots=" << shots
+            << " num_detectors=" << num_detectors;
+      }
+    }
+  }
+}
+
+class WriterFormats : public ::testing::TestWithParam<SampleFormat> {};
+
+TEST_P(WriterFormats, StaleColumnsAndRowPaddingNeverReachOutput) {
+  // Streaming hands the writer fixed-width scratch blocks: columns at or
+  // past num_shots, and the padding words past cols(), may hold anything.
+  Rng rng(static_cast<std::uint64_t>(GetParam()) + 41);
+  for (const std::size_t bits : {1u, 9u, 64u, 65u, 200u}) {
+    for (const std::size_t shots : {1u, 10u, 63u, 64u, 65u, 130u}) {
+      const BitMatrix clean = BitMatrix::random(bits, shots, rng);
+      const std::size_t num_detectors = bits / 2;
+      const std::string expected =
+          samples_to_string(clean, GetParam(), num_detectors);
+
+      BitMatrix block(bits, shots + 100);
+      BitMatrix padded = clean;
+      for (std::size_t k = 0; k < bits; ++k) {
+        for (std::size_t w = 0; w < block.words_per_row(); ++w) {
+          block.row(k)[w] = rng.next_word();
+        }
+        for (std::size_t j = 0; j < shots; ++j) {
+          block.set(k, j, clean.get(k, j));
+        }
+        for (std::size_t c = shots; c < padded.words_per_row() * 64; ++c) {
+          padded.row(k)[c / 64] |= 1ull << (c % 64);
+        }
+      }
+      ASSERT_EQ(samples_to_string(block, GetParam(), num_detectors, shots),
+                expected)
+          << "stale columns, bits=" << bits << " shots=" << shots;
+      ASSERT_EQ(samples_to_string(padded, GetParam(), num_detectors),
+                expected)
+          << "row padding, bits=" << bits << " shots=" << shots;
+    }
+  }
+}
+
+TEST_P(WriterFormats, WriterSinkInShardChunksMatchesWholeMatrix) {
+  // The streaming engine's view: the same matrix delivered as
+  // 8192-shot chunks, the last one ragged, each in a full-width block
+  // whose columns past the chunk's shots hold junk.
+  constexpr std::size_t kChunk = 8192;
+  Rng rng(static_cast<std::uint64_t>(GetParam()) + 53);
+  for (const std::size_t bits : {1u, 65u, 600u}) {
+    const std::size_t shots = 2 * kChunk + 1000;
+    const BitMatrix samples = BitMatrix::random(bits, shots, rng);
+    const std::size_t num_detectors = bits - 1;
+    std::ostringstream oss;
+    WriterSink sink(oss, GetParam());
+    SampleStreamInfo info;
+    info.bits_per_shot = bits;
+    info.num_detectors = num_detectors;
+    info.num_shots = shots;
+    sink.begin(info);
+    for (std::size_t offset = 0; offset < shots; offset += kChunk) {
+      BitMatrix block = BitMatrix::random(bits, kChunk, rng);
+      const std::size_t chunk_shots = std::min(kChunk, shots - offset);
+      for (std::size_t k = 0; k < bits; ++k) {
+        for (std::size_t j = 0; j < chunk_shots; ++j) {
+          block.set(k, j, samples.get(k, offset + j));
+        }
+      }
+      SampleChunk chunk;
+      chunk.bits = &block;
+      chunk.shot_offset = offset;
+      chunk.num_shots = chunk_shots;
+      sink.consume(chunk);
+    }
+    sink.end();
+    ASSERT_EQ(oss.str(), samples_to_string(samples, GetParam(), num_detectors))
+        << "bits=" << bits;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Formats, WriterFormats,
+                         ::testing::Values(SampleFormat::k01,
+                                           SampleFormat::kHex,
+                                           SampleFormat::kB8,
+                                           SampleFormat::kPtb64,
+                                           SampleFormat::kDets));
 
 TEST(SampleWriter, ReadRejectsMalformed) {
   std::stringstream bad01("10\n");

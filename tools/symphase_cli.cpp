@@ -995,6 +995,13 @@ int main(int argc, char** argv) {
     } else {
       usage("unknown command '" + command + "'");
     }
+    // Commands that print with << (gen, analyze, dem, ...) leave their
+    // output in the stream's buffer: a full disk or a closed file only
+    // shows when it is flushed. WriterSink checks its own flushes.
+    if (!std::cout.flush()) {
+      std::cerr << "error: cannot write to standard output\n";
+      return 1;
+    }
     return code;
   } catch (const std::invalid_argument& e) {
     std::cerr << "error: " << e.what() << '\n';
