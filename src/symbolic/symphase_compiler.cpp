@@ -251,17 +251,20 @@ MeasurementExpression SymPhaseCompiler<Layout>::measure(std::uint32_t a) {
 
   if (pivot != static_cast<std::size_t>(-1)) {
     // Random outcome: A-G collapse, then a fresh coin symbol becomes both
-    // the new row's phase and the recorded expression.
+    // the new row's phase and the recorded expression. Destabilizer rows
+    // take X/Z-only ops: no outcome reads a destabilizer phase.
     const std::size_t paired_destab = pivot - n;
     for (std::size_t i = 0; i < 2 * n; ++i) {
-      if (i == pivot || i == paired_destab) {
+      if (i == pivot || i == paired_destab || !tableau_.x_bit(i, a)) {
         continue;
       }
-      if (tableau_.x_bit(i, a)) {
+      if (i < n) {
+        tableau_.row_mult_xz(i, pivot);
+      } else {
         tableau_.row_mult(i, pivot);
       }
     }
-    tableau_.row_copy(paired_destab, pivot);
+    tableau_.row_copy_xz(paired_destab, pivot);
     tableau_.row_set_plus_z(pivot, a);
     const std::uint32_t s = symbols_.add_coin();
     mint_symbol_columns(s, 1);
@@ -308,8 +311,8 @@ void SymPhaseCompiler<Layout>::conditional_x_in_row_mode(
   if (expr.empty()) {
     return;
   }
-  const std::size_t rows = 2 * tableau_.num_qubits();
-  for (std::size_t i = 0; i < rows; ++i) {
+  const std::size_t n = tableau_.num_qubits();
+  for (std::size_t i = n; i < 2 * n; ++i) {
     if (tableau_.z_bit(i, a)) {
       for (const std::uint32_t col : expr) {
         tableau_.row_phase_xor_bit(i, col);
@@ -324,8 +327,8 @@ void SymPhaseCompiler<Layout>::conditional_z_in_row_mode(
   if (expr.empty()) {
     return;
   }
-  const std::size_t rows = 2 * tableau_.num_qubits();
-  for (std::size_t i = 0; i < rows; ++i) {
+  const std::size_t n = tableau_.num_qubits();
+  for (std::size_t i = n; i < 2 * n; ++i) {
     if (tableau_.x_bit(i, a)) {
       for (const std::uint32_t col : expr) {
         tableau_.row_phase_xor_bit(i, col);

@@ -15,6 +15,15 @@
 /// The output is one F2 expression (sorted symbol-id list; id 0 is the
 /// constant 1) per measurement, consumed by sampler::SymPhaseSampler as
 /// the sparse matrix M of Eq. (4).
+///
+/// Only stabilizer rows and the scratch row keep meaningful symbolic
+/// phases. Gates and faults update a row's phase from that row's own X/Z
+/// bits; a random collapse writes destabilizers only from the pivot
+/// stabilizer; a deterministic outcome sums stabilizer rows into the
+/// scratch row; and the rowsum's i-exponent depends on X/Z bits only. So
+/// no outcome ever reads a destabilizer phase, and destabilizer rows take
+/// X/Z-only row ops (their X bits still select the stabilizers of a
+/// deterministic outcome).
 
 #include <cstdint>
 #include <vector>
@@ -60,8 +69,6 @@ class SymPhaseCompiler {
     return total;
   }
 
-  const Layout& tableau() const { return tableau_; }
-
  private:
   /// Upper bound on phase columns: 1 + every measurement/reset (each may
   /// mint a coin) + every fault bit.
@@ -74,9 +81,10 @@ class SymPhaseCompiler {
 
   /// Init-M for one qubit; returns the outcome expression.
   MeasurementExpression measure(std::uint32_t a);
-  /// Applies X^expr (resp. Z^expr) at qubit a without leaving row mode.
-  /// Used for conditional reset flips and for the record-controlled
-  /// Pauli gates COND_X/COND_Y/COND_Z (the paper's §6 conditional-Pauli
+  /// Applies X^expr (resp. Z^expr) at qubit a without leaving row mode,
+  /// to the stabilizer rows (destabilizer phases are write-only). Used
+  /// for conditional reset flips and for the record-controlled Pauli
+  /// gates COND_X/COND_Y/COND_Z (the paper's §6 conditional-Pauli
   /// extension for dynamic circuits).
   void conditional_x_in_row_mode(std::uint32_t a,
                                  const std::vector<std::uint32_t>& expr);

@@ -1,5 +1,7 @@
 #include "tableau/blocked_tableau.hpp"
 
+#include <algorithm>
+
 #include "bitvec/transpose.hpp"
 #include "common/simd_word.hpp"
 #include "tableau/row_kernels.hpp"
@@ -44,9 +46,11 @@ std::size_t BlockedTableau::allocate_phase_column() {
 
 void BlockedTableau::set_orientation(std::size_t tc, bool column_oriented) {
   SYMPHASE_ASSERT(col_oriented_[tc] != (column_oriented ? 1 : 0));
+  if (tc >= phase_tile_base()) {
+    flush_phase_log();
+  }
   for (std::size_t tr = 0; tr < tile_rows_; ++tr) {
     transpose_tile512_inplace(tile(tr, tc));
-    ++tile_transpose_count_;
   }
   col_oriented_[tc] = column_oriented ? 1 : 0;
   col_oriented_count_ += column_oriented ? 1 : std::size_t(-1);
@@ -314,34 +318,39 @@ void BlockedTableau::row_mult(std::size_t dst, std::size_t src) {
   }
   const int exponent = tally.i_exponent_mod4();
   SYMPHASE_ASSERT(exponent % 2 == 0);
+  phase_row_op(exponent == 2 ? PhaseOp::kXorFlipConstant : PhaseOp::kXor, dst,
+               src);
+}
 
-  const std::size_t phase_tile_base = shape_.phase_col_base() / kTileBits;
-  const std::size_t live = live_tile_cols();
-  for (std::size_t tc = phase_tile_base; tc < live; ++tc) {
+void BlockedTableau::row_mult_xz(std::size_t dst, std::size_t src) {
+  SYMPHASE_ASSERT(all_rows_ready());
+  SYMPHASE_ASSERT(dst != src);
+  for (std::size_t tc = 0; tc < phase_tile_base(); ++tc) {
     wide::xor_words(row_line(dst, tc), row_line(src, tc), kLine);
-  }
-  if (exponent == 2) {
-    row_line(dst, phase_tile_base)[0] ^= Word{1};
   }
 }
 
 void BlockedTableau::row_copy(std::size_t dst, std::size_t src) {
-  SYMPHASE_ASSERT(all_rows_ready());
   if (dst == src) {
     return;
   }
-  const std::size_t live = live_tile_cols();
-  for (std::size_t tc = 0; tc < live; ++tc) {
+  row_copy_xz(dst, src);
+  phase_row_op(PhaseOp::kCopy, dst, src);
+}
+
+void BlockedTableau::row_copy_xz(std::size_t dst, std::size_t src) {
+  SYMPHASE_ASSERT(all_rows_ready());
+  for (std::size_t tc = 0; tc < phase_tile_base(); ++tc) {
     wide::copy_words(row_line(dst, tc), row_line(src, tc), kLine);
   }
 }
 
 void BlockedTableau::row_clear(std::size_t row) {
   SYMPHASE_ASSERT(all_rows_ready());
-  const std::size_t live = live_tile_cols();
-  for (std::size_t tc = 0; tc < live; ++tc) {
+  for (std::size_t tc = 0; tc < phase_tile_base(); ++tc) {
     wide::clear_words(row_line(row, tc), kLine);
   }
+  phase_row_op(PhaseOp::kClear, row, row);
 }
 
 void BlockedTableau::row_set_plus_z(std::size_t row, std::size_t q) {
@@ -350,12 +359,78 @@ void BlockedTableau::row_set_plus_z(std::size_t row, std::size_t q) {
   set_bit(line, z_col(q) % kTileBits, true);
 }
 
+void BlockedTableau::phase_row_op(PhaseOp op, std::size_t dst,
+                                  std::size_t src) {
+  phase_log_.push_back({row_offset(dst), row_offset(src), op});
+  if (phase_log_.size() + phase_flips_.size() >= kPhaseLogCap) {
+    flush_phase_log();
+  }
+}
+
+void BlockedTableau::apply_phase_op(Word* tile_col,
+                                    const PhaseLogEntry& entry,
+                                    bool constant_tile) {
+  Word* dst = tile_col + entry.dst;
+  const Word* src = tile_col + entry.src;
+  switch (entry.op) {
+    case PhaseOp::kXor:
+      (WideWord::load(dst) ^ WideWord::load(src)).store(dst);
+      break;
+    case PhaseOp::kXorFlipConstant:
+      (WideWord::load(dst) ^ WideWord::load(src)).store(dst);
+      if (constant_tile) {
+        dst[0] ^= Word{1};
+      }
+      break;
+    case PhaseOp::kCopy:
+      WideWord::load(src).store(dst);
+      break;
+    case PhaseOp::kClear:
+      WideWord::zero().store(dst);
+      break;
+  }
+}
+
+void BlockedTableau::flush_phase_log() const {
+  if (phase_log_.empty()) {
+    return;
+  }
+  // Flips at one position commute, so (tile-column, position) order is
+  // all the replay needs.
+  std::sort(phase_flips_.begin(), phase_flips_.end(),
+            [](const PhaseFlip& a, const PhaseFlip& b) {
+              return a.tile_col != b.tile_col ? a.tile_col < b.tile_col
+                                              : a.seq < b.seq;
+            });
+  const std::size_t base = phase_tile_base();
+  const std::size_t live = live_tile_cols();
+  auto flip = phase_flips_.begin();
+  for (std::size_t tc = base; tc < live; ++tc) {
+    Word* tile_col = tiles_.data() + tc * kTileWords;
+    const bool constant_tile = tc == base;
+    std::size_t next = 0;
+    const auto replay_until = [&](std::size_t end) {
+      for (; next < end; ++next) {
+        apply_phase_op(tile_col, phase_log_[next], constant_tile);
+      }
+    };
+    for (; flip != phase_flips_.end() && flip->tile_col == tc; ++flip) {
+      replay_until(flip->seq);
+      flip_bit(tile_col + flip->line, flip->bit);
+    }
+    replay_until(phase_log_.size());
+  }
+  SYMPHASE_ASSERT(flip == phase_flips_.end());
+  phase_log_.clear();
+  phase_flips_.clear();
+}
+
 void BlockedTableau::row_phase_read(std::size_t row, Word* out) const {
   SYMPHASE_ASSERT(all_rows_ready());
-  const std::size_t phase_tile_base = shape_.phase_col_base() / kTileBits;
+  flush_phase_log();
   const std::size_t pwords = phase_words_used();
   std::size_t written = 0;
-  for (std::size_t tc = phase_tile_base; written < pwords; ++tc) {
+  for (std::size_t tc = phase_tile_base(); written < pwords; ++tc) {
     const Word* line = row_line(row, tc);
     for (std::size_t w = 0; w < kLine && written < pwords; ++w) {
       out[written++] = line[w];
@@ -366,27 +441,27 @@ void BlockedTableau::row_phase_read(std::size_t row, Word* out) const {
   }
 }
 
-void BlockedTableau::row_phase_clear(std::size_t row) {
-  SYMPHASE_ASSERT(all_rows_ready());
-  const std::size_t phase_tile_base = shape_.phase_col_base() / kTileBits;
-  const std::size_t live = live_tile_cols();
-  for (std::size_t tc = phase_tile_base; tc < live; ++tc) {
-    wide::clear_words(row_line(row, tc), kLine);
-  }
-}
-
 void BlockedTableau::row_phase_xor_bit(std::size_t row,
                                        std::size_t phase_col_index) {
   SYMPHASE_ASSERT(phase_col_index < phase_used_);
   const std::size_t c = phase_col(phase_col_index);
-  SYMPHASE_ASSERT(!col_oriented_[c / kTileBits]);
-  Word* line = row_line(row, c / kTileBits);
-  flip_bit(line, c % kTileBits);
+  const std::size_t tc = c / kTileBits;
+  SYMPHASE_ASSERT(!col_oriented_[tc]);
+  if (phase_log_.empty()) {
+    flip_bit(row_line(row, tc), c % kTileBits);
+    return;
+  }
+  phase_flips_.push_back(
+      {phase_log_.size(), tc, row_offset(row), c % kTileBits});
+  if (phase_log_.size() + phase_flips_.size() >= kPhaseLogCap) {
+    flush_phase_log();
+  }
 }
 
 bool BlockedTableau::row_phase_bit(std::size_t row,
                                    std::size_t phase_col_index) const {
   SYMPHASE_ASSERT(phase_col_index < phase_used_);
+  flush_phase_log();
   return bit_at(row, phase_col(phase_col_index));
 }
 

@@ -3,7 +3,7 @@
 /// \file blocked_tableau.hpp
 /// Blocked tableau layout (paper Fig. 2d): the SymPhase data layout.
 ///
-/// The tableau is tiled into 512×512-bit blocks (4 KiB each). Each
+/// The tableau is tiled into 512×512-bit blocks (32 KiB each). Each
 /// *tile-column* (all blocks covering the same 512 logical columns)
 /// carries its own orientation:
 ///   - column-oriented: the tile stores its transpose row-major, so a
@@ -21,6 +21,17 @@
 ///
 /// All-zero tiles are orientation-invariant, so lazy phase-column growth
 /// composes safely with the orientation machinery.
+///
+/// Row operations apply their X/Z part at once but only log their phase
+/// part (xor, xor plus a constant-bit flip, copy, clear, or a single-bit
+/// flip). The log is replayed one phase tile-column at a time, so a
+/// measurement burst's row ops run while that tile-column is
+/// cache-resident instead of each op streaming its rows' whole phase
+/// prefix. It is flushed before any phase bit is read, before a phase
+/// tile changes orientation, and when it reaches kPhaseLogCap entries.
+///
+/// Reading a phase replays the log, so even the const readers write to
+/// the tableau: a BlockedTableau is not for concurrent use.
 
 #include <cstdint>
 #include <span>
@@ -75,18 +86,37 @@ class BlockedTableau {
   bool z_bit(std::size_t row, std::size_t q) const;
   void row_mult(std::size_t dst, std::size_t src);
   void row_copy(std::size_t dst, std::size_t src);
+  /// X/Z-only row_mult / row_copy (see RowMajorTableau).
+  void row_mult_xz(std::size_t dst, std::size_t src);
+  void row_copy_xz(std::size_t dst, std::size_t src);
   void row_set_plus_z(std::size_t row, std::size_t q);
   void row_clear(std::size_t row);
   void row_phase_read(std::size_t row, Word* out) const;
-  void row_phase_clear(std::size_t row);
   void row_phase_xor_bit(std::size_t row, std::size_t phase_col);
   bool row_phase_bit(std::size_t row, std::size_t phase_col) const;
 
-  /// Total number of 512x512 tile transposes performed (diagnostics for
-  /// the layout benchmarks).
-  std::size_t tile_transpose_count() const { return tile_transpose_count_; }
-
  private:
+  /// Most pending entries (row ops plus bit flips) the phase log holds
+  /// before it is replayed. A burst of k random collapses logs up to k·n
+  /// row ops, so without a cap a circuit could buy memory with them.
+  static constexpr std::size_t kPhaseLogCap = 4096;
+
+  enum class PhaseOp : std::uint8_t { kXor, kXorFlipConstant, kCopy, kClear };
+  /// Phase part of one row op. dst/src are row_offset()s: add a
+  /// tile-column's base to reach the row's 8-word line in it.
+  struct PhaseLogEntry {
+    std::size_t dst;
+    std::size_t src;
+    PhaseOp op;
+  };
+  /// A bit flip logged after the first `seq` entries, on one tile-column.
+  struct PhaseFlip {
+    std::size_t seq;
+    std::size_t tile_col;
+    std::size_t line;  // row_offset() of the row
+    std::size_t bit;   // bit within the line
+  };
+
   std::size_t x_col(std::size_t q) const { return q; }
   std::size_t z_col(std::size_t q) const { return shape_.z_col_base() + q; }
   std::size_t phase_col(std::size_t b) const {
@@ -126,6 +156,22 @@ class BlockedTableau {
     return (shape_.phase_col_base() + round_up_pow2(phase_used_, kTileBits)) /
            kTileBits;
   }
+  std::size_t phase_tile_base() const {
+    return shape_.phase_col_base() / kTileBits;
+  }
+  /// Offset of row r's line from the start of its tile-column's first tile.
+  std::size_t row_offset(std::size_t r) const {
+    return (r / kTileBits) * tile_cols_ * kTileWords +
+           (r % kTileBits) * kTileWordsPerLine;
+  }
+
+  /// Logs the phase part of a row op; replays the log at kPhaseLogCap.
+  void phase_row_op(PhaseOp op, std::size_t dst, std::size_t src);
+  static void apply_phase_op(Word* tile_col, const PhaseLogEntry& entry,
+                             bool constant_tile);
+  /// Replays and empties the phase log. Every phase tile is row-oriented
+  /// while entries are pending.
+  void flush_phase_log() const;
 
   void set_orientation(std::size_t tc, bool column_oriented);
   void ensure_col_oriented(std::size_t logical_col) {
@@ -143,10 +189,12 @@ class BlockedTableau {
   std::size_t phase_used_ = 1;
   std::size_t tile_rows_ = 0;
   std::size_t tile_cols_ = 0;
-  std::size_t tile_transpose_count_ = 0;
   std::size_t col_oriented_count_ = 0;
   std::vector<std::uint8_t> col_oriented_;  // per tile-column
-  AlignedWordVec tiles_;
+  // Mutable because the const phase readers replay the log first.
+  mutable AlignedWordVec tiles_;
+  mutable std::vector<PhaseLogEntry> phase_log_;
+  mutable std::vector<PhaseFlip> phase_flips_;
 };
 
 }  // namespace symphase

@@ -222,6 +222,16 @@ void ColMajorTableau::row_copy(std::size_t dst, std::size_t src) {
   dense_rows::row_copy(rows_, dst, src);
 }
 
+void ColMajorTableau::row_mult_xz(std::size_t dst, std::size_t src) {
+  SYMPHASE_ASSERT(!column_mode_);
+  dense_rows::row_mult_xz(rows_, shape_, dst, src);
+}
+
+void ColMajorTableau::row_copy_xz(std::size_t dst, std::size_t src) {
+  SYMPHASE_ASSERT(!column_mode_);
+  dense_rows::row_copy_xz(rows_, shape_, dst, src);
+}
+
 void ColMajorTableau::row_set_plus_z(std::size_t row, std::size_t q) {
   SYMPHASE_ASSERT(!column_mode_);
   dense_rows::row_set_plus_z(rows_, shape_, row, q);
@@ -235,11 +245,6 @@ void ColMajorTableau::row_clear(std::size_t row) {
 void ColMajorTableau::row_phase_read(std::size_t row, Word* out) const {
   SYMPHASE_ASSERT(!column_mode_);
   dense_rows::row_phase_read(rows_, shape_, phase_used_, row, out);
-}
-
-void ColMajorTableau::row_phase_clear(std::size_t row) {
-  SYMPHASE_ASSERT(!column_mode_);
-  dense_rows::row_phase_clear(rows_, shape_, row);
 }
 
 void ColMajorTableau::row_phase_xor_bit(std::size_t row,

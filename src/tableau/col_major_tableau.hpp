@@ -65,10 +65,12 @@ class ColMajorTableau {
   bool z_bit(std::size_t row, std::size_t q) const;
   void row_mult(std::size_t dst, std::size_t src);
   void row_copy(std::size_t dst, std::size_t src);
+  /// X/Z-only row_mult / row_copy (see RowMajorTableau).
+  void row_mult_xz(std::size_t dst, std::size_t src);
+  void row_copy_xz(std::size_t dst, std::size_t src);
   void row_set_plus_z(std::size_t row, std::size_t q);
   void row_clear(std::size_t row);
   void row_phase_read(std::size_t row, Word* out) const;
-  void row_phase_clear(std::size_t row);
   void row_phase_xor_bit(std::size_t row, std::size_t phase_col);
   bool row_phase_bit(std::size_t row, std::size_t phase_col) const;
 

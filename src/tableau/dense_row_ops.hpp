@@ -42,6 +42,21 @@ inline void row_copy(BitMatrix& bits, std::size_t dst, std::size_t src) {
   wide::copy_words(bits.row(dst), bits.row(src), bits.words_per_row());
 }
 
+/// row(dst) := row(dst) · row(src) on the X/Z bands only; the phase band
+/// of dst is left as it was.
+inline void row_mult_xz(BitMatrix& bits, const TableauShape& shape,
+                        std::size_t dst, std::size_t src) {
+  SYMPHASE_ASSERT(dst != src);
+  wide::xor_words(bits.row(dst), bits.row(src), 2 * shape.xz_words());
+}
+
+/// Copies the X/Z bands of row(src) into row(dst); the phase band of dst
+/// is left as it was.
+inline void row_copy_xz(BitMatrix& bits, const TableauShape& shape,
+                        std::size_t dst, std::size_t src) {
+  wide::copy_words(bits.row(dst), bits.row(src), 2 * shape.xz_words());
+}
+
 inline void row_set_plus_z(BitMatrix& bits, const TableauShape& shape,
                            std::size_t row, std::size_t q) {
   bits.clear_row(row);
@@ -57,14 +72,6 @@ inline void row_phase_read(const BitMatrix& bits, const TableauShape& shape,
   if (phase_used % kWordBits != 0) {
     out[pwords - 1] &= tail_mask(phase_used);
   }
-}
-
-inline void row_phase_clear(BitMatrix& bits, const TableauShape& shape,
-                            std::size_t row) {
-  Word* r = bits.row(row) + shape.phase_col_base() / kWordBits;
-  const std::size_t total =
-      (bits.words_per_row() * kWordBits - shape.phase_col_base()) / kWordBits;
-  wide::clear_words(r, total);
 }
 
 }  // namespace symphase::dense_rows

@@ -261,6 +261,14 @@ void RowMajorTableau::row_copy(std::size_t dst, std::size_t src) {
   dense_rows::row_copy(bits_, dst, src);
 }
 
+void RowMajorTableau::row_mult_xz(std::size_t dst, std::size_t src) {
+  dense_rows::row_mult_xz(bits_, shape_, dst, src);
+}
+
+void RowMajorTableau::row_copy_xz(std::size_t dst, std::size_t src) {
+  dense_rows::row_copy_xz(bits_, shape_, dst, src);
+}
+
 void RowMajorTableau::row_clear(std::size_t row) { bits_.clear_row(row); }
 
 void RowMajorTableau::row_set_plus_z(std::size_t row, std::size_t q) {
@@ -269,10 +277,6 @@ void RowMajorTableau::row_set_plus_z(std::size_t row, std::size_t q) {
 
 void RowMajorTableau::row_phase_read(std::size_t row, Word* out) const {
   dense_rows::row_phase_read(bits_, shape_, phase_used_, row, out);
-}
-
-void RowMajorTableau::row_phase_clear(std::size_t row) {
-  dense_rows::row_phase_clear(bits_, shape_, row);
 }
 
 void RowMajorTableau::row_phase_xor_bit(std::size_t row,

@@ -72,13 +72,16 @@ class RowMajorTableau {
   /// accumulated i exponent must be even (commuting-product invariant).
   void row_mult(std::size_t dst, std::size_t src);
   void row_copy(std::size_t dst, std::size_t src);
+  /// row_mult / row_copy restricted to the X/Z bands: dst's phase columns
+  /// keep their old values. For rows whose phases no caller reads.
+  void row_mult_xz(std::size_t dst, std::size_t src);
+  void row_copy_xz(std::size_t dst, std::size_t src);
   /// row := +Z_q (X/Z bands and all phase columns cleared).
   void row_set_plus_z(std::size_t row, std::size_t q);
   /// row := identity with zero phase.
   void row_clear(std::size_t row);
 
   void row_phase_read(std::size_t row, Word* out) const;
-  void row_phase_clear(std::size_t row);
   void row_phase_xor_bit(std::size_t row, std::size_t phase_col);
   bool row_phase_bit(std::size_t row, std::size_t phase_col) const;
 

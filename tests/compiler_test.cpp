@@ -4,8 +4,14 @@
 
 #include <gtest/gtest.h>
 
+#include <sstream>
+#include <string>
+
 #include "circuit/generators.hpp"
 #include "circuit/parser.hpp"
+#include "circuit/surface_code.hpp"
+#include "common/rng.hpp"
+#include "service/digest.hpp"
 #include "symbolic/symphase_compiler.hpp"
 
 namespace symphase {
@@ -190,6 +196,118 @@ TYPED_TEST(CompilerTest, EmptyCircuitCompiles) {
   const Circuit c(3);
   SymPhaseCompiler<TypeParam> compiler(c);
   EXPECT_EQ(compiler.num_measurements(), 0u);
+}
+
+// ---- Expressions pinned as digests ----------------------------------------
+//
+// The tests above compare small compiles with hand-derived expressions,
+// and LayoutBoundary compares the layouts with each other. Neither catches
+// a change to the pass that every layout shares, such as which rows carry
+// phases. These digests pin whole compiles' output (every expression's
+// symbols and was_random); every layout must reproduce them.
+
+template <typename Layout>
+std::string expressions_digest(const Circuit& circuit) {
+  const SymPhaseCompiler<Layout> compiler(circuit);
+  std::string text;
+  for (const MeasurementExpression& e : compiler.expressions()) {
+    text += e.was_random ? 'r' : 'd';
+    for (const std::uint32_t s : e.symbols) {
+      text += ' ';
+      text += std::to_string(s);
+    }
+    text += '\n';
+  }
+  return fnv128_hex(text);
+}
+
+/// The paper's Fig. 3c family at n = 128 (66 phase tile-columns).
+Circuit fig3c_family_circuit(std::uint64_t seed) {
+  LayeredRandomCircuitOptions o;
+  o.num_qubits = 128;
+  o.num_layers = 128;
+  o.cnot_pairs_per_layer = 0;
+  o.half_n_cnot_pairs = true;
+  o.depolarize_probability = 1e-3;
+  Rng rng(seed);
+  return layered_random_circuit(o, rng);
+}
+
+/// Random collapses followed by record-controlled Paulis, resets and
+/// measure-resets, with enough noise symbols that the phase region spans
+/// three tile-columns.
+Circuit conditional_pauli_circuit() {
+  constexpr int kQubits = 40;
+  std::ostringstream text;
+  for (int r = 0; r < 10; ++r) {
+    for (int q = r % 3; q < kQubits; q += 3) {
+      text << "H " << q << '\n';
+    }
+    for (int q = 0; q < kQubits; q += 2) {
+      text << "CNOT " << q << ' ' << (q + 2 * r + 1) % kQubits << '\n';
+    }
+    text << "DEPOLARIZE1(0.01)";
+    for (int q = 0; q < kQubits; ++q) {
+      text << ' ' << q;
+    }
+    text << "\nX_ERROR(0.02)";
+    for (int q = 0; q < kQubits; ++q) {
+      text << ' ' << q;
+    }
+    text << "\nM " << r << ' ' << r + 7 << ' ' << r + 13 << ' ' << r + 21
+         << '\n';
+    text << "COND_X rec[-1] " << r + 3 << '\n';
+    text << "COND_Z rec[-2] " << r + 5 << '\n';
+    text << "COND_Y rec[-3] " << r + 9 << '\n';
+    text << "COND_X rec[-4] " << r + 11 << '\n';
+    text << "MR " << r + 17 << ' ' << r + 29 << '\n';
+    text << "R " << r + 30 << '\n';
+  }
+  text << "M";
+  for (int q = 0; q < kQubits; ++q) {
+    text << ' ' << q;
+  }
+  text << '\n';
+  return parse_circuit(text.str());
+}
+
+/// 513 qubits: every row spans two 512-row tile-rows.
+Circuit ghz513_circuit() {
+  Circuit c(513);
+  c.append1(GateType::H, 0);
+  for (std::uint32_t q = 0; q + 1 < 513; ++q) {
+    c.append2(GateType::CNOT, q, q + 1);
+  }
+  c.append(GateType::X_ERROR, {512}, 0.01);
+  c.append(GateType::M, {0, 256, 511, 512});
+  return c;
+}
+
+TYPED_TEST(CompilerTest, ExpressionsMatchPinnedDigests) {
+  SurfaceCodeOptions d5;
+  d5.distance = 5;
+  d5.rounds = 5;
+  d5.data_depolarization = 1e-3;
+  d5.gate_depolarization = 1e-3;
+  d5.measurement_flip_probability = 1e-3;
+  const struct {
+    const char* name;
+    Circuit circuit;
+    const char* digest;
+  } cases[] = {
+      {"fig3c n=128 seed 1 (nnz 31,473)", fig3c_family_circuit(1),
+       "e3e3a5b627dee2f2351e05ed6809a0b4"},
+      {"fig3c n=128 seed 5 (nnz 991)", fig3c_family_circuit(5),
+       "de8bde7aab3032a12ad4798c756259ca"},
+      {"surface d5 r5 p=1e-3", surface_code_memory(d5),
+       "e244431c2bf069ba4701c364d31b5e27"},
+      {"conditional Paulis", conditional_pauli_circuit(),
+       "509feea857dbc77652977eddf3db3b21"},
+      {"ghz 513", ghz513_circuit(), "3256d6f1608fcb44369bfd9fa32d623e"},
+  };
+  for (const auto& c : cases) {
+    EXPECT_EQ(expressions_digest<TypeParam>(c.circuit), c.digest) << c.name;
+  }
 }
 
 }  // namespace

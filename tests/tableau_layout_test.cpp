@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -221,6 +222,26 @@ TYPED_TEST(TableauLayoutTest, RowCopyAndSetPlusZ) {
   EXPECT_FALSE(t.row_phase_bit(dst, s1));
 }
 
+TYPED_TEST(TableauLayoutTest, XzRowOpsLeavePhasesAlone) {
+  TypeParam t(4, 4);
+  const auto s1 = static_cast<std::uint32_t>(t.allocate_phase_column());
+  t.prepare_row_mode();
+  const std::size_t src = t.shape().stab_row(2);  // Z_2
+  const std::size_t d0 = t.shape().destab_row(0);  // X_0
+  const std::size_t d1 = t.shape().destab_row(1);  // X_1
+  t.row_phase_xor_bit(src, s1);
+  t.row_phase_xor_bit(d0, 0);
+  t.row_mult_xz(d0, src);
+  EXPECT_TRUE(t.x_bit(d0, 0));
+  EXPECT_TRUE(t.z_bit(d0, 2));
+  EXPECT_TRUE(t.row_phase_bit(d0, 0));
+  EXPECT_FALSE(t.row_phase_bit(d0, s1));
+  t.row_copy_xz(d1, src);
+  EXPECT_FALSE(t.x_bit(d1, 1));
+  EXPECT_TRUE(t.z_bit(d1, 2));
+  EXPECT_FALSE(t.row_phase_bit(d1, s1));
+}
+
 TYPED_TEST(TableauLayoutTest, RowPhaseReadMatchesBits) {
   TypeParam t(2, 200);
   std::vector<std::uint32_t> set_cols = {1, 63, 64, 65, 130, 199};
@@ -263,13 +284,22 @@ TYPED_TEST(TableauLayoutTest, LazyPhaseGrowthAcrossModeSwitches) {
   EXPECT_FALSE(t.row_phase_bit(row, 1399));
 }
 
-// Cross-layout equivalence under a long random operation sequence.
+// Cross-layout equivalence under a long random operation sequence. The
+// row-major and column-major layouts apply every op at once, so they are
+// the oracle for the blocked layout, which logs the phase part of row
+// ops. The phase region grows from one to three 512-column tile-columns
+// mid-run; row bursts mix every row op with bit flips and phase reads;
+// and one last burst is longer than the blocked layout's phase-log cap.
 TEST(TableauLayoutEquivalence, RandomOperationFuzz) {
   constexpr std::size_t kQubits = 37;
-  constexpr int kSteps = 400;
-  RowMajorTableau a(kQubits, 64);
-  ColMajorTableau b(kQubits, 64);
-  BlockedTableau c(kQubits, 64);
+  constexpr std::size_t kRows = 2 * kQubits + 1;
+  constexpr std::size_t kScratch = 2 * kQubits;
+  constexpr std::size_t kPhaseCols = 1200;
+  constexpr int kSteps = 1200;
+  constexpr int kLongBurst = 10000;  // more row ops than the log cap
+  RowMajorTableau a(kQubits, kPhaseCols);
+  ColMajorTableau b(kQubits, kPhaseCols);
+  BlockedTableau c(kQubits, kPhaseCols);
   Rng rng(2024);
   std::size_t allocated = 1;
 
@@ -277,6 +307,66 @@ TEST(TableauLayoutEquivalence, RandomOperationFuzz) {
     fn(a);
     fn(b);
     fn(c);
+  };
+  const auto random_col = [&] {
+    return static_cast<std::uint32_t>(rng.next_below(allocated));
+  };
+  // Rows commute iff their symplectic product is even; only commuting
+  // products have a real phase.
+  const auto commute = [&](std::size_t r1, std::size_t r2) {
+    bool odd = false;
+    for (std::size_t q = 0; q < kQubits; ++q) {
+      odd ^= (a.x_bit(r1, q) && a.z_bit(r2, q)) !=
+             (a.z_bit(r1, q) && a.x_bit(r2, q));
+    }
+    return !odd;
+  };
+  // One row-mode op: a row product into any row (the scratch row a
+  // quarter of the time), a copy, a reset to +Z, a clear, a phase-bit
+  // flip, or a phase read compared across layouts on the spot.
+  const auto row_op = [&](bool with_reads) {
+    const std::size_t dst = rng.next_below(4) == 0
+                                ? kScratch
+                                : static_cast<std::size_t>(
+                                      rng.next_below(2 * kQubits));
+    const auto src = static_cast<std::size_t>(rng.next_below(kRows));
+    const auto q = static_cast<std::size_t>(rng.next_below(kQubits));
+    switch (rng.next_below(with_reads ? 8 : 7)) {
+      case 0:
+      case 1:
+      case 2:
+        if (src != dst && commute(dst, src)) {
+          apply_all([&](auto& t) { t.row_mult(dst, src); });
+        }
+        break;
+      case 3:
+        apply_all([&](auto& t) { t.row_copy(dst, src); });
+        break;
+      case 4:
+        apply_all([&](auto& t) { t.row_set_plus_z(dst, q); });
+        break;
+      case 5:
+        apply_all([&](auto& t) { t.row_clear(dst); });
+        break;
+      case 6: {
+        const std::uint32_t col = random_col();
+        apply_all([&](auto& t) { t.row_phase_xor_bit(dst, col); });
+        break;
+      }
+      default: {
+        std::vector<Word> ra(a.phase_words_used());
+        std::vector<Word> rb(ra.size());
+        std::vector<Word> rc(ra.size());
+        a.row_phase_read(dst, ra.data());
+        b.row_phase_read(dst, rb.data());
+        c.row_phase_read(dst, rc.data());
+        EXPECT_EQ(ra, rb);
+        EXPECT_EQ(ra, rc);
+        const std::uint32_t col = random_col();
+        EXPECT_EQ(a.row_phase_bit(dst, col), c.row_phase_bit(dst, col));
+        break;
+      }
+    }
   };
 
   for (int step = 0; step < kSteps; ++step) {
@@ -330,13 +420,13 @@ TEST(TableauLayoutEquivalence, RandomOperationFuzz) {
         });
         break;
       case 7: {
-        if (allocated < 63) {
+        const std::size_t grow = std::min<std::size_t>(
+            rng.next_below(64), kPhaseCols - allocated);
+        for (std::size_t k = 0; k < grow; ++k) {
           apply_all([&](auto& t) { t.allocate_phase_column(); });
-          ++allocated;
         }
-        const auto col = static_cast<std::uint32_t>(
-            rng.next_below(allocated));
-        const std::uint32_t cols[1] = {col};
+        allocated += grow;
+        const std::uint32_t cols[2] = {random_col(), random_col()};
         if (rng.next_below(2) == 0) {
           apply_all([&](auto& t) {
             t.prepare_column_mode();
@@ -350,21 +440,16 @@ TEST(TableauLayoutEquivalence, RandomOperationFuzz) {
         }
         break;
       }
-      case 8: {
-        // Row multiplication of two commuting stabilizer rows.
-        const std::size_t r1 = kQubits + q1;
-        const std::size_t r2 = kQubits + q2;
-        apply_all([&](auto& t) {
-          t.prepare_row_mode();
-          t.row_mult(r1, r2);
-        });
-        break;
-      }
+      case 8:
       case 9: {
-        apply_all([&](auto& t) {
-          t.prepare_row_mode();
-          t.row_copy(q1, kQubits + q2);
-        });
+        apply_all([&](auto& t) { t.prepare_row_mode(); });
+        const std::uint64_t burst = 1 + rng.next_below(40);
+        for (std::uint64_t k = 0; k < burst; ++k) {
+          row_op(/*with_reads=*/true);
+        }
+        // Gates skip the scratch row in the row-major layout only, so it
+        // leaves every burst cleared, as the compiler leaves it unused.
+        apply_all([&](auto& t) { t.row_clear(kScratch); });
         break;
       }
       case 10:
@@ -380,6 +465,15 @@ TEST(TableauLayoutEquivalence, RandomOperationFuzz) {
       ASSERT_EQ(sa, snapshot(c)) << "blocked diverged at step " << step;
     }
   }
+  ASSERT_GT(allocated, 1100u);
+
+  apply_all([&](auto& t) { t.prepare_row_mode(); });
+  for (int k = 0; k < kLongBurst; ++k) {
+    row_op(/*with_reads=*/false);
+  }
+  const Snapshot sa = snapshot(a);
+  ASSERT_EQ(sa, snapshot(b)) << "col_major diverged after the long burst";
+  ASSERT_EQ(sa, snapshot(c)) << "blocked diverged after the long burst";
 }
 
 }  // namespace
