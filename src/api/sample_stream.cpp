@@ -21,10 +21,16 @@ void select_rows(const BitMatrix& full, std::span<const std::size_t> selection,
   }
 }
 
-/// Validates a member's spec and derives the sink-facing stream info.
-/// Throws (SYMPHASE_CHECK) on bad selection/geometry, exactly like the
-/// historical single-stream entry point.
-SampleStreamInfo validate_spec(const StreamSpec& spec) {
+}  // namespace
+
+std::size_t stream_fill_slots(const StreamSpec& spec) {
+  return std::min(
+      resolve_thread_count(spec.num_threads),
+      std::max<std::size_t>(num_sample_shards(spec.num_shots), 1));
+}
+
+void stream_sample_blocks(const StreamSpec& spec, const ShardBlockFn& fill,
+                          SampleSink& sink) {
   const std::size_t rows = spec.bits_per_shot;
   const std::span<const std::size_t> selection = spec.bit_selection;
   for (std::size_t i = 0; i < selection.size(); ++i) {
@@ -54,250 +60,53 @@ SampleStreamInfo validate_spec(const StreamSpec& spec) {
                          source_detectors) -
         selection.begin());
   }
-  return info;
-}
 
-/// Book-keeping for one member of a fused pass.
-struct MemberState {
-  SampleStreamInfo info;
-  std::size_t num_shards = 0;
-  std::size_t units_done = 0;
-  std::exception_ptr error;
-  bool begun = false;
-  bool ended = false;
-};
-
-/// One fill-work unit: shard `shard` of member `member`.
-struct Unit {
-  std::uint32_t member = 0;
-  std::uint32_t shard = 0;
-};
-
-}  // namespace
-
-std::size_t stream_fill_slots(const StreamSpec& spec) {
-  return std::min(
-      resolve_thread_count(spec.num_threads),
-      std::max<std::size_t>(num_sample_shards(spec.num_shots), 1));
-}
-
-std::size_t fused_stream_fill_slots(std::span<const StreamSpec> specs) {
-  std::size_t max_threads = 1;
-  std::size_t total_shards = 0;
-  for (const StreamSpec& spec : specs) {
-    max_threads = std::max(max_threads, resolve_thread_count(spec.num_threads));
-    total_shards += num_sample_shards(spec.num_shots);
-  }
-  return std::min(max_threads, std::max<std::size_t>(total_shards, 1));
-}
-
-std::vector<std::exception_ptr> stream_fused_sample_blocks(
-    std::span<FusedStream> members) {
-  const std::size_t n = members.size();
-  std::vector<MemberState> state(n);
-
-  // Validate every member up front; a bad spec retires that member alone
-  // (its sink never sees begin()), matching the solo engine's
-  // throw-before-begin behavior.
-  std::size_t total_units = 0;
-  std::size_t rows = 0;
-  bool rows_set = false;
-  std::size_t max_threads = 1;
-  for (std::size_t i = 0; i < n; ++i) {
-    const StreamSpec& spec = members[i].spec;
-    max_threads = std::max(max_threads, resolve_thread_count(spec.num_threads));
-    MemberState& st = state[i];
-    try {
-      st.info = validate_spec(spec);
-    } catch (...) {
-      st.error = std::current_exception();
-      continue;
-    }
-    // Shared fill blocks mean one record width per pass. Sinks size
-    // themselves off chunk.bits->rows(), so handing a narrower member a
-    // wider block would corrupt its output — callers fuse only
-    // same-circuit, same-target streams (the service keys fusion groups
-    // accordingly).
-    SYMPHASE_CHECK_MSG(!rows_set || spec.bits_per_shot == rows,
-                       "fused members must share bits_per_shot (got "
-                           << spec.bits_per_shot << " vs " << rows << ")");
-    rows = spec.bits_per_shot;
-    rows_set = true;
-    st.num_shards = num_sample_shards(spec.num_shots);
-    total_units += st.num_shards;
-  }
-
-  const std::size_t threads =
-      std::min(max_threads, std::max<std::size_t>(total_units, 1));
+  const std::size_t num_shards = num_sample_shards(spec.num_shots);
   // One in-flight block per worker: bounds memory at `threads` shards
   // while keeping every worker busy within a window; ordered delivery
-  // happens at the window boundary. Blocks are shared across members
-  // (sized for the widest record), so a fused pass costs the same
-  // scratch as the widest member running alone.
-  const std::size_t window = threads;
+  // happens at the window boundary.
+  const std::size_t window = stream_fill_slots(spec);
 
   std::vector<BitMatrix> blocks;
-  // Bit selections are per-member (selection size = the member's
-  // delivered record width), so filtered scratch cannot be shared the
-  // way the raw blocks are.
-  std::vector<std::vector<BitMatrix>> filtered(n);
-  if (total_units > 0) {
+  std::vector<BitMatrix> filtered;
+  if (num_shards > 0) {
     blocks.assign(window, BitMatrix(rows, kSampleShardBits));
-    for (std::size_t i = 0; i < n; ++i) {
-      if (state[i].num_shards > 0 && !members[i].spec.bit_selection.empty()) {
-        filtered[i].assign(
-            window,
-            BitMatrix(members[i].spec.bit_selection.size(), kSampleShardBits));
-      }
+    if (!selection.empty()) {
+      filtered.assign(window, BitMatrix(selection.size(), kSampleShardBits));
     }
   }
 
-  // Member-major unit order: all of member 0's shards, then member 1's,
-  // ... Delivery walks units in order, so every member's chunks reach
-  // its sink in ascending shot order — the per-sink contract is
-  // identical to a solo run.
-  std::vector<Unit> units;
-  units.reserve(total_units);
-  for (std::size_t i = 0; i < n; ++i) {
-    for (std::size_t s = 0; s < state[i].num_shards; ++s) {
-      units.push_back(Unit{static_cast<std::uint32_t>(i),
-                           static_cast<std::uint32_t>(s)});
-    }
-  }
-
-  const auto cancelled = [&](std::size_t i) {
-    const std::atomic<bool>* cancel = members[i].spec.cancel;
-    return cancel != nullptr && cancel->load(std::memory_order_relaxed);
-  };
-  const auto sweep_cancel = [&](std::size_t i) {
-    MemberState& st = state[i];
-    if (!st.error && cancelled(i)) {
-      st.error = std::make_exception_ptr(TaskCancelled());
-    }
-  };
-  // Called once per unit, after delivery or skip; fires end() exactly
-  // when the member's last unit has passed (never for a retired member —
-  // a cancelled/failed stream is abandoned without end(), like the solo
-  // engine).
-  const auto finish_unit = [&](std::size_t i) {
-    MemberState& st = state[i];
-    if (++st.units_done != st.num_shards) {
-      return;
-    }
-    st.ended = true;
-    if (st.error) {
-      return;
-    }
-    try {
-      members[i].sink->end();
-    } catch (...) {
-      st.error = std::current_exception();
+  const auto check_cancel = [&] {
+    if (spec.cancel != nullptr &&
+        spec.cancel->load(std::memory_order_relaxed)) {
+      throw TaskCancelled();
     }
   };
 
-  for (std::size_t i = 0; i < n; ++i) {
-    MemberState& st = state[i];
-    if (st.error) {
-      continue;
-    }
-    try {
-      members[i].sink->begin(st.info);
-      st.begun = true;
-    } catch (...) {
-      st.error = std::current_exception();
-      continue;
-    }
-    if (st.num_shards == 0) {
-      // Zero-shard stream: begin() then end() immediately, before any
-      // other member's data flows.
-      st.ended = true;
-      try {
-        members[i].sink->end();
-      } catch (...) {
-        st.error = std::current_exception();
-      }
-    }
-  }
-
-  std::vector<std::exception_ptr> fill_errors(window);
-  for (std::size_t base = 0; base < total_units; base += window) {
-    const std::size_t count = std::min(window, total_units - base);
-    // Cancel sweep before the fill window, once per member with work in
-    // it — the solo engine's pre-window check.
-    for (std::size_t slot = 0; slot < count; ++slot) {
-      sweep_cancel(units[base + slot].member);
-    }
-    std::fill(fill_errors.begin(), fill_errors.begin() + count, nullptr);
-    parallel_for(count, threads, [&](std::size_t slot) {
-      const Unit u = units[base + slot];
-      const FusedStream& fs = members[u.member];
-      // MemberState::error is only written between windows, so this read
-      // cannot race; a retired member's remaining fills are skipped.
-      if (state[u.member].error) {
-        return;
-      }
-      try {
-        trace::Span fill_span("fill", fs.spec.trace_id, fs.spec.trace_ticket,
-                              fs.spec.trace_group, u.shard);
-        fs.fill(slot, u.shard, blocks[slot]);
-        if (!fs.spec.bit_selection.empty()) {
-          const ShardExtent e =
-              sample_shard_extent(u.shard, fs.spec.num_shots);
-          select_rows(blocks[slot], fs.spec.bit_selection, e.words,
-                      filtered[u.member][slot]);
-        }
-      } catch (...) {
-        fill_errors[slot] = std::current_exception();
+  sink.begin(info);
+  for (std::size_t base = 0; base < num_shards; base += window) {
+    check_cancel();
+    const std::size_t count = std::min(window, num_shards - base);
+    parallel_for(count, window, [&](std::size_t slot) {
+      const std::size_t shard = base + slot;
+      trace::Span fill_span("fill", spec.trace_id, spec.trace_ticket, shard);
+      fill(slot, shard, blocks[slot]);
+      if (!selection.empty()) {
+        const ShardExtent e = sample_shard_extent(shard, spec.num_shots);
+        select_rows(blocks[slot], selection, e.words, filtered[slot]);
       }
     });
     for (std::size_t slot = 0; slot < count; ++slot) {
-      MemberState& st = state[units[base + slot].member];
-      if (fill_errors[slot] && !st.error) {
-        st.error = fill_errors[slot];
-      }
-    }
-    for (std::size_t slot = 0; slot < count; ++slot) {
-      const Unit u = units[base + slot];
-      const FusedStream& fs = members[u.member];
-      MemberState& st = state[u.member];
-      sweep_cancel(u.member);  // The solo engine's pre-delivery check.
-      if (!st.error) {
-        try {
-          const ShardExtent e =
-              sample_shard_extent(u.shard, fs.spec.num_shots);
-          SampleChunk chunk;
-          chunk.bits = fs.spec.bit_selection.empty()
-                           ? &blocks[slot]
-                           : &filtered[u.member][slot];
-          chunk.shot_offset = e.shot0;
-          chunk.num_shots = e.shots;
-          fs.sink->consume(chunk);
-        } catch (...) {
-          st.error = std::current_exception();
-        }
-      }
-      finish_unit(u.member);
+      check_cancel();
+      const ShardExtent e = sample_shard_extent(base + slot, spec.num_shots);
+      SampleChunk chunk;
+      chunk.bits = selection.empty() ? &blocks[slot] : &filtered[slot];
+      chunk.shot_offset = e.shot0;
+      chunk.num_shots = e.shots;
+      sink.consume(chunk);
     }
   }
-
-  std::vector<std::exception_ptr> errors(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    errors[i] = state[i].error;
-  }
-  return errors;
-}
-
-void stream_sample_blocks(const StreamSpec& spec, const ShardBlockFn& fill,
-                          SampleSink& sink) {
-  FusedStream member;
-  member.spec = spec;
-  member.fill = fill;
-  member.sink = &sink;
-  const std::vector<std::exception_ptr> errors =
-      stream_fused_sample_blocks(std::span<FusedStream>(&member, 1));
-  if (errors[0]) {
-    std::rethrow_exception(errors[0]);
-  }
+  sink.end();
 }
 
 }  // namespace symphase

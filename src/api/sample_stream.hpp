@@ -18,24 +18,13 @@
 /// thread budget, independent of the total shot count — and the
 /// concatenated chunks are bit-identical to the materialized matrix for
 /// any thread count and any window schedule.
-///
-/// stream_fused_sample_blocks() is the multi-member generalization the
-/// service's cross-request shot fusion rides on: N (spec, fill, sink)
-/// members share one pass and one set of fill workers, each member's
-/// shards still indexed from ITS OWN shard 0 with its own seed — so
-/// every member's delivered bytes are bit-identical to running it alone
-/// through stream_sample_blocks(). Failures (cancellation, a throwing
-/// fill, a throwing sink) are isolated per member and reported in the
-/// returned vector instead of thrown.
 
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
-#include <exception>
 #include <functional>
 #include <span>
 #include <stdexcept>
-#include <vector>
 
 #include "api/sample_sink.hpp"
 #include "bitvec/bit_matrix.hpp"
@@ -71,17 +60,16 @@ struct StreamSpec {
   /// a shard's kernel — a set flag raises TaskCancelled within one
   /// chunk's worth of work.
   const std::atomic<bool>* cancel = nullptr;
-  /// Request identity stamped on this member's per-shard fill spans
-  /// (common/trace.hpp); all zero outside the serving stack. Costs one
+  /// Request identity stamped on the run's per-shard fill spans
+  /// (common/trace.hpp); both zero outside the serving stack. Costs one
   /// relaxed load per shard when tracing is off.
   std::uint64_t trace_id = 0;
   std::uint64_t trace_ticket = 0;
-  std::uint64_t trace_group = 0;
 };
 
 /// Fills `block` with the contents of the producer's global shard
-/// `shard`. Blocks are at least bits_per_shot x kSampleShardBits and may
-/// hold stale data from a previous shard; producers overwrite at least
+/// `shard`. Blocks are bits_per_shot x kSampleShardBits and may hold
+/// stale data from a previous shard; producers overwrite at least
 /// the shard's valid words. Called concurrently from worker threads —
 /// one distinct block each. `slot` is the index of the preallocated
 /// block being filled, always < stream_fill_slots() for the run: a
@@ -91,42 +79,16 @@ struct StreamSpec {
 using ShardBlockFn =
     std::function<void(std::size_t slot, std::size_t shard, BitMatrix& block)>;
 
-/// Runs the stream: begin(), ordered consume() per shard, end().
+/// Runs the stream: begin(), ordered consume() per shard, end(). A bad
+/// bit selection throws before begin(); cancellation (TaskCancelled)
+/// and any exception from `fill` or the sink abandon the stream without
+/// end(), after the chunks already delivered.
 void stream_sample_blocks(const StreamSpec& spec, const ShardBlockFn& fill,
                           SampleSink& sink);
-
-/// One member of a fused pass: its own geometry, producer, and sink.
-struct FusedStream {
-  StreamSpec spec;
-  ShardBlockFn fill;
-  SampleSink* sink = nullptr;
-};
-
-/// Runs N member streams through one shared fill-worker pass.
-///
-/// Work units are member-major — every shard of member 0, then every
-/// shard of member 1, ... — so each member's chunks arrive at its sink
-/// in ascending shot order and its bytes match solo execution exactly
-/// (each fill still receives the member's own shard index, so shard i
-/// draws from the member's own Rng::stream(i)).
-///
-/// Per-member isolation: a member whose spec fails validation, whose
-/// cancel flag trips, or whose fill/sink throws is retired — no further
-/// fills or deliveries, end() not called — and its exception is stored
-/// in the returned vector at the member's index (TaskCancelled for
-/// cancellation, mirroring the solo engine). Groupmates are unaffected.
-/// Entry i is null when member i completed begin/consume.../end cleanly.
-std::vector<std::exception_ptr> stream_fused_sample_blocks(
-    std::span<FusedStream> members);
 
 /// Upper bound on the `slot` values a run's fills will observe — the
 /// number of preallocated shard blocks: min(resolved threads,
 /// max(num_shards, 1)). Size per-slot producer scratch with this.
 std::size_t stream_fill_slots(const StreamSpec& spec);
-
-/// Fused-run counterpart: max of the members' resolved thread caps,
-/// clamped to the combined shard count. >= the slot bound the fused
-/// engine actually uses, and equals stream_fill_slots() for one member.
-std::size_t fused_stream_fill_slots(std::span<const StreamSpec> specs);
 
 }  // namespace symphase

@@ -80,97 +80,56 @@ std::size_t SimulatorSession::record_bits(const SampleTask& task) const {
 }
 
 void SimulatorSession::run(const SampleTask& task, SampleSink& sink,
-                           const std::atomic<bool>* cancel) const {
-  SessionRunMember member;
-  member.task = &task;
-  member.sink = &sink;
-  member.cancel = cancel;
-  const std::vector<std::exception_ptr> errors =
-      run_fused(std::span<const SessionRunMember>(&member, 1));
-  if (errors[0]) {
-    std::rethrow_exception(errors[0]);
-  }
-}
+                           const std::atomic<bool>* cancel,
+                           std::uint64_t trace_id,
+                           std::uint64_t trace_ticket) const {
+  StreamSpec spec;
+  spec.num_shots = task.shots;
+  spec.num_threads = task.num_threads;
+  spec.bit_selection = task.bit_selection;
+  spec.cancel = cancel;
+  spec.trace_id = trace_id;
+  spec.trace_ticket = trace_ticket;
 
-std::vector<std::exception_ptr> SimulatorSession::run_fused(
-    std::span<const SessionRunMember> members) const {
-  if (members.empty()) {
-    return {};
-  }
-  for (const SessionRunMember& m : members) {
-    SYMPHASE_CHECK(m.task != nullptr && m.sink != nullptr);
-    SYMPHASE_CHECK_MSG(m.task->target == members[0].task->target &&
-                           m.task->backend == members[0].task->backend,
-                       "fused tasks must share target and backend");
-  }
-  const SampleTarget target = members[0].task->target;
-  const SampleBackend backend = members[0].task->backend;
-
-  std::vector<StreamSpec> specs(members.size());
-  for (std::size_t i = 0; i < members.size(); ++i) {
-    const SampleTask& task = *members[i].task;
-    specs[i].num_shots = task.shots;
-    specs[i].num_threads = task.num_threads;
-    specs[i].bit_selection = task.bit_selection;
-    specs[i].cancel = members[i].cancel;
-    specs[i].trace_id = members[i].trace_id;
-    specs[i].trace_ticket = members[i].trace_ticket;
-    specs[i].trace_group = members[i].trace_group;
-  }
-
-  std::vector<FusedStream> streams(members.size());
-  const auto assemble = [&](const std::function<ShardBlockFn(std::size_t)>&
-                                make_fill) {
-    for (std::size_t i = 0; i < members.size(); ++i) {
-      streams[i].spec = specs[i];
-      streams[i].fill = make_fill(i);
-      streams[i].sink = members[i].sink;
-    }
-    return stream_fused_sample_blocks(streams);
-  };
-
-  if (target == SampleTarget::kMeasurements) {
-    if (backend == SampleBackend::kSymPhase) {
+  if (task.target == SampleTarget::kMeasurements) {
+    if (task.backend == SampleBackend::kSymPhase) {
       const CompiledSampler& cs = compiled();
-      for (StreamSpec& spec : specs) {
-        spec.bits_per_shot = cs.num_measurements();
-      }
-      return assemble([&](std::size_t i) -> ShardBlockFn {
-        const SampleTask* task = members[i].task;
-        return [&cs, task](std::size_t, std::size_t shard, BitMatrix& block) {
-          cs.sample_shard_block(shard, task->shots, task->seed, block);
-        };
-      });
+      spec.bits_per_shot = cs.num_measurements();
+      stream_sample_blocks(
+          spec,
+          [&](std::size_t, std::size_t shard, BitMatrix& block) {
+            cs.sample_shard_block(shard, task.shots, task.seed, block);
+          },
+          sink);
+      return;
     }
     const FrameSimulator& fs = frames();
-    for (StreamSpec& spec : specs) {
-      spec.bits_per_shot = fs.num_measurements();
-    }
-    return assemble([&](std::size_t i) -> ShardBlockFn {
-      const SampleTask* task = members[i].task;
-      return [&fs, task](std::size_t, std::size_t shard, BitMatrix& block) {
-        fs.sample_shard_block(shard, task->shots, task->seed, block);
-      };
-    });
+    spec.bits_per_shot = fs.num_measurements();
+    stream_sample_blocks(
+        spec,
+        [&](std::size_t, std::size_t shard, BitMatrix& block) {
+          fs.sample_shard_block(shard, task.shots, task.seed, block);
+        },
+        sink);
+    return;
   }
 
   // Detection events: detectors first, observables after — the joint
   // record layout shared with CompiledSampler::sample_detection_events
   // and the dets writer format.
   const DetectorLayout& layout = detector_layout();
-  for (StreamSpec& spec : specs) {
-    spec.bits_per_shot = layout.detectors.size() + layout.observables.size();
-    spec.num_detectors = layout.detectors.size();
-  }
+  spec.bits_per_shot = layout.detectors.size() + layout.observables.size();
+  spec.num_detectors = layout.detectors.size();
 
-  if (backend == SampleBackend::kSymPhase) {
+  if (task.backend == SampleBackend::kSymPhase) {
     const CompiledSampler& cs = compiled();
-    return assemble([&](std::size_t i) -> ShardBlockFn {
-      const SampleTask* task = members[i].task;
-      return [&cs, task](std::size_t, std::size_t shard, BitMatrix& block) {
-        cs.sample_detection_shard_block(shard, task->shots, task->seed, block);
-      };
-    });
+    stream_sample_blocks(
+        spec,
+        [&](std::size_t, std::size_t shard, BitMatrix& block) {
+          cs.sample_detection_shard_block(shard, task.shots, task.seed, block);
+        },
+        sink);
+    return;
   }
 
   // Frame backend: sample the shard's measurements, then fold them
@@ -178,32 +137,32 @@ std::vector<std::exception_ptr> SimulatorSession::run_fused(
   // word-wise per row, so folding one shard block reproduces exactly
   // that word range of FrameSimulator::sample_detection_events. The
   // measurement scratch is hoisted out of the fill and keyed by engine
-  // slot — one allocation per concurrent fill for the whole run (and
-  // the whole fused group), not one per shard.
+  // slot — one allocation per concurrent fill for the whole run, not
+  // one per shard.
   const FrameSimulator& fs = frames();
   std::vector<BitMatrix> scratch(
-      fused_stream_fill_slots(specs),
+      stream_fill_slots(spec),
       BitMatrix(fs.num_measurements(), kSampleShardBits));
-  return assemble([&](std::size_t i) -> ShardBlockFn {
-    const SampleTask* task = members[i].task;
-    return [&fs, &layout, &scratch, task](std::size_t slot, std::size_t shard,
-                                          BitMatrix& block) {
-      const ShardExtent e = sample_shard_extent(shard, task->shots);
-      BitMatrix& measurements = scratch[slot];
-      fs.sample_shard_block(shard, task->shots, task->seed, measurements);
-      block.clear_all();
-      const auto fold = [&](const std::vector<std::vector<std::size_t>>& defs,
-                            std::size_t row0) {
-        for (std::size_t d = 0; d < defs.size(); ++d) {
-          for (const std::size_t m : defs[d]) {
-            wide::xor_words(block.row(row0 + d), measurements.row(m), e.words);
+  stream_sample_blocks(
+      spec,
+      [&](std::size_t slot, std::size_t shard, BitMatrix& block) {
+        const ShardExtent e = sample_shard_extent(shard, task.shots);
+        BitMatrix& measurements = scratch[slot];
+        fs.sample_shard_block(shard, task.shots, task.seed, measurements);
+        block.clear_all();
+        const auto fold = [&](const std::vector<std::vector<std::size_t>>& defs,
+                              std::size_t row0) {
+          for (std::size_t d = 0; d < defs.size(); ++d) {
+            for (const std::size_t m : defs[d]) {
+              wide::xor_words(block.row(row0 + d), measurements.row(m),
+                              e.words);
+            }
           }
-        }
-      };
-      fold(layout.detectors, 0);
-      fold(layout.observables, layout.detectors.size());
-    };
-  });
+        };
+        fold(layout.detectors, 0);
+        fold(layout.observables, layout.detectors.size());
+      },
+      sink);
 }
 
 BitMatrix SimulatorSession::run_to_matrix(const SampleTask& task) const {

@@ -22,11 +22,8 @@
 
 #include <atomic>
 #include <cstdint>
-#include <exception>
 #include <memory>
 #include <mutex>
-#include <span>
-#include <vector>
 
 #include "api/sample_sink.hpp"
 #include "api/sample_task.hpp"
@@ -42,20 +39,6 @@ struct SessionArtifacts {
   bool compiled = false;  ///< CompiledSampler (symbolic compilation) built.
   bool frames = false;    ///< FrameSimulator baseline built.
   bool layout = false;    ///< Detector/observable layout resolved.
-};
-
-/// One member of a fused run (SimulatorSession::run_fused): its task,
-/// its sink, and its own cancel flag. All pointers are borrowed and must
-/// outlive the call.
-struct SessionRunMember {
-  const SampleTask* task = nullptr;
-  SampleSink* sink = nullptr;
-  const std::atomic<bool>* cancel = nullptr;
-  /// Request identity forwarded to the stream engine's trace spans
-  /// (StreamSpec::trace_*); zero outside the serving stack.
-  std::uint64_t trace_id = 0;
-  std::uint64_t trace_ticket = 0;
-  std::uint64_t trace_group = 0;
 };
 
 class SimulatorSession {
@@ -90,25 +73,11 @@ class SimulatorSession {
   /// the stream raise TaskCancelled at the next shard-chunk boundary
   /// (see sample_stream.hpp). The session itself stays valid and
   /// reusable — cancellation abandons the one run, not the compiled
-  /// artifacts.
+  /// artifacts. `trace_id`/`trace_ticket` stamp the run's per-shard fill
+  /// spans with the serving stack's request identity (StreamSpec).
   void run(const SampleTask& task, SampleSink& sink,
-           const std::atomic<bool>* cancel = nullptr) const;
-
-  /// Executes N tasks against this session's compiled artifacts in one
-  /// shared engine pass (cross-request shot fusion). Every member must
-  /// target the same (target, backend) pair; shots, seed, thread cap,
-  /// bit selection, and cancel flag are per member. Each member's
-  /// delivered bytes are bit-identical to calling run() with its task
-  /// alone — fusion only shares the fill workers and scratch, never the
-  /// RNG streams.
-  ///
-  /// Per-member failures (cancellation, sink errors) are isolated: entry
-  /// i of the result is null on success or the member's exception
-  /// (TaskCancelled, ...) — groupmates keep streaming. Only artifact
-  /// construction failures and precondition violations (mismatched
-  /// target/backend, null pointers) throw, before any sink is touched.
-  std::vector<std::exception_ptr> run_fused(
-      std::span<const SessionRunMember> members) const;
+           const std::atomic<bool>* cancel = nullptr,
+           std::uint64_t trace_id = 0, std::uint64_t trace_ticket = 0) const;
 
   /// Forces the artifacts `task` will need (compiled sampler, frame
   /// baseline, detector layout) to exist — exactly the lazy builds

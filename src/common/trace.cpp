@@ -27,7 +27,6 @@ struct Slot {
   std::atomic<std::uint64_t> dur_ns{0};
   std::atomic<std::uint64_t> id{0};
   std::atomic<std::uint64_t> ticket{0};
-  std::atomic<std::uint64_t> group{0};
   std::atomic<std::uint64_t> aux{0};
   std::atomic<std::uint8_t> kind{0};  // 0 span, 1 instant
 };
@@ -79,7 +78,7 @@ Ring& local_ring() {
 
 void record(std::uint8_t kind, const char* name, std::uint64_t start_ns,
             std::uint64_t dur_ns, std::uint64_t id, std::uint64_t ticket,
-            std::uint64_t group, std::uint64_t aux) {
+            std::uint64_t aux) {
   Ring& ring = local_ring();
   const std::uint64_t h = ring.head.load(std::memory_order_relaxed);
   const std::size_t capacity = ring.mask + 1;
@@ -96,7 +95,6 @@ void record(std::uint8_t kind, const char* name, std::uint64_t start_ns,
   slot.dur_ns.store(dur_ns, std::memory_order_relaxed);
   slot.id.store(id, std::memory_order_relaxed);
   slot.ticket.store(ticket, std::memory_order_relaxed);
-  slot.group.store(group, std::memory_order_relaxed);
   slot.aux.store(aux, std::memory_order_relaxed);
   slot.kind.store(kind, std::memory_order_relaxed);
   slot.seq.store(2 * h + 2, std::memory_order_release);  // stable
@@ -105,7 +103,7 @@ void record(std::uint8_t kind, const char* name, std::uint64_t start_ns,
 
 struct Event {
   const char* name;
-  std::uint64_t start_ns, dur_ns, id, ticket, group, aux;
+  std::uint64_t start_ns, dur_ns, id, ticket, aux;
   std::uint32_t tid;
   std::uint8_t kind;
 };
@@ -133,7 +131,6 @@ void collect(Ring& ring, std::vector<Event>& out) {
     event.dur_ns = slot.dur_ns.load(std::memory_order_relaxed);
     event.id = slot.id.load(std::memory_order_relaxed);
     event.ticket = slot.ticket.load(std::memory_order_relaxed);
-    event.group = slot.group.load(std::memory_order_relaxed);
     event.aux = slot.aux.load(std::memory_order_relaxed);
     event.kind = slot.kind.load(std::memory_order_relaxed);
     event.tid = ring.tid;
@@ -178,8 +175,6 @@ void append_event(std::string& out, const Event& event) {
   append_u64(out, event.id);
   out += ",\"ticket\":";
   append_u64(out, event.ticket);
-  out += ",\"group\":";
-  append_u64(out, event.group);
   out += ",\"aux\":";
   append_u64(out, event.aux);
   out += "}}";
@@ -203,21 +198,20 @@ void set_ring_capacity(std::size_t events) {
 }
 
 void span(const char* name, std::uint64_t start_ns, std::uint64_t end_ns,
-          std::uint64_t id, std::uint64_t ticket, std::uint64_t group,
-          std::uint64_t aux) {
+          std::uint64_t id, std::uint64_t ticket, std::uint64_t aux) {
   if (!enabled()) {
     return;
   }
   record(0, name, start_ns, end_ns > start_ns ? end_ns - start_ns : 0, id,
-         ticket, group, aux);
+         ticket, aux);
 }
 
 void instant(const char* name, std::uint64_t id, std::uint64_t ticket,
-             std::uint64_t group, std::uint64_t aux) {
+             std::uint64_t aux) {
   if (!enabled()) {
     return;
   }
-  record(1, name, now_ns(), 0, id, ticket, group, aux);
+  record(1, name, now_ns(), 0, id, ticket, aux);
 }
 
 std::uint64_t recorded_events() {

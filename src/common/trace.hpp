@@ -24,9 +24,9 @@
 ///
 /// Events carry a steady-clock nanosecond timestamp, a small per-thread
 /// id (stable for the thread's lifetime), and the request identity the
-/// serving stack joins logs and metrics on: request id, service ticket,
-/// and fusion group. Span names must be string literals (the ring
-/// stores the pointer, not a copy).
+/// serving stack joins logs and metrics on: request id and service
+/// ticket. Span names must be string literals (the ring stores the
+/// pointer, not a copy).
 
 #include <cstddef>
 #include <cstdint>
@@ -51,42 +51,40 @@ std::uint64_t now_ns();
 void set_ring_capacity(std::size_t events);
 
 /// Records a completed span [start_ns, end_ns] on the calling thread's
-/// ring. No-op when tracing is disabled. `id`/`ticket`/`group` are the
-/// request identity (0 = not applicable); `aux` is a site-specific
-/// index (shard, chunk, ...) surfaced in the event's args.
+/// ring. No-op when tracing is disabled. `id`/`ticket` are the request
+/// identity (0 = not applicable); `aux` is a site-specific index (shard,
+/// chunk, ...) surfaced in the event's args.
 void span(const char* name, std::uint64_t start_ns, std::uint64_t end_ns,
           std::uint64_t id = 0, std::uint64_t ticket = 0,
-          std::uint64_t group = 0, std::uint64_t aux = 0);
+          std::uint64_t aux = 0);
 
 /// Records a point-in-time event (Chrome "i" phase). No-op when
 /// tracing is disabled.
 void instant(const char* name, std::uint64_t id = 0, std::uint64_t ticket = 0,
-             std::uint64_t group = 0, std::uint64_t aux = 0);
+             std::uint64_t aux = 0);
 
 /// RAII span: stamps the start time at construction (only when tracing
 /// is enabled at that moment) and records on destruction.
 class Span {
  public:
   explicit Span(const char* name, std::uint64_t id = 0,
-                std::uint64_t ticket = 0, std::uint64_t group = 0,
-                std::uint64_t aux = 0)
+                std::uint64_t ticket = 0, std::uint64_t aux = 0)
       : name_(enabled() ? name : nullptr),
         id_(id),
         ticket_(ticket),
-        group_(group),
         aux_(aux),
         start_ns_(name_ ? now_ns() : 0) {}
   Span(const Span&) = delete;
   Span& operator=(const Span&) = delete;
   ~Span() {
     if (name_ != nullptr) {
-      span(name_, start_ns_, now_ns(), id_, ticket_, group_, aux_);
+      span(name_, start_ns_, now_ns(), id_, ticket_, aux_);
     }
   }
 
  private:
   const char* name_;
-  std::uint64_t id_, ticket_, group_, aux_;
+  std::uint64_t id_, ticket_, aux_;
   std::uint64_t start_ns_;
 };
 

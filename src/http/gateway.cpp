@@ -730,13 +730,6 @@ HttpGateway::HttpGateway(SamplingService& service, HttpGatewayOptions options)
             "Requests that ended in an error frame", s.failed);
     counter("symphase_requests_cancelled_total",
             "Requests cancelled while queued or mid-stream", s.cancelled);
-    counter("symphase_fused_requests_total",
-            "Requests executed as members of a fused engine pass",
-            s.fused_requests);
-    counter("symphase_fusion_groups_total",
-            "Fused engine passes (groups of two or more same-circuit "
-            "requests)",
-            s.fusion_groups);
     counter("symphase_requests_expired_running_total",
             "Requests cut mid-run by the watchdog (deadline or execution "
             "cap); pre-run deadline rejections stay in "
@@ -746,7 +739,7 @@ HttpGateway::HttpGateway(SamplingService& service, HttpGatewayOptions options)
             "Watchdog enforcements of the per-request execution "
             "wall-clock cap",
             s.exec_timeouts);
-    counter("symphase_stalled_requests",
+    counter("symphase_stalled_requests_total",
             "In-flight runs flagged for making no shard-chunk progress "
             "for stall_warn_ms",
             s.stalled);

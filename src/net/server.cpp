@@ -467,6 +467,13 @@ bool SocketServer::run() {
       impl->listener.close_fd();
       impl->service.begin_drain();
     }
+    if (impl->draining && impl->connections.empty()) {
+      // Drained dry: every in-flight response finished and flushed.
+      // Checked before poll: a drain that finds no connection open
+      // (SIGTERM after the last client left) would otherwise wait on
+      // the wake pipe forever.
+      break;
+    }
     fds.clear();
     polled.clear();
     fds.push_back({impl->wake_read, POLLIN, 0});
@@ -588,10 +595,6 @@ bool SocketServer::run() {
       }
     }
     impl->connections.swap(alive);
-    if (impl->draining && impl->connections.empty()) {
-      // Drained dry: every in-flight response finished and flushed.
-      break;
-    }
   }
 
   for (const auto& conn : impl->connections) {

@@ -28,14 +28,11 @@
 /// Not thread-safe: the owner (SamplingService) holds its queue mutex
 /// around every call, exactly like the deque it replaces.
 
-#include <algorithm>
 #include <chrono>
 #include <cstddef>
 #include <cstdint>
-#include <string>
 #include <string_view>
 #include <unordered_map>
-#include <unordered_set>
 #include <utility>
 #include <vector>
 
@@ -74,10 +71,6 @@ class DeadlineQueue {
     RequestPriority priority = RequestPriority::kNormal;
     SchedulerClock::time_point deadline = kNoDeadline;
     Payload payload{};
-    /// Fusion-group tag (the service uses circuit digest + backend +
-    /// target). Items sharing a non-empty tag are claimable together via
-    /// claim_group(); "" means not fusable. Scheduling order ignores it.
-    std::string group;
   };
 
   bool empty() const { return heap_.empty(); }
@@ -86,9 +79,6 @@ class DeadlineQueue {
   void push(Item item) {
     SYMPHASE_CHECK_MSG(!position_.contains(item.ticket),
                        "duplicate scheduler ticket " << item.ticket);
-    if (!item.group.empty()) {
-      groups_[item.group].insert(item.ticket);
-    }
     heap_.push_back(std::move(item));
     position_[heap_.back().ticket] = heap_.size() - 1;
     sift_up(heap_.size() - 1);
@@ -121,32 +111,6 @@ class DeadlineQueue {
     return heap_.front();
   }
 
-  /// Removes up to `max_items` queued items tagged with `group`,
-  /// most-urgent first (the same (priority, deadline, ticket) key pop()
-  /// uses — NOT arrival order, so a fused batch preserves the
-  /// scheduler's observable completion order), appending them to `out`.
-  /// Returns the number claimed; 0 for an empty/unknown tag.
-  std::size_t claim_group(const std::string& group, std::size_t max_items,
-                          std::vector<Item>& out) {
-    if (group.empty() || max_items == 0) {
-      return 0;
-    }
-    const auto it = groups_.find(group);
-    if (it == groups_.end()) {
-      return 0;
-    }
-    std::vector<std::uint64_t> tickets(it->second.begin(), it->second.end());
-    std::sort(tickets.begin(), tickets.end(),
-              [&](std::uint64_t a, std::uint64_t b) {
-                return before(heap_[position_.at(a)], heap_[position_.at(b)]);
-              });
-    const std::size_t take = std::min(max_items, tickets.size());
-    for (std::size_t i = 0; i < take; ++i) {
-      out.push_back(extract(position_.at(tickets[i])));
-    }
-    return take;
-  }
-
  private:
   static bool before(const Item& a, const Item& b) {
     if (a.priority != b.priority) {
@@ -161,15 +125,6 @@ class DeadlineQueue {
   Item extract(std::size_t index) {
     Item item = std::move(heap_[index]);
     position_.erase(item.ticket);
-    if (!item.group.empty()) {
-      const auto git = groups_.find(item.group);
-      if (git != groups_.end()) {
-        git->second.erase(item.ticket);
-        if (git->second.empty()) {
-          groups_.erase(git);
-        }
-      }
-    }
     const std::size_t last = heap_.size() - 1;
     if (index != last) {
       heap_[index] = std::move(heap_[last]);
@@ -222,9 +177,6 @@ class DeadlineQueue {
 
   std::vector<Item> heap_;
   std::unordered_map<std::uint64_t, std::size_t> position_;
-  /// Fusion-group tag -> queued tickets carrying it. Maintained by
-  /// push/extract so claim_group() never scans the heap.
-  std::unordered_map<std::string, std::unordered_set<std::uint64_t>> groups_;
 };
 
 }  // namespace symphase

@@ -95,13 +95,12 @@ class FrameSink final : public SampleSink {
   FrameSink(std::uint64_t request_id, SampleFormat format,
             std::size_t max_payload, const FrameFn& emit,
             std::atomic<std::uint64_t>* progress, std::uint64_t ticket,
-            std::uint64_t group, bool want_timing)
+            bool want_timing)
       : request_id_(request_id),
         max_payload_(max_payload),
         emit_(emit),
         progress_(progress),
         ticket_(ticket),
-        group_(group),
         format_(format),
         want_timing_(want_timing) {}
 
@@ -135,7 +134,7 @@ class FrameSink final : public SampleSink {
     }
     const std::uint64_t t1 = trace::now_ns();
     emit_ns_ += t1 - t0;
-    trace::span("emit", t0, t1, request_id_, ticket_, group_, next_chunk_);
+    trace::span("emit", t0, t1, request_id_, ticket_, next_chunk_);
     // The heartbeat the watchdog's stall detector reads: one tick per
     // shard chunk delivered, bumped after the bytes shipped (a sink
     // blocked on a slow reader is a stall too).
@@ -179,7 +178,6 @@ class FrameSink final : public SampleSink {
   const FrameFn& emit_;
   std::atomic<std::uint64_t>* progress_;
   std::uint64_t ticket_;
-  std::uint64_t group_;
   SampleFormat format_;
   bool want_timing_;
   SampleStreamInfo info_;
@@ -216,8 +214,6 @@ std::string ServiceStats::to_line() const {
       << " rejected_rate_limited=" << rejected_rate_limited
       << " rejected_draining=" << rejected_draining
       << " shots_in_flight=" << shots_in_flight
-      << " fused_requests=" << fused_requests
-      << " fusion_groups=" << fusion_groups
       << " expired_running=" << expired_running
       << " exec_timeouts=" << exec_timeouts << " stalled=" << stalled
       << " worker_restarts=" << worker_restarts
@@ -245,8 +241,9 @@ std::string ServiceStats::to_json() const {
       << ",\"rejected_rate_limited\":" << rejected_rate_limited
       << ",\"rejected_draining\":" << rejected_draining
       << ",\"shots_in_flight\":" << shots_in_flight
-      << ",\"fused_requests\":" << fused_requests
-      << ",\"fusion_groups\":" << fusion_groups
+      // Always zero: cross-request shot fusion is gone, but perfbench's
+      // traced runs still require this key in `stats json=1`.
+      << ",\"fused_requests\":0"
       << ",\"expired_running\":" << expired_running
       << ",\"exec_timeouts\":" << exec_timeouts << ",\"stalled\":" << stalled
       << ",\"worker_restarts\":" << worker_restarts
@@ -376,24 +373,6 @@ std::uint64_t SamplingService::submit_impl(std::uint64_t request_id,
   job.transport = transport;
   job.request = std::move(request);
   job.emit = std::move(emit);
-  if (options_.fusion_cap > 1) {
-    // Circuit identity for fusion: the canonical digest when the client
-    // sent one, otherwise a hash of the raw inline text (two inline
-    // requests fuse only when their text is byte-identical — a
-    // reformatted copy of the same circuit still shares the session,
-    // just not the engine pass). Backend and target must match too:
-    // fused members share one set of compiled artifacts and one record
-    // layout.
-    std::ostringstream key;
-    if (!job.request.digest.empty()) {
-      key << "d:" << job.request.digest;
-    } else {
-      key << "t:" << fnv128_hex(job.request.circuit_text);
-    }
-    key << '|' << static_cast<int>(job.request.task.backend) << '|'
-        << static_cast<int>(job.request.task.target);
-    job.fuse_key = key.str();
-  }
 
   std::unique_lock<std::mutex> lock(queue_mutex_);
   if (blocking) {
@@ -442,7 +421,6 @@ std::uint64_t SamplingService::submit_impl(std::uint64_t request_id,
   item.ticket = ticket;
   item.priority = job.request.priority;
   item.deadline = job.deadline;
-  item.group = job.fuse_key;
   item.payload = std::move(job);
   queue_.push(std::move(item));
   queue_peak_ = std::max<std::uint64_t>(queue_peak_, queue_.size());
@@ -604,8 +582,6 @@ ServiceStats SamplingService::stats() const {
     s.queue_depth = queue_.size();
     s.queue_peak = queue_peak_;
     s.shots_in_flight = admission_.shots_in_flight();
-    s.fused_requests = fused_requests_;
-    s.fusion_groups = fusion_groups_;
   }
   s.exec_timeouts = exec_timeouts_.load(std::memory_order_relaxed);
   s.stalled = stalled_.load(std::memory_order_relaxed);
@@ -662,10 +638,8 @@ std::shared_ptr<SimulatorSession> SamplingService::session_for(
 
 void SamplingService::worker_loop(std::size_t worker_index) {
   workers_alive_.fetch_add(1, std::memory_order_relaxed);
-  std::vector<Job> group;
-  std::vector<DeadlineQueue<Job>::Item> mates;
   for (;;) {
-    group.clear();
+    Job job;
     {
       std::unique_lock<std::mutex> lock(queue_mutex_);
       queue_work_.wait(lock, [this] { return stopping_ || !queue_.empty(); });
@@ -673,51 +647,29 @@ void SamplingService::worker_loop(std::size_t worker_index) {
         workers_alive_.fetch_sub(1, std::memory_order_relaxed);
         return;  // stopping_ and drained
       }
-      group.push_back(std::move(queue_.pop().payload));
-      // Cross-request shot fusion: the most urgent request leads; every
-      // queued request with the same circuit/backend/target rides along
-      // (up to the cap), claimed in scheduler-urgency order so the
-      // group's observable completion order matches what the scheduler
-      // would have produced running them back to back.
-      if (options_.fusion_cap > 1 && !group.front().fuse_key.empty()) {
-        mates.clear();
-        queue_.claim_group(group.front().fuse_key, options_.fusion_cap - 1,
-                           mates);
-        for (DeadlineQueue<Job>::Item& mate : mates) {
-          group.push_back(std::move(mate.payload));
-        }
-        if (group.size() > 1) {
-          ++fusion_groups_;
-          fused_requests_ += group.size();
-        }
-      }
-      active_jobs_ += group.size();
-      // A fused claim can free several queue slots at once.
+      job = std::move(queue_.pop().payload);
+      ++active_jobs_;
+      // Every blocked submitter rechecks: each waits on its own shot
+      // budget as well as on queue space.
       queue_space_.notify_all();
     }
-    // Claim marks: the queue stage ends for every member now, group id
-    // (the leader's ticket) fixed for the rest of the lifecycle.
-    const std::uint64_t claim_ns = trace::now_ns();
-    const std::uint64_t group_id = group.front().ticket;
-    for (Job& job : group) {
-      job.claim_ns = claim_ns;
-      job.group = group_id;
-      trace::span("queue", job.accept_ns, claim_ns, job.request_id, job.ticket,
-                  group_id);
-    }
-    register_running(group, worker_index);
-    // Supervision: process_group() handles every per-job failure, so an
+    // Claim mark: the queue stage ends now.
+    job.claim_ns = trace::now_ns();
+    trace::span("queue", job.accept_ns, job.claim_ns, job.request_id,
+                job.ticket);
+    register_running(job, worker_index);
+    // Supervision: process() handles every per-job failure, so an
     // exception reaching this frame means the worker itself broke (in
-    // practice: the injected worker_fault_hook). Fail the whole claimed
-    // group with `internal` — no member has streamed yet when the hook
-    // throws — then fall through to the normal cleanup and respawn.
+    // practice: the injected worker_fault_hook). Fail the claimed job
+    // with `internal` — it has not streamed yet when the hook throws —
+    // then fall through to the normal cleanup and respawn.
     bool crashed = false;
     std::string crash_reason;
     try {
       if (options_.worker_fault_hook) {
         options_.worker_fault_hook(worker_index);
       }
-      process_group(group);
+      process(job);
     } catch (const std::exception& e) {
       crashed = true;
       crash_reason = e.what();
@@ -726,23 +678,19 @@ void SamplingService::worker_loop(std::size_t worker_index) {
       crash_reason = "unknown exception";
     }
     if (crashed) {
-      for (Job& job : group) {
-        emit_error_frame(job, /*chunk_index=*/0,
-                         make_error(ErrorCode::kInternal,
-                                    "worker crashed: " + crash_reason));
-        account(Outcome::kFailed, job.request.priority);
-        finish_timing(job, /*compile_done_ns=*/0, /*emit_ns=*/0,
-                      /*end_ns=*/0, /*ok=*/false);
-      }
+      emit_error_frame(job, /*chunk_index=*/0,
+                       make_error(ErrorCode::kInternal,
+                                  "worker crashed: " + crash_reason));
+      account(Outcome::kFailed, job.request.priority);
+      finish_timing(job, /*compile_done_ns=*/0, /*emit_ns=*/0,
+                    /*end_ns=*/0, /*ok=*/false);
     }
-    unregister_running(group);
+    unregister_running(job);
     {
       const std::lock_guard<std::mutex> lock(queue_mutex_);
-      for (const Job& job : group) {
-        cancel_flags_.erase(job.ticket);
-        admission_.release(job.shots);
-      }
-      active_jobs_ -= group.size();
+      cancel_flags_.erase(job.ticket);
+      admission_.release(job.shots);
+      --active_jobs_;
       // Finished work frees shot budget too, not just a queue slot —
       // submitters may be waiting on either.
       queue_space_.notify_all();
@@ -789,38 +737,33 @@ void SamplingService::worker_loop(std::size_t worker_index) {
   }
 }
 
-void SamplingService::register_running(const std::vector<Job>& group,
+void SamplingService::register_running(const Job& job,
                                        std::size_t worker_index) {
   const SchedulerClock::time_point now = SchedulerClock::now();
-  SchedulerClock::time_point exec_deadline = kNoDeadline;
+  RunWatch watch;
+  watch.request_id = job.request_id;
+  watch.worker = worker_index;
+  watch.start = now;
+  watch.deadline = job.deadline;
   if (options_.exec_timeout_ms != 0) {
-    exec_deadline = now + std::chrono::milliseconds(options_.exec_timeout_ms);
+    watch.exec_deadline =
+        now + std::chrono::milliseconds(options_.exec_timeout_ms);
   }
+  watch.cancel_flag = job.cancel_flag;
+  watch.abort_reason = job.abort_reason;
+  watch.progress = job.progress;
+  watch.progress_time = now;
   {
     const std::lock_guard<std::mutex> lock(watch_mutex_);
-    for (const Job& job : group) {
-      RunWatch watch;
-      watch.request_id = job.request_id;
-      watch.worker = worker_index;
-      watch.start = now;
-      watch.deadline = job.deadline;
-      watch.exec_deadline = exec_deadline;
-      watch.cancel_flag = job.cancel_flag;
-      watch.abort_reason = job.abort_reason;
-      watch.progress = job.progress;
-      watch.progress_time = now;
-      running_.emplace(job.ticket, std::move(watch));
-    }
+    running_.emplace(job.ticket, std::move(watch));
     ++watch_epoch_;
   }
   watch_cv_.notify_all();
 }
 
-void SamplingService::unregister_running(const std::vector<Job>& group) {
+void SamplingService::unregister_running(const Job& job) {
   const std::lock_guard<std::mutex> lock(watch_mutex_);
-  for (const Job& job : group) {
-    running_.erase(job.ticket);
-  }
+  running_.erase(job.ticket);
   ++watch_epoch_;
 }
 
@@ -902,8 +845,7 @@ void SamplingService::watchdog_loop() {
         if (stall_at <= now) {
           watch.stall_flagged = true;
           stalled_.fetch_add(1, std::memory_order_relaxed);
-          trace::instant("stall", watch.request_id, ticket, /*group=*/0,
-                         /*aux=*/chunks);
+          trace::instant("stall", watch.request_id, ticket, /*aux=*/chunks);
           std::ostringstream oss;
           oss << "{\"event\":\"stall\",\"id\":" << watch.request_id
               << ",\"ticket\":" << ticket << ",\"worker\":" << watch.worker
@@ -1018,11 +960,10 @@ void SamplingService::finish_timing(const Job& job,
   if (compile_done_ns != 0) {
     // The post-compile window as one span; per-chunk emit spans overlay
     // it on the same thread track.
-    trace::span("execute", compile_done_ns, end_ns, job.request_id, job.ticket,
-                job.group);
+    trace::span("execute", compile_done_ns, end_ns, job.request_id,
+                job.ticket);
   }
-  trace::instant(ok ? "done" : "aborted", job.request_id, job.ticket,
-                 job.group);
+  trace::instant(ok ? "done" : "aborted", job.request_id, job.ticket);
   if (options_.timing_observer) {
     RequestTiming t;
     t.request_id = job.request_id;
@@ -1056,173 +997,107 @@ void SamplingService::finish_timing(const Job& job,
   }
 }
 
-void SamplingService::process_group(std::vector<Job>& jobs) {
-  // Per-member admission gates, in claim (urgency) order. The deadline
-  // is checked when a worker takes the request — whether it expired
-  // while queued or in the instant after the pop, it is rejected before
-  // any compilation or sampling. A member that falls out here never
-  // affects its groupmates.
-  std::vector<std::size_t> live;
-  std::vector<std::unique_ptr<FrameSink>> sinks(jobs.size());
-  std::string digest;
-  live.reserve(jobs.size());
-  for (std::size_t i = 0; i < jobs.size(); ++i) {
-    Job& job = jobs[i];
-    if (job.deadline != kNoDeadline && SchedulerClock::now() > job.deadline) {
-      finish_without_running(
-          job, Outcome::kExpired,
-          make_error(ErrorCode::kDeadlineExpired,
-                     "deadline expired before sampling started"));
-      continue;
-    }
-    if (job.cancel_flag->load(std::memory_order_relaxed)) {
-      // The flag is usually a client cancel, but the watchdog can have
-      // cut the run already (an exec cap shorter than the gate-to-run
-      // window); its stored reason, written before the flag, decides.
-      const std::uint32_t abort =
-          job.abort_reason->load(std::memory_order_acquire);
-      if (abort != kAbortNone) {
-        finish_without_running(
-            job, Outcome::kExpiredRunning,
-            make_error(ErrorCode::kDeadlineExpired,
-                       abort == kAbortExecTimeout
-                           ? "execution wall-clock cap exceeded"
-                           : "deadline expired during execution"));
-      } else {
-        finish_without_running(job, Outcome::kCancelled,
-                               make_error(ErrorCode::kCancelled,
-                                          "request cancelled"));
-      }
-      continue;
-    }
-    sinks[i] = std::make_unique<FrameSink>(
-        job.request_id, job.request.format, options_.max_frame_payload,
-        job.emit, job.progress.get(), job.ticket, job.group,
-        job.request.want_timing);
-    try {
-      if (options_.fault_hook) {
-        options_.fault_hook(
-            fault_sequence_.fetch_add(1, std::memory_order_relaxed) + 1,
-            job.request);
-      }
-      std::string member_digest = job.request.digest;
-      if (member_digest.empty()) {
-        member_digest = register_circuit(job.request.circuit_text);
-      }
-      // Groupmates share a fuse key, so every member resolves to the
-      // same digest; keep the last one for the group's session lookup.
-      digest = std::move(member_digest);
-      live.push_back(i);
-    } catch (const std::invalid_argument& e) {
-      // Caller-data failures (circuit parse errors, unknown digests,
-      // malformed tasks — everything SYMPHASE_CHECK rejects): the same
-      // request will fail the same way forever, so it must not read as
-      // a server-side problem to a retrying client.
-      emit_error_frame(job, sinks[i]->next_chunk_index(),
-                       make_error(ErrorCode::kBadCircuit, e.what()));
-      account(Outcome::kFailed, job.request.priority);
-      finish_timing(job, /*compile_done_ns=*/0, /*emit_ns=*/0, /*end_ns=*/0,
-                    /*ok=*/false);
-    } catch (const std::exception& e) {
-      emit_error_frame(job, sinks[i]->next_chunk_index(),
-                       make_error(ErrorCode::kInternal, e.what()));
-      account(Outcome::kFailed, job.request.priority);
-      finish_timing(job, /*compile_done_ns=*/0, /*emit_ns=*/0, /*end_ns=*/0,
-                    /*ok=*/false);
-    }
-  }
-  if (live.empty()) {
+void SamplingService::process(Job& job) {
+  // Admission gate: the deadline is checked when a worker takes the
+  // request — whether it expired while queued or in the instant after
+  // the pop, it is rejected before any compilation or sampling.
+  if (job.deadline != kNoDeadline && SchedulerClock::now() > job.deadline) {
+    finish_without_running(
+        job, Outcome::kExpired,
+        make_error(ErrorCode::kDeadlineExpired,
+                   "deadline expired before sampling started"));
     return;
   }
-
-  std::vector<std::exception_ptr> errors(live.size());
-  // When the compile stage finished (steady ns); stays 0 when session
-  // lookup or artifact construction threw — the members' timing then
-  // reports zero compile/execute and the error path supplies end-now.
+  if (job.cancel_flag->load(std::memory_order_relaxed)) {
+    // The flag is usually a client cancel, but the watchdog can have
+    // cut the run already (an exec cap shorter than the gate-to-run
+    // window); its stored reason, written before the flag, decides.
+    const std::uint32_t abort =
+        job.abort_reason->load(std::memory_order_acquire);
+    if (abort != kAbortNone) {
+      finish_without_running(
+          job, Outcome::kExpiredRunning,
+          make_error(ErrorCode::kDeadlineExpired,
+                     abort == kAbortExecTimeout
+                         ? "execution wall-clock cap exceeded"
+                         : "deadline expired during execution"));
+    } else {
+      finish_without_running(job, Outcome::kCancelled,
+                             make_error(ErrorCode::kCancelled,
+                                        "request cancelled"));
+    }
+    return;
+  }
+  FrameSink sink(job.request_id, job.request.format,
+                 options_.max_frame_payload, job.emit, job.progress.get(),
+                 job.ticket, job.request.want_timing);
+  Outcome outcome = Outcome::kCompleted;
+  // When the compile stage finished (steady ns); stays 0 when the fault
+  // hook, session lookup or artifact construction threw — the timing
+  // then reports zero compile/execute and finish_timing supplies
+  // end-now.
   std::uint64_t compile_done_ns = 0;
   try {
-    const std::shared_ptr<SimulatorSession> session = session_for(digest);
-    if (live.size() > 1) {
-      // One cache lookup serves the whole group; solo execution would
-      // have scored one hit per extra member (the leader's lookup
-      // either missed or hit, every follower would have hit the session
-      // it left behind). Keep the counters batching-invariant.
-      const std::lock_guard<std::mutex> lock(cache_mutex_);
-      hits_ += live.size() - 1;
+    if (options_.fault_hook) {
+      options_.fault_hook(
+          fault_sequence_.fetch_add(1, std::memory_order_relaxed) + 1,
+          job.request);
     }
-    // Compile bracket: force the artifacts the group's task needs here,
-    // so the stage is measured apart from execution. A cache-hit
-    // session makes this a mutex acquire + pointer checks (the span's
-    // aux=1 marks it warm). One bracket covers the whole group — fused
-    // members share the artifacts, so each is billed the group's
-    // compile wait, which is also what each would have paid solo.
+    std::string digest = job.request.digest;
+    if (digest.empty()) {
+      digest = register_circuit(job.request.circuit_text);
+    }
+    const std::shared_ptr<SimulatorSession> session = session_for(digest);
+    // Compile bracket: force the artifacts the task needs here, so the
+    // stage is measured apart from execution. A cache-hit session makes
+    // this a mutex acquire + pointer checks (the span's aux=1 marks it
+    // warm).
     const std::uint64_t compile_t0 = trace::now_ns();
     const SessionArtifacts pre = session->artifacts();
     const bool warm = pre.compiled || pre.frames;
-    session->prepare(jobs[live.front()].request.task);
+    session->prepare(job.request.task);
     compile_done_ns = trace::now_ns();
-    std::vector<SessionRunMember> members(live.size());
-    for (std::size_t k = 0; k < live.size(); ++k) {
-      const Job& job = jobs[live[k]];
-      trace::span("compile", compile_t0, compile_done_ns, job.request_id,
-                  job.ticket, job.group, /*aux=*/warm ? 1 : 0);
-      sinks[live[k]]->set_timing_marks(job.accept_ns, job.claim_ns,
-                                       compile_done_ns);
-      members[k].task = &job.request.task;
-      members[k].sink = sinks[live[k]].get();
-      members[k].cancel = job.cancel_flag.get();
-      members[k].trace_id = job.request_id;
-      members[k].trace_ticket = job.ticket;
-      members[k].trace_group = job.group;
+    trace::span("compile", compile_t0, compile_done_ns, job.request_id,
+                job.ticket, /*aux=*/warm ? 1 : 0);
+    sink.set_timing_marks(job.accept_ns, job.claim_ns, compile_done_ns);
+    session->run(job.request.task, sink, job.cancel_flag.get(),
+                 job.request_id, job.ticket);
+  } catch (const TaskCancelled& e) {
+    // The abandoned stream's session stays cached and reusable; only
+    // this request's frames stop (with the error flag, like any other
+    // non-success). When the watchdog flipped the flag — not a client —
+    // the request ends as a mid-run deadline_expired.
+    const std::uint32_t abort =
+        job.abort_reason->load(std::memory_order_acquire);
+    if (abort != kAbortNone) {
+      outcome = Outcome::kExpiredRunning;
+      emit_error_frame(
+          job, sink.next_chunk_index(),
+          make_error(ErrorCode::kDeadlineExpired,
+                     abort == kAbortExecTimeout
+                         ? "execution wall-clock cap exceeded mid-run"
+                         : "deadline expired mid-run"));
+    } else {
+      outcome = Outcome::kCancelled;
+      emit_error_frame(job, sink.next_chunk_index(),
+                       make_error(ErrorCode::kCancelled, e.what()));
     }
-    errors = session->run_fused(members);
-  } catch (...) {
-    // Failures before any member streamed — session lookup, artifact
-    // compilation, fused-run preconditions — hit every member alike.
-    errors.assign(live.size(), std::current_exception());
+  } catch (const std::invalid_argument& e) {
+    // Caller-data failures (circuit parse errors, unknown digests,
+    // malformed tasks — everything SYMPHASE_CHECK rejects): the same
+    // request will fail the same way forever, so it must not read as
+    // a server-side problem to a retrying client.
+    outcome = Outcome::kFailed;
+    emit_error_frame(job, sink.next_chunk_index(),
+                     make_error(ErrorCode::kBadCircuit, e.what()));
+  } catch (const std::exception& e) {
+    outcome = Outcome::kFailed;
+    emit_error_frame(job, sink.next_chunk_index(),
+                     make_error(ErrorCode::kInternal, e.what()));
   }
-
-  for (std::size_t k = 0; k < live.size(); ++k) {
-    Job& job = jobs[live[k]];
-    FrameSink& sink = *sinks[live[k]];
-    Outcome outcome = Outcome::kCompleted;
-    if (errors[k]) {
-      try {
-        std::rethrow_exception(errors[k]);
-      } catch (const TaskCancelled& e) {
-        // The abandoned stream's session stays cached and reusable; only
-        // this request's frames stop (with the error flag, like any
-        // other non-success). When the watchdog flipped the flag — not
-        // a client — the request ends as a mid-run deadline_expired.
-        const std::uint32_t abort =
-            job.abort_reason->load(std::memory_order_acquire);
-        if (abort != kAbortNone) {
-          outcome = Outcome::kExpiredRunning;
-          emit_error_frame(
-              job, sink.next_chunk_index(),
-              make_error(ErrorCode::kDeadlineExpired,
-                         abort == kAbortExecTimeout
-                             ? "execution wall-clock cap exceeded mid-run"
-                             : "deadline expired mid-run"));
-        } else {
-          outcome = Outcome::kCancelled;
-          emit_error_frame(job, sink.next_chunk_index(),
-                           make_error(ErrorCode::kCancelled, e.what()));
-        }
-      } catch (const std::invalid_argument& e) {
-        outcome = Outcome::kFailed;
-        emit_error_frame(job, sink.next_chunk_index(),
-                         make_error(ErrorCode::kBadCircuit, e.what()));
-      } catch (const std::exception& e) {
-        outcome = Outcome::kFailed;
-        emit_error_frame(job, sink.next_chunk_index(),
-                         make_error(ErrorCode::kInternal, e.what()));
-      }
-    }
-    account(outcome, job.request.priority);
-    finish_timing(job, compile_done_ns, sink.emit_ns(), sink.end_ns(),
-                  outcome == Outcome::kCompleted);
-  }
+  account(outcome, job.request.priority);
+  finish_timing(job, compile_done_ns, sink.emit_ns(), sink.end_ns(),
+                outcome == Outcome::kCompleted);
 }
 
 }  // namespace symphase

@@ -39,7 +39,7 @@
 /// are enforced mid-run through the same cooperative-cancel path,
 /// no-progress runs are flagged after stall_warn_ms, and a worker
 /// thread that dies on an escaped exception fails only its in-flight
-/// requests and is respawned (see docs/service.md, "Watchdog &
+/// request and is respawned (see docs/service.md, "Watchdog &
 /// execution limits").
 ///
 /// The in-process API is below; `symphase serve --stdio` (framed
@@ -123,16 +123,6 @@ struct ServiceOptions {
   /// or send the circuit inline — inline requests re-register
   /// automatically).
   std::size_t registry_capacity = 256;
-  /// Cross-request shot fusion: when a worker takes a sample/detect
-  /// request, it also claims up to `fusion_cap - 1` queued requests
-  /// sharing the same circuit (digest or identical inline text), backend,
-  /// and target, and runs the whole group through one engine pass
-  /// (SimulatorSession::run_fused). Per-request output is bit-identical
-  /// to solo execution — each member keeps its own seed and RNG streams —
-  /// and per-request deadline/cancel/priority semantics are preserved
-  /// (members are claimed and finished in scheduler-urgency order).
-  /// <= 1 disables fusion.
-  std::size_t fusion_cap = 16;
   /// Admission control: per-client rate limits, shots-in-flight cap,
   /// and priority shedding thresholds (admission.hpp). Rate limiting
   /// is off by default; the shedding thresholds always apply to
@@ -143,10 +133,9 @@ struct ServiceOptions {
   /// thread cuts an over-budget run at the next shard-chunk boundary
   /// via the cooperative-cancel path and the request ends with a
   /// `deadline_expired` error frame (counted in `exec_timeouts` and
-  /// `expired_running`). In a fused group only the over-budget member
-  /// stops. Orthogonal to `deadline_ms`, which the watchdog now also
-  /// enforces mid-run (see docs/service.md, "Watchdog & execution
-  /// limits").
+  /// `expired_running`). Orthogonal to `deadline_ms`, which the watchdog
+  /// now also enforces mid-run (see docs/service.md, "Watchdog &
+  /// execution limits").
   std::uint64_t exec_timeout_ms = 0;
   /// Flag an in-flight request that made no shard-chunk progress for
   /// this long (0 = off): a structured log line through `watchdog_log`
@@ -178,10 +167,10 @@ struct ServiceOptions {
   /// stage breakdown) through `watchdog_log` for every request whose
   /// end-to-end time exceeds this many milliseconds (0 = off).
   std::uint64_t slow_request_ms = 0;
-  /// Test-only worker-crash injection: called once per claimed group,
-  /// on the worker thread, *outside* the per-job exception handlers.
-  /// A throw escapes to the supervision wrapper, which fails the
-  /// in-flight group with `internal` error frames and respawns the
+  /// Test-only worker-crash injection: called once per claimed job, on
+  /// the worker thread, *outside* the per-job exception handlers. A
+  /// throw escapes to the supervision wrapper, which fails the
+  /// in-flight job with an `internal` error frame and respawns the
   /// worker thread (`worker_restarts` counts it) — the
   /// exception-escaped-the-handlers path that would otherwise call
   /// std::terminate.
@@ -221,10 +210,6 @@ struct ServiceStats {
   std::uint64_t rejected_rate_limited = 0;   ///< Client over budget.
   std::uint64_t rejected_draining = 0;       ///< Arrived during drain.
   std::uint64_t shots_in_flight = 0;  ///< Gauge: shots queued + running.
-  // Cross-request shot fusion counters (groups of >= 2 only — solo
-  // executions never count):
-  std::uint64_t fused_requests = 0;  ///< Requests run as fusion-group members.
-  std::uint64_t fusion_groups = 0;   ///< Fused engine passes executed.
   /// Gauge: age in ms of the oldest in-flight run (0 when idle) — a
   /// wedged worker shows up here long before any timeout fires.
   std::uint64_t longest_running_ms = 0;
@@ -238,7 +223,8 @@ struct ServiceStats {
 
   /// Machine-readable one-object JSON rendering (the stats verb with
   /// json=1, `symphase stats --json`, and GET /v1/stats). Same fields
-  /// as to_line(), plus served counts keyed by priority name.
+  /// as to_line(), plus served counts keyed by priority name and one
+  /// always-zero legacy key (see the definition).
   std::string to_json() const;
 };
 
@@ -406,9 +392,6 @@ class SamplingService {
     /// Shard-chunk heartbeat: bumped by the frame sink on every chunk
     /// delivered, read by the watchdog for stall detection.
     std::shared_ptr<std::atomic<std::uint64_t>> progress;
-    /// Fusion-group tag: circuit identity (digest, or a hash of the raw
-    /// inline text) + backend + target. Empty when fusion is disabled.
-    std::string fuse_key;
     /// Transport tag from submit() — a string literal ("frame", "http",
     /// "local"), stamped on timing observations and slow-request logs.
     const char* transport = "local";
@@ -416,9 +399,6 @@ class SamplingService {
     /// (ticket assignment) and worker claim. Zero until stamped.
     std::uint64_t accept_ns = 0;
     std::uint64_t claim_ns = 0;
-    /// Trace-span fusion-group id: the claimed group leader's ticket
-    /// (== ticket for a solo run). Zero until claimed.
-    std::uint64_t group = 0;
   };
 
   /// Job::abort_reason values.
@@ -475,10 +455,9 @@ class SamplingService {
   /// exec-timeout cap through the cooperative-cancel path, and flags
   /// stalls. Sleeps until the next enforcement moment (no fixed tick).
   void watchdog_loop();
-  /// Publishes/retracts a claimed group in the watchdog's registry.
-  void register_running(const std::vector<Job>& group,
-                        std::size_t worker_index);
-  void unregister_running(const std::vector<Job>& group);
+  /// Publishes/retracts a claimed job in the watchdog's registry.
+  void register_running(const Job& job, std::size_t worker_index);
+  void unregister_running(const Job& job);
   /// Age in ms of the oldest registered run; 0 when idle.
   std::uint64_t longest_running_ms() const;
   /// Ships one structured event line to watchdog_log (or stderr).
@@ -497,12 +476,10 @@ class SamplingService {
   void finish_timing(const Job& job, std::uint64_t compile_done_ns,
                      std::uint64_t emit_ns, std::uint64_t end_ns,
                      bool ok) const;
-  /// Executes one claimed group (size 1 = the classic solo path) on the
-  /// calling worker thread: per-member deadline/cancel gates and fault
-  /// hooks, one session lookup for the group, one fused engine pass,
-  /// per-member outcome accounting. Members must already be in
-  /// scheduler-urgency order (worker_loop claims them that way).
-  void process_group(std::vector<Job>& jobs);
+  /// Executes one claimed job on the calling worker thread: the
+  /// deadline/cancel gate and fault hook, the session lookup, the
+  /// compile bracket, the streamed run, and outcome accounting.
+  void process(Job& job);
   /// Folds one finished request into the stats counters.
   void account(Outcome outcome, RequestPriority priority);
   /// Counts one admission rejection under its error code.
@@ -534,9 +511,6 @@ class SamplingService {
       cancel_flags_;
   std::uint64_t next_ticket_ = 1;
   std::uint64_t queue_peak_ = 0;
-  /// Fusion counters (queue_mutex_ — bumped at claim time).
-  std::uint64_t fused_requests_ = 0;
-  std::uint64_t fusion_groups_ = 0;
   std::size_t active_jobs_ = 0;
   bool stopping_ = false;
   bool draining_ = false;

@@ -465,6 +465,26 @@ TEST(Chaos, DrainFinishesInFlightRejectsNewAndExitsCleanly) {
   EXPECT_TRUE(harness.join());  // loop exits cleanly once conns retire
 }
 
+TEST(Chaos, DrainWithNoOpenConnectionEndsTheLoop) {
+  // SIGTERM can arrive after the last client's connection retired, with
+  // the loop parked in poll on nothing but the wake pipe; the drain
+  // must still end run().
+  SocketServer server(SocketServerOptions{});
+  std::future<bool> loop =
+      std::async(std::launch::async, [&server] { return server.run(); });
+  // Let the loop reach poll before the drain: the state a late SIGTERM
+  // finds.
+  std::this_thread::sleep_for(std::chrono::milliseconds(100));
+  server.drain();
+  const bool ended =
+      loop.wait_for(std::chrono::seconds(10)) == std::future_status::ready;
+  if (!ended) {
+    server.shutdown();  // unstick the loop so the failure is reported
+  }
+  EXPECT_TRUE(ended) << "drain with no open connection never ended run()";
+  EXPECT_TRUE(loop.get());
+}
+
 TEST(Chaos, ResilientClientRetriesRetryableRejection) {
   // Rate-limit the (single) connection's bucket so the second run is
   // rejected with rate_limited + a retry_after_ms hint; the client
@@ -759,9 +779,7 @@ TEST(Chaos, WedgedRequestIsCutByExecTimeoutAndServiceKeepsServing) {
   ASSERT_NE(service.submit(1, request, replies.fn()), 0u);
   await_stats(service,
               [](const ServiceStats& s) { return s.expired_running == 1; });
-  // Submitted only after the cut so it cannot fuse with the wedged run
-  // (group members share the wedge, and the cap cuts every over-budget
-  // member alike).
+  // Submitted only after the cut, so it runs on the recovered worker.
   ASSERT_NE(service.submit(2, request, replies.fn()), 0u);
   service.drain();
 
@@ -1005,7 +1023,7 @@ TEST(Chaos, MidRunTimeoutCountersVisibleOnEveryTransport) {
   EXPECT_NE(metrics.body.find("symphase_exec_timeouts_total 1"),
             std::string::npos)
       << metrics.body;
-  EXPECT_NE(metrics.body.find("symphase_stalled_requests 0"),
+  EXPECT_NE(metrics.body.find("symphase_stalled_requests_total 0"),
             std::string::npos)
       << metrics.body;
   EXPECT_NE(metrics.body.find("symphase_worker_restarts_total 0"),

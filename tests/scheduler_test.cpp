@@ -3,7 +3,8 @@
 // the indexed heap, deadline-expired rejection before any compilation,
 // priority jumps under a saturated single-worker pool, cooperative
 // cancellation (queued and mid-stream) leaving the session cache
-// reusable, and the queue metrics surfaced through stats().
+// reusable, drain() waiting for a queue-cancelled request's error
+// frame, and the queue metrics surfaced through stats().
 
 #include <gtest/gtest.h>
 
@@ -102,6 +103,44 @@ TEST(DeadlineQueue, DuplicateTicketIsRejected) {
 
 // ---------------------------------------------------------------------------
 // Request codec: the new scheduling fields.
+
+TEST(DeadlineQueue, RemoveRootTailAndSoleElementKeepHeapConsistent) {
+  using Item = DeadlineQueue<int>::Item;
+  {
+    // Removing the root (most urgent) must re-heapify, not just swap.
+    DeadlineQueue<int> queue;
+    queue.push(Item{1, RequestPriority::kHigh, kNoDeadline, 0});
+    queue.push(Item{2, RequestPriority::kLow, kNoDeadline, 0});
+    queue.push(Item{3, RequestPriority::kNormal, kNoDeadline, 0});
+    queue.push(Item{4, RequestPriority::kHigh, kNoDeadline, 0});
+    EXPECT_TRUE(queue.remove(1));
+    std::vector<std::uint64_t> order;
+    while (!queue.empty()) {
+      order.push_back(queue.pop().ticket);
+    }
+    EXPECT_EQ(order, (std::vector<std::uint64_t>{4, 3, 2}));
+  }
+  {
+    // Removing the physical tail slot must not sift a stale index.
+    DeadlineQueue<int> queue;
+    queue.push(Item{1, RequestPriority::kHigh, kNoDeadline, 0});
+    queue.push(Item{2, RequestPriority::kNormal, kNoDeadline, 0});
+    queue.push(Item{3, RequestPriority::kLow, kNoDeadline, 0});
+    EXPECT_TRUE(queue.remove(3));
+    EXPECT_EQ(queue.size(), 2u);
+    EXPECT_EQ(queue.pop().ticket, 1u);
+    EXPECT_EQ(queue.pop().ticket, 2u);
+  }
+  {
+    // Removing the only element leaves a reusable empty queue.
+    DeadlineQueue<int> queue;
+    queue.push(Item{7, RequestPriority::kNormal, kNoDeadline, 0});
+    EXPECT_TRUE(queue.remove(7));
+    EXPECT_TRUE(queue.empty());
+    queue.push(Item{8, RequestPriority::kNormal, kNoDeadline, 0});
+    EXPECT_EQ(queue.pop().ticket, 8u);
+  }
+}
 
 TEST(RequestCodec, PriorityDeadlineAndCancelRoundTrip) {
   SampleRequest request = SampleRequest::sample(kCircuitA, 123);
@@ -592,6 +631,42 @@ TEST(SchedulerService, CancelOfLastQueuedJobWakesConcurrentDrain) {
               std::future_status::ready)
         << "drain() missed the cancel wakeup (iteration " << i << ")";
   }
+}
+
+// Regression: drain() must wait for a queue-cancelled request's error
+// frame. Before the fix, cancel() notified the drain waiter while still
+// holding the queue lock and emitted the frame after unlocking, so a
+// concurrent drain() could observe "queue empty, nothing active" and
+// return while the error frame was still being written.
+TEST(SchedulerService, DrainWaitsForCancelledQueuedRequestErrorFrame) {
+  SamplingService service({.num_workers = 1});
+  Latch latch;
+  CompletionRecorder recorder;
+  submit_blocker(service, latch, recorder);
+
+  std::atomic<bool> emitted{false};
+  SampleRequest queued = SampleRequest::sample(kCircuitA, 100);
+  const std::uint64_t ticket =
+      service.submit(2, queued, [&](const FrameHeader&, std::string_view) {
+        // A deliberately slow transport write: the frame is "on the
+        // wire" only once this returns.
+        std::this_thread::sleep_for(std::chrono::milliseconds(150));
+        emitted = true;
+      });
+
+  std::thread canceller([&] { EXPECT_TRUE(service.cancel(ticket)); });
+  // Let the canceller get into the emit before the blocker finishes.
+  std::this_thread::sleep_for(std::chrono::milliseconds(30));
+  latch.release();
+  service.drain();
+  // The whole point: at drain() return, every accepted request's final
+  // frame has been fully emitted — including the cancelled one's.
+  EXPECT_TRUE(emitted.load());
+  canceller.join();
+
+  const ServiceStats stats = service.stats();
+  EXPECT_EQ(stats.cancelled, 1u) << stats.to_line();
+  EXPECT_EQ(stats.completed, 1u) << stats.to_line();
 }
 
 TEST(SchedulerService, TrySubmitRejectsOnlyWhenFull) {

@@ -7,6 +7,8 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <future>
+#include <memory>
 #include <mutex>
 #include <optional>
 #include <sstream>
@@ -305,6 +307,74 @@ TEST(SamplingService, ConcurrentMixedDigestLoadReturnsCorrectPerRequestBits) {
     EXPECT_FALSE(message.error) << message.error_text;
     EXPECT_EQ(message.payload, e.payload) << "request " << e.id;
   }
+}
+
+TEST(SamplingService, QueuedSameCircuitRequestsMatchDirectRuns) {
+  SamplingService service({.num_workers = 1});
+  FrameCollector collector;
+
+  // Park the single worker inside a kCircuitB request until the five
+  // kCircuitA requests below are queued behind it.
+  std::promise<void> parked;
+  std::future<void> parked_future = parked.get_future();
+  std::promise<void> release;
+  const std::shared_future<void> released = release.get_future().share();
+  auto first = std::make_shared<std::atomic<bool>>(true);
+  const FrameFn record = collector.fn();
+  service.submit(
+      1, SampleRequest::sample(kCircuitB, 100),
+      [&parked, released, first, record](const FrameHeader& header,
+                                         std::string_view payload) {
+        if (first->exchange(false)) {
+          parked.set_value();
+          released.wait();
+        }
+        record(header, payload);
+      });
+  parked_future.wait();
+
+  // Same circuit, different everything else: seed, shot count (one
+  // shot, a partial shard, exactly one shard, three shards with a
+  // ragged tail), format, thread count, and one row subset.
+  struct Member {
+    std::uint64_t id;
+    std::size_t shots;
+    std::uint64_t seed;
+    SampleFormat format;
+    std::size_t threads;
+    std::vector<std::size_t> rows;
+  };
+  const std::vector<Member> members = {
+      {2, 100, 11, SampleFormat::k01, 1, {}},
+      {3, 16'483, 22, SampleFormat::kB8, 2, {}},
+      {4, 1, 33, SampleFormat::kHex, 1, {}},
+      {5, 8'192, 44, SampleFormat::kPtb64, 2, {}},
+      {6, 5'000, 55, SampleFormat::k01, 1, {0}},
+  };
+  std::vector<SampleRequest> requests;
+  for (const Member& m : members) {
+    SampleRequest request = SampleRequest::sample(kCircuitA, m.shots);
+    request.task.seed = m.seed;
+    request.task.num_threads = m.threads;
+    request.task.bit_selection = m.rows;
+    request.format = m.format;
+    requests.push_back(request);
+    service.submit(m.id, request, collector.fn());
+  }
+
+  release.set_value();
+  service.drain();
+
+  for (std::size_t i = 0; i < members.size(); ++i) {
+    EXPECT_EQ(collector.message_for(members[i].id).payload,
+              direct_output(kCircuitA, requests[i].task, requests[i].format))
+        << "request " << members[i].id;
+  }
+  const ServiceStats stats = service.stats();
+  EXPECT_EQ(stats.completed, 6u) << stats.to_line();
+  EXPECT_EQ(stats.compiles, 2u) << stats.to_line();
+  EXPECT_EQ(stats.misses, 2u) << stats.to_line();
+  EXPECT_EQ(stats.hits, 4u) << stats.to_line();
 }
 
 TEST(SamplingService, LargeResponsesSplitAcrossFramesAtTheCap) {

@@ -1,16 +1,12 @@
 // Tracing must observe, never perturb: with tracing enabled, every
-// transport's output bytes must equal the trace-off run, the fused
-// group's spans must share one group id, and the per-request timing
-// summaries (kFrameTiming final frame, HTTP Server-Timing trailer)
-// must partition the end-to-end time. Runs under ASan+UBSan and TSan
-// in CI.
+// transport's output bytes must equal the trace-off run, and the
+// per-request timing summaries (kFrameTiming final frame, HTTP
+// Server-Timing trailer) must partition the end-to-end time. Runs under
+// ASan+UBSan and TSan in CI.
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
-#include <atomic>
 #include <chrono>
-#include <condition_variable>
 #include <cstdint>
 #include <map>
 #include <mutex>
@@ -222,78 +218,6 @@ TEST_F(TraceDifferentialTest, HttpBytesIdenticalWithTracingOnAndOff) {
   // (That each drain consumes is pinned deterministically in
   // trace_test.cpp — shard-fill spans on pool threads can straggle
   // past "done" here, so an emptiness check would race.)
-}
-
-TEST_F(TraceDifferentialTest, FusedGroupSharesOneGroupId) {
-  trace::set_enabled(true);
-  std::vector<std::uint64_t> tickets;
-  ServiceStats stats;
-  FrameCollector collector;
-  {
-  SamplingService service({.num_workers = 1});
-
-  // Park the single worker inside request 1 until the same-circuit
-  // requests 2..4 are queued; the worker then claims them as one fused
-  // group.
-  std::mutex mutex;
-  std::condition_variable cv;
-  bool release = false;
-  auto first = std::make_shared<std::atomic<bool>>(true);
-  const FrameFn record = collector.fn();
-  service.submit(
-      1, SampleRequest::sample("X 0\nM 0 1 2\n", 100),
-      [&, first, record](const FrameHeader& header, std::string_view payload) {
-        if (first->exchange(false)) {
-          std::unique_lock<std::mutex> lock(mutex);
-          cv.wait(lock, [&] { return release; });
-        }
-        record(header, payload);
-      },
-      /*client_id=*/0, /*rejection=*/nullptr, /*transport=*/"frame");
-
-  for (std::uint64_t id = 2; id <= 4; ++id) {
-    SampleRequest request = SampleRequest::sample(kCircuit, 2000);
-    request.task.seed = id;
-    tickets.push_back(service.submit(id, request, collector.fn(),
-                                     /*client_id=*/0, /*rejection=*/nullptr,
-                                     /*transport=*/"frame"));
-  }
-  {
-    const std::lock_guard<std::mutex> lock(mutex);
-    release = true;
-  }
-  cv.notify_all();
-  service.drain();
-  stats = service.stats();
-  }  // Joins the worker: every lifecycle span is recorded past here.
-  ASSERT_EQ(stats.fused_requests, 3u) << stats.to_line();
-  ASSERT_EQ(stats.fusion_groups, 1u) << stats.to_line();
-  trace::set_enabled(false);
-
-  // Every span of the three members carries the same group id: the
-  // group leader's ticket.
-  const JsonValue doc = parse_json(trace::drain_json());
-  std::set<std::uint64_t> member_groups;
-  std::uint64_t member_spans = 0;
-  for (const JsonValue& event : doc.find("traceEvents")->as_array()) {
-    const JsonValue* args = event.find("args");
-    const std::uint64_t ticket = args->find("ticket")->as_u64();
-    const std::string& name = event.find("name")->as_string();
-    if (name != "queue" && name != "compile" && name != "fill" &&
-        name != "emit" && name != "execute") {
-      continue;
-    }
-    for (const std::uint64_t member : tickets) {
-      if (ticket == member) {
-        member_groups.insert(args->find("group")->as_u64());
-        ++member_spans;
-      }
-    }
-  }
-  EXPECT_GE(member_spans, 9u);  // >= queue+compile+execute per member
-  ASSERT_EQ(member_groups.size(), 1u);
-  EXPECT_EQ(*member_groups.begin(), *std::min_element(tickets.begin(),
-                                                      tickets.end()));
 }
 
 /// Parses "name;dur=12.345" stage values out of a Server-Timing string.

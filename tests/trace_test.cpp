@@ -49,8 +49,7 @@ TEST_F(TraceTest, DisabledRecordsNothing) {
 
 TEST_F(TraceTest, SpanAndInstantRoundTripThroughJson) {
   trace::set_enabled(true);
-  trace::span("fill", 1000, 251000, /*id=*/7, /*ticket=*/9, /*group=*/9,
-              /*aux=*/3);
+  trace::span("fill", 1000, 251000, /*id=*/7, /*ticket=*/9, /*aux=*/3);
   trace::instant("accept", /*id=*/7, /*ticket=*/9);
   trace::set_enabled(false);
 
@@ -82,7 +81,6 @@ TEST_F(TraceTest, SpanAndInstantRoundTripThroughJson) {
   ASSERT_NE(args, nullptr);
   EXPECT_EQ(args->find("id")->as_u64(), 7u);
   EXPECT_EQ(args->find("ticket")->as_u64(), 9u);
-  EXPECT_EQ(args->find("group")->as_u64(), 9u);
   EXPECT_EQ(args->find("aux")->as_u64(), 3u);
 
   const JsonValue& instant = events[1];
@@ -154,7 +152,7 @@ TEST_F(TraceTest, ConcurrentWritersAndDrainerStayConsistent) {
         // Encode (writer, i) into the fields a torn read would mix up.
         const std::uint64_t id = (static_cast<std::uint64_t>(w) << 32) | i;
         trace::span("race", i * 100, i * 100 + 7, id, /*ticket=*/id,
-                    /*group=*/id, /*aux=*/static_cast<std::uint64_t>(w));
+                    /*aux=*/static_cast<std::uint64_t>(w));
       }
     });
   }
@@ -182,7 +180,6 @@ TEST_F(TraceTest, ConcurrentWritersAndDrainerStayConsistent) {
       const std::uint64_t id = args->find("id")->as_u64();
       // Untorn: every field derives from the same (writer, i) pair.
       EXPECT_EQ(args->find("ticket")->as_u64(), id);
-      EXPECT_EQ(args->find("group")->as_u64(), id);
       EXPECT_EQ(args->find("aux")->as_u64(), id >> 32);
       const std::uint64_t i = id & 0xffffffffu;
       EXPECT_DOUBLE_EQ(event.find("ts")->as_number(),

@@ -3,7 +3,7 @@
 # loopback TCP connection, for a small-shot mix (queue/framing overhead
 # dominated) and a large-shot mix (sampling throughput dominated).
 #
-# Usage: tools/bench_service.sh [--http|--fusion|--trace] [build-dir]
+# Usage: tools/bench_service.sh [--http|--trace] [build-dir]
 #
 # Starts `symphase serve --listen 127.0.0.1:0`, drives it with
 # `symphase sample --connect ... --repeat N` (one connection per mix,
@@ -20,13 +20,6 @@
 # ratios. Same server process for both transports, so the deltas are
 # pure transport cost.
 #
-# With --fusion, the benchmark instead measures cross-request shot
-# fusion: a client pipelines many concurrent same-circuit small-shot
-# requests over one connection (`--repeat N --pipeline W`) against two
-# server configurations — fusion disabled (`--fusion 1`) and the
-# default fusion cap — and the output becomes
-# bench/results/BENCH_<stamp>-fusion.json with the throughput ratio.
-#
 # With --trace, the benchmark measures the cost of request-lifecycle
 # tracing: the small-shot mix runs against a server with tracing off
 # (the default — instrumentation compiled in but gated behind one
@@ -40,13 +33,9 @@
 set -euo pipefail
 
 http_mode=0
-fusion_mode=0
 trace_mode=0
 if [[ "${1:-}" == "--http" ]]; then
   http_mode=1
-  shift
-elif [[ "${1:-}" == "--fusion" ]]; then
-  fusion_mode=1
   shift
 elif [[ "${1:-}" == "--trace" ]]; then
   trace_mode=1
@@ -59,8 +48,6 @@ out_dir="$repo_root/bench/results"
 stamp="${SYMPHASE_BENCH_STAMP:-$(date +%Y-%m-%d)}"
 if [[ "$http_mode" == 1 ]]; then
   out_file="$out_dir/BENCH_${stamp}-gateway.json"
-elif [[ "$fusion_mode" == 1 ]]; then
-  out_file="$out_dir/BENCH_${stamp}-fusion.json"
 elif [[ "$trace_mode" == 1 ]]; then
   out_file="$out_dir/BENCH_${stamp}-trace.json"
 else
@@ -98,105 +85,6 @@ cleanup() {
   rm -rf "$tmp_dir"
 }
 trap cleanup EXIT
-
-if [[ "$fusion_mode" == 1 ]]; then
-  fusion_shots=1000
-  fusion_requests=400
-  fusion_window=32  # must stay below the server queue capacity (64)
-
-  run_pipelined() {  # name fusion_cap
-    local name=$1 cap=$2
-    "$build_dir/symphase" serve --listen 127.0.0.1:0 --workers "$workers" \
-      --fusion "$cap" 2>"$tmp_dir/$name-serve.log" &
-    server_pid=$!
-    for _ in $(seq 100); do
-      grep -q 'listening on' "$tmp_dir/$name-serve.log" 2>/dev/null && break
-      sleep 0.1
-    done
-    local port
-    port="$(grep -oP 'listening on [0-9.]+:\K[0-9]+' \
-            "$tmp_dir/$name-serve.log")"
-    [[ -n "$port" ]] || {
-      echo "error: server never announced a port" >&2; exit 1; }
-    echo "mix '$name': $fusion_requests requests x $fusion_shots shots," \
-         "window $fusion_window, server fusion cap $cap ..." >&2
-    "$build_dir/symphase" sample "$circuit" --shots "$fusion_shots" \
-      --format b8 --connect 127.0.0.1:"$port" \
-      --repeat "$fusion_requests" --pipeline "$fusion_window" \
-      > "$tmp_dir/$name.lat"
-    kill -TERM "$server_pid" 2>/dev/null || true
-    wait "$server_pid" 2>/dev/null || true
-    server_pid=""
-  }
-
-  run_pipelined solo 1
-  run_pipelined fused 16
-
-  python3 - "$tmp_dir" "$out_file" "$stamp" "$backend" \
-    "$fusion_shots" "$fusion_window" "$workers" <<'EOF'
-import json
-import os
-import re
-import sys
-
-tmp_dir, out_file, stamp, backend, shots, window, workers = sys.argv[1:8]
-
-def load(name):
-    ms = []
-    rps = wall_ms = None
-    for line in open(f"{tmp_dir}/{name}.lat"):
-        if m := re.match(r"req_ms=([0-9.]+)", line):
-            ms.append(float(m.group(1)))
-        elif m := re.search(r"wall_ms=([0-9.]+) rps=([0-9.]+)", line):
-            wall_ms, rps = float(m.group(1)), float(m.group(2))
-    ms.sort()
-    q = lambda p: ms[min(len(ms) - 1, int(p * len(ms)))]
-    return {
-        "shots_per_request": int(shots),
-        "requests": len(ms),
-        "pipeline_window": int(window),
-        "wall_ms": wall_ms,
-        "requests_per_sec": rps,
-        "p50_ms": q(0.50),
-        "p99_ms": q(0.99),
-        "max_ms": ms[-1],
-    }
-
-solo = load("solo")
-fused = load("fused")
-result = {
-    "date": stamp,
-    "bench": "bench_service --fusion",
-    "transport": "tcp-loopback",
-    "wideword_backend": backend,
-    "server_workers": int(workers),
-    "circuit": "surface_d3_r3_noisy.stim",
-    "note": ("one connection, requests pipelined with a client-side "
-             "window so same-circuit requests overlap in the server "
-             "queue; 'solo' runs against --fusion 1 (fusion disabled), "
-             "'fused' against the default cap 16. requests_per_sec is "
-             "wall-clock (submitted->all final frames); per-request "
-             "latencies overlap under pipelining. On a single-core "
-             "host the engine pass serializes with the client and the "
-             "speedup is bounded by the per-pass overhead fusion "
-             "amortizes; the structural win — one fused pass runs its "
-             "members' single sub-8192-shot shards in parallel, which "
-             "N solo passes over 1-shard requests never can — needs "
-             "cores > workers to show up in throughput"),
-    "host_cpus": os.cpu_count(),
-    "mixes": {"solo": solo, "fused": fused},
-    "fusion_speedup": round(
-        fused["requests_per_sec"] / solo["requests_per_sec"], 3),
-}
-with open(out_file, "w") as f:
-    json.dump(result, f, indent=1)
-print(out_file)
-print(f"solo {solo['requests_per_sec']:.1f} rps -> "
-      f"fused {fused['requests_per_sec']:.1f} rps "
-      f"({result['fusion_speedup']}x)")
-EOF
-  exit 0
-fi
 
 if [[ "$trace_mode" == 1 ]]; then
   trace_requests=1000  # more samples than the generic small mix: the

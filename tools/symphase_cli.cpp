@@ -87,7 +87,7 @@ using namespace symphase;
       "  symphase stats   HOST:PORT [--json]   (service counters snapshot;\n"
       "                   --json prints one JSON object for tooling)\n"
       "  symphase serve   --stdio [--workers N] [--queue N] [--cache N]\n"
-      "                   [--max-frame BYTES] [--fusion N] [--rate-shots N]\n"
+      "                   [--max-frame BYTES] [--rate-shots N]\n"
       "                   [--burst-shots N] [--max-shots N]\n"
       "                   [--exec-timeout-ms N] [--stall-warn-ms N]\n"
       "                   [--slow-request-ms N] [--trace] [--trace-out PATH]\n"
@@ -95,8 +95,7 @@ using namespace symphase;
       "                   on stdin, framed responses on stdout; see\n"
       "                   docs/service.md)\n"
       "  symphase serve   --listen HOST:PORT [--workers N] [--queue N]\n"
-      "                   [--cache N] [--max-frame BYTES] [--fusion N]\n"
-      "                   [--max-clients N]\n"
+      "                   [--cache N] [--max-frame BYTES] [--max-clients N]\n"
       "                   [--rate-shots N] [--burst-shots N] [--max-shots N]\n"
       "                   [--exec-timeout-ms N] [--stall-warn-ms N]\n"
       "                   [--slow-request-ms N] [--trace] [--trace-out PATH]\n"
@@ -349,8 +348,7 @@ int run_remote(const std::string& address, const std::string& path,
       // outstanding on the one connection (each with its own seed, like
       // distinct clients would send), awaiting completions in submit
       // order. This measures server-side throughput under concurrent
-      // same-circuit load — the scenario cross-request shot fusion
-      // accelerates — instead of single-stream round-trip latency.
+      // same-circuit load instead of single-stream round-trip latency.
       const std::uint64_t window = std::min(pipeline, repeat);
       std::vector<std::chrono::steady_clock::time_point> started(repeat + 1);
       const auto wall_start = std::chrono::steady_clock::now();
@@ -505,6 +503,31 @@ int cmd_dem(const std::string& path, Options& opt) {
   return 0;
 }
 
+/// Reads the service keys both serve transports share (pool, queue,
+/// caches, frame cap, admission, watchdog limits) and turns tracing on
+/// for --trace or --trace-out, whose path lands in `trace_out`.
+ServiceOptions read_service_options(Options& opt, std::string& trace_out) {
+  ServiceOptions service;
+  service.num_workers = std::max<std::uint64_t>(1, opt.get_u64("workers", 2));
+  service.queue_capacity =
+      std::max<std::uint64_t>(1, opt.get_u64("queue", 64));
+  service.session_cache_capacity =
+      std::max<std::uint64_t>(1, opt.get_u64("cache", 8));
+  service.max_frame_payload = std::clamp<std::uint64_t>(
+      opt.get_u64("max-frame", 1u << 20), 1, 0xffffffffu);
+  service.admission.client_shots_per_second = opt.get_u64("rate-shots", 0);
+  service.admission.client_burst_shots = opt.get_u64("burst-shots", 0);
+  service.admission.max_shots_in_flight = opt.get_u64("max-shots", 0);
+  service.exec_timeout_ms = opt.get_u64("exec-timeout-ms", 0);
+  service.stall_warn_ms = opt.get_u64("stall-warn-ms", 0);
+  service.slow_request_ms = opt.get_u64("slow-request-ms", 0);
+  trace_out = opt.get_string("trace-out", "");
+  if (opt.get_flag("trace") || !trace_out.empty()) {
+    trace::set_enabled(true);
+  }
+  return service;
+}
+
 /// The framed stdio service loop. Frames arrive on stdin (possibly
 /// split across reads), complete request messages are parsed and fed to
 /// the SamplingService, and response frames go to stdout — interleaved
@@ -513,27 +536,8 @@ int cmd_dem(const std::string& path, Options& opt) {
 /// after an error frame for request 0; per-request errors (bad
 /// directive, parse failure, unknown digest) only fail that request.
 int cmd_serve(Options& opt) {
-  ServiceOptions service_options;
-  service_options.num_workers =
-      std::max<std::uint64_t>(1, opt.get_u64("workers", 2));
-  service_options.queue_capacity =
-      std::max<std::uint64_t>(1, opt.get_u64("queue", 64));
-  service_options.session_cache_capacity =
-      std::max<std::uint64_t>(1, opt.get_u64("cache", 8));
-  service_options.max_frame_payload = std::clamp<std::uint64_t>(
-      opt.get_u64("max-frame", 1u << 20), 1, 0xffffffffu);
-  service_options.fusion_cap = opt.get_u64("fusion", 16);
-  service_options.admission.client_shots_per_second =
-      opt.get_u64("rate-shots", 0);
-  service_options.admission.client_burst_shots = opt.get_u64("burst-shots", 0);
-  service_options.admission.max_shots_in_flight = opt.get_u64("max-shots", 0);
-  service_options.exec_timeout_ms = opt.get_u64("exec-timeout-ms", 0);
-  service_options.stall_warn_ms = opt.get_u64("stall-warn-ms", 0);
-  service_options.slow_request_ms = opt.get_u64("slow-request-ms", 0);
-  const std::string trace_out = opt.get_string("trace-out", "");
-  if (opt.get_flag("trace") || !trace_out.empty()) {
-    trace::set_enabled(true);
-  }
+  std::string trace_out;
+  const ServiceOptions service_options = read_service_options(opt, trace_out);
   opt.finish();
 
   SamplingService service(service_options);
@@ -782,26 +786,8 @@ extern "C" void handle_int_signal(int) {
 int cmd_serve_listen(const std::string& address, Options& opt) {
   SocketServerOptions options;
   options.listen = address;
-  options.service.num_workers =
-      std::max<std::uint64_t>(1, opt.get_u64("workers", 2));
-  options.service.queue_capacity =
-      std::max<std::uint64_t>(1, opt.get_u64("queue", 64));
-  options.service.session_cache_capacity =
-      std::max<std::uint64_t>(1, opt.get_u64("cache", 8));
-  options.service.max_frame_payload = std::clamp<std::uint64_t>(
-      opt.get_u64("max-frame", 1u << 20), 1, 0xffffffffu);
-  options.service.fusion_cap = opt.get_u64("fusion", 16);
-  options.service.admission.client_shots_per_second =
-      opt.get_u64("rate-shots", 0);
-  options.service.admission.client_burst_shots = opt.get_u64("burst-shots", 0);
-  options.service.admission.max_shots_in_flight = opt.get_u64("max-shots", 0);
-  options.service.exec_timeout_ms = opt.get_u64("exec-timeout-ms", 0);
-  options.service.stall_warn_ms = opt.get_u64("stall-warn-ms", 0);
-  options.service.slow_request_ms = opt.get_u64("slow-request-ms", 0);
-  const std::string trace_out = opt.get_string("trace-out", "");
-  if (opt.get_flag("trace") || !trace_out.empty()) {
-    trace::set_enabled(true);
-  }
+  std::string trace_out;
+  options.service = read_service_options(opt, trace_out);
   options.idle_timeout_ms = opt.get_u64("idle-timeout-ms", 0);
   options.max_connections =
       std::max<std::uint64_t>(1, opt.get_u64("max-clients", 64));
