@@ -54,11 +54,17 @@ const DetectorLayout& SimulatorSession::detector_layout() const {
 }
 
 void SimulatorSession::prepare(const SampleTask& task) const {
-  if (task.target != SampleTarget::kMeasurements) {
+  const bool measurements = task.target == SampleTarget::kMeasurements;
+  if (!measurements) {
     detector_layout();
   }
   if (task.backend == SampleBackend::kSymPhase) {
-    compiled();
+    const CompiledSampler& cs = compiled();
+    if (measurements) {
+      cs.measurement_sampler();
+    } else {
+      cs.detection_sampler();
+    }
   } else {
     frames();
   }
@@ -93,12 +99,12 @@ void SimulatorSession::run(const SampleTask& task, SampleSink& sink,
 
   if (task.target == SampleTarget::kMeasurements) {
     if (task.backend == SampleBackend::kSymPhase) {
-      const CompiledSampler& cs = compiled();
-      spec.bits_per_shot = cs.num_measurements();
+      const SymPhaseSampler& sampler = compiled().measurement_sampler();
+      spec.bits_per_shot = sampler.num_measurements();
       stream_sample_blocks(
           spec,
           [&](std::size_t, std::size_t shard, BitMatrix& block) {
-            cs.sample_shard_block(shard, task.shots, task.seed, block);
+            sampler.sample_shard_block(shard, task.shots, task.seed, block);
           },
           sink);
       return;
@@ -122,11 +128,11 @@ void SimulatorSession::run(const SampleTask& task, SampleSink& sink,
   spec.num_detectors = layout.detectors.size();
 
   if (task.backend == SampleBackend::kSymPhase) {
-    const CompiledSampler& cs = compiled();
+    const SymPhaseSampler& sampler = compiled().detection_sampler();
     stream_sample_blocks(
         spec,
         [&](std::size_t, std::size_t shard, BitMatrix& block) {
-          cs.sample_detection_shard_block(shard, task.shots, task.seed, block);
+          sampler.sample_shard_block(shard, task.shots, task.seed, block);
         },
         sink);
     return;

@@ -79,11 +79,12 @@ class SimulatorSession {
            const std::atomic<bool>* cancel = nullptr,
            std::uint64_t trace_id = 0, std::uint64_t trace_ticket = 0) const;
 
-  /// Forces the artifacts `task` will need (compiled sampler, frame
-  /// baseline, detector layout) to exist — exactly the lazy builds
-  /// run() would trigger. Lets a caller bracket the compile stage
-  /// (trace spans, stage histograms) separately from execution; a
-  /// second call is a cheap mutex acquire + pointer checks.
+  /// Forces the artifacts `task` will need (compiled sampler and the
+  /// shard sampler of the task's record, frame baseline, detector
+  /// layout) to exist — exactly the lazy builds run() would trigger.
+  /// Lets a caller bracket the compile stage (trace spans, stage
+  /// histograms) separately from execution; a second call is a cheap
+  /// mutex acquire + pointer checks.
   void prepare(const SampleTask& task) const;
 
   /// Convenience: run() into a BitMatrixSink and return the matrix

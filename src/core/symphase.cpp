@@ -5,6 +5,7 @@
 #include "api/sample_sink.hpp"
 #include "api/sample_stream.hpp"
 #include "common/simd_word.hpp"
+#include "common/trace.hpp"
 #include "tableau/col_major_tableau.hpp"
 #include "tableau/row_major_tableau.hpp"
 
@@ -15,12 +16,10 @@ namespace {
 template <typename Layout>
 void compile_with_layout(const Circuit& circuit,
                          std::unique_ptr<SymbolTable>& symbols,
-                         std::unique_ptr<std::vector<MeasurementExpression>>&
-                             expressions) {
+                         std::vector<MeasurementExpression>& expressions) {
   SymPhaseCompiler<Layout> compiler(circuit);
-  symbols = std::make_unique<SymbolTable>(compiler.symbols());
-  expressions = std::make_unique<std::vector<MeasurementExpression>>(
-      compiler.expressions());
+  symbols = std::make_unique<SymbolTable>(compiler.take_symbols());
+  expressions = compiler.take_expressions();
 }
 
 }  // namespace
@@ -98,38 +97,57 @@ CompiledSampler CompiledSampler::compile(const Circuit& circuit,
                                            result.expressions_);
       break;
   }
-  result.sampler_ = std::make_unique<SymPhaseSampler>(
-      *result.symbols_, *result.expressions_, options.multiply);
 
   const DetectorLayout layout = resolve_detectors(circuit);
-  result.detector_expressions_ =
-      std::make_unique<std::vector<MeasurementExpression>>(
-          combine_expressions(layout.detectors, *result.expressions_,
-                              *result.symbols_, "DETECTOR"));
-  result.observable_expressions_ =
-      std::make_unique<std::vector<MeasurementExpression>>(
-          combine_expressions(layout.observables, *result.expressions_,
-                              *result.symbols_, "OBSERVABLE"));
-  std::vector<MeasurementExpression> joint = *result.detector_expressions_;
-  joint.insert(joint.end(), result.observable_expressions_->begin(),
-               result.observable_expressions_->end());
-  result.detector_sampler_ = std::make_unique<SymPhaseSampler>(
-      *result.symbols_, joint, options.multiply);
+  result.detector_expressions_ = combine_expressions(
+      layout.detectors, result.expressions_, *result.symbols_, "DETECTOR");
+  result.observable_expressions_ = combine_expressions(
+      layout.observables, result.expressions_, *result.symbols_, "OBSERVABLE");
   return result;
+}
+
+namespace {
+
+/// Returns `lazy`'s sampler, building it with `make` on the first call;
+/// `record` (0 = measurements, 1 = detection) tags the build's span.
+template <typename Lazy, typename Make>
+const SymPhaseSampler& build_once(Lazy& lazy, std::uint64_t record,
+                                  Make&& make) {
+  const std::lock_guard<std::mutex> lock(lazy.mutex);
+  if (!lazy.sampler) {
+    const trace::Span span("build_sampler", 0, 0, record);
+    lazy.sampler = make();
+  }
+  return *lazy.sampler;
+}
+
+}  // namespace
+
+const SymPhaseSampler& CompiledSampler::measurement_sampler() const {
+  return build_once(*measurement_sampler_, 0, [&] {
+    return std::make_unique<const SymPhaseSampler>(*symbols_, expressions_);
+  });
+}
+
+const SymPhaseSampler& CompiledSampler::detection_sampler() const {
+  return build_once(*detection_sampler_, 1, [&] {
+    return std::make_unique<const SymPhaseSampler>(
+        *symbols_, detector_expressions_, observable_expressions_);
+  });
 }
 
 void CompiledSampler::sample_shard_block(std::size_t shard,
                                          std::size_t num_samples,
                                          std::uint64_t seed,
                                          BitMatrix& block) const {
-  sampler_->sample_shard_block(shard, num_samples, seed, block);
+  measurement_sampler().sample_shard_block(shard, num_samples, seed, block);
 }
 
 void CompiledSampler::sample_detection_shard_block(std::size_t shard,
                                                    std::size_t num_samples,
                                                    std::uint64_t seed,
                                                    BitMatrix& block) const {
-  detector_sampler_->sample_shard_block(shard, num_samples, seed, block);
+  detection_sampler().sample_shard_block(shard, num_samples, seed, block);
 }
 
 CompiledSampler::DetectionEvents CompiledSampler::sample_detection_events(
@@ -167,16 +185,18 @@ CompiledSampler::DetectionEvents CompiledSampler::sample_detection_events(
 
 double CompiledSampler::detector_probability(std::size_t d) const {
   SYMPHASE_CHECK(d < num_detectors());
-  return detector_sampler_->outcome_probability(d);
+  return symphase::outcome_probability(*symbols_,
+                                       detector_expressions_[d].symbols);
 }
 
 double CompiledSampler::observable_probability(std::size_t k) const {
   SYMPHASE_CHECK(k < num_observables());
-  return detector_sampler_->outcome_probability(num_detectors() + k);
+  return symphase::outcome_probability(*symbols_,
+                                       observable_expressions_[k].symbols);
 }
 
 std::size_t CompiledSampler::num_measurements() const {
-  return expressions_->size();
+  return expressions_.size();
 }
 
 std::size_t CompiledSampler::num_symbols() const {
@@ -185,7 +205,7 @@ std::size_t CompiledSampler::num_symbols() const {
 
 std::size_t CompiledSampler::expression_nnz() const {
   std::size_t total = 0;
-  for (const auto& e : *expressions_) {
+  for (const auto& e : expressions_) {
     total += e.symbols.size();
   }
   return total;
@@ -211,7 +231,8 @@ BitMatrix CompiledSampler::sample(std::size_t num_samples, std::uint64_t seed,
 }
 
 double CompiledSampler::outcome_probability(std::size_t k) const {
-  return sampler_->outcome_probability(k);
+  SYMPHASE_CHECK(k < num_measurements());
+  return symphase::outcome_probability(*symbols_, expressions_[k].symbols);
 }
 
 BitMatrix sample_circuit(const Circuit& circuit, std::size_t num_samples,

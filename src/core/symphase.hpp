@@ -26,6 +26,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <mutex>
 
 #include "bitvec/bit_matrix.hpp"
 #include "circuit/circuit.hpp"
@@ -44,12 +45,17 @@ struct CompileOptions {
   /// layout is the paper's; the others exist for the layout study.
   enum class Layout { kBlocked512, kRowMajor, kColMajor };
   Layout layout = Layout::kBlocked512;
-  MultiplyStrategy multiply = MultiplyStrategy::kSparse;
 };
 
 /// A circuit compiled once (Algorithm 1 Initialization) and sampled many
 /// times (Algorithm 1 Sampling). Cheap to sample repeatedly; the circuit
 /// is never traversed again after construction.
+///
+/// compile() keeps one copy of each expression set: the measurement
+/// expressions moved out of the pass, and the detector and observable
+/// expressions combined from them. The shard sampler of each record
+/// (measurements, or detectors + observables) is built from those on
+/// first use, so a task pays only for the record it reads.
 class CompiledSampler {
  public:
   static CompiledSampler compile(const Circuit& circuit,
@@ -62,7 +68,7 @@ class CompiledSampler {
 
   const SymbolTable& symbols() const { return *symbols_; }
   const std::vector<MeasurementExpression>& expressions() const {
-    return *expressions_;
+    return expressions_;
   }
 
   /// num_measurements() x num_samples outcome matrix; deterministic in
@@ -83,15 +89,15 @@ class CompiledSampler {
   double outcome_probability(std::size_t k) const;
 
   // --- Detector / observable sampling (QEC workflows) -----------------
-  std::size_t num_detectors() const { return detector_expressions_->size(); }
+  std::size_t num_detectors() const { return detector_expressions_.size(); }
   std::size_t num_observables() const {
-    return observable_expressions_->size();
+    return observable_expressions_.size();
   }
   const std::vector<MeasurementExpression>& detector_expressions() const {
-    return *detector_expressions_;
+    return detector_expressions_;
   }
   const std::vector<MeasurementExpression>& observable_expressions() const {
-    return *observable_expressions_;
+    return observable_expressions_;
   }
 
   struct DetectionEvents {
@@ -122,23 +128,41 @@ class CompiledSampler {
   /// mechanism per fault pattern that flips at least one detector or
   /// observable. See symbolic/error_model.hpp.
   DetectorErrorModel error_model() const {
-    return build_error_model(*symbols_, *detector_expressions_,
-                             *observable_expressions_);
+    return build_error_model(*symbols_, detector_expressions_,
+                             observable_expressions_);
   }
+
+  /// The shard samplers behind sample_shard_block and
+  /// sample_detection_shard_block. Each is built on its first call,
+  /// inside a `build_sampler` trace span (aux 0 = measurements,
+  /// 1 = detection record); concurrent first callers wait for the one
+  /// build. Resolve once per run, not once per shard.
+  const SymPhaseSampler& measurement_sampler() const;
+  const SymPhaseSampler& detection_sampler() const;
 
  private:
   CompiledSampler() = default;
 
+  /// One record's sampler, built on first use. Heap-held: a mutex
+  /// cannot move, and CompiledSampler must.
+  struct LazySampler {
+    std::mutex mutex;
+    std::unique_ptr<const SymPhaseSampler> sampler;  // guarded by mutex
+  };
+
   // Compilation artifacts. The tableau itself is discarded after
-  // compilation; only the symbol table and expressions are kept.
+  // compilation; only the symbol table and expressions are kept. The
+  // table is heap-held so the samplers' references to it survive a move.
   std::unique_ptr<SymbolTable> symbols_;
-  std::unique_ptr<std::vector<MeasurementExpression>> expressions_;
-  std::unique_ptr<SymPhaseSampler> sampler_;
-  // Detector/observable expressions (XORs of measurement expressions)
-  // and their joint sampler (detectors first, observables after).
-  std::unique_ptr<std::vector<MeasurementExpression>> detector_expressions_;
-  std::unique_ptr<std::vector<MeasurementExpression>> observable_expressions_;
-  std::unique_ptr<SymPhaseSampler> detector_sampler_;
+  std::vector<MeasurementExpression> expressions_;
+  // Detector/observable expressions (XORs of measurement expressions);
+  // the detection record is detectors first, observables after.
+  std::vector<MeasurementExpression> detector_expressions_;
+  std::vector<MeasurementExpression> observable_expressions_;
+  std::unique_ptr<LazySampler> measurement_sampler_ =
+      std::make_unique<LazySampler>();
+  std::unique_ptr<LazySampler> detection_sampler_ =
+      std::make_unique<LazySampler>();
 };
 
 /// XOR (symmetric difference) of sorted symbol-id expressions.

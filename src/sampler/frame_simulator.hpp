@@ -55,7 +55,7 @@ class FrameSimulator {
   /// Generates `num_samples` joint samples of all measurements by
   /// propagating that many frames through the circuit (one traversal per
   /// shard per call). Output: num_measurements x num_samples, same
-  /// convention as SymPhaseSampler::sample. Deterministic in `seed` and
+  /// convention as CompiledSampler::sample. Deterministic in `seed` and
   /// independent of `num_threads` (0 = hardware concurrency).
   BitMatrix sample(std::size_t num_samples, std::uint64_t seed,
                    std::size_t num_threads = 0) const;

@@ -16,7 +16,7 @@
 namespace symphase {
 
 /// Samples `num_samples` measurement records by re-running the concrete
-/// A-G simulator per shot. Output shape matches SymPhaseSampler::sample:
+/// A-G simulator per shot. Output shape matches CompiledSampler::sample:
 /// num_measurements x num_samples.
 BitMatrix sample_by_resimulation(const Circuit& circuit,
                                  std::size_t num_samples, std::uint64_t seed);

@@ -58,18 +58,15 @@ bool scatters_events(const SymbolGroup& group, const BiasedBitPlan& plan,
   return excess <= 0 || static_cast<double>(weight()) * excess < overhead;
 }
 
-/// generate_shard's deposit: every group is generated straight into its
-/// rows of B.
+/// generate_shard_block's deposit: every group is generated straight
+/// into its rows of B.
 struct BRowDeposit {
   static constexpr bool kScatters = false;
 
-  Word* row(unsigned /*member*/, std::uint32_t b_row) {
-    return b.row(b_row) + word0;
-  }
+  Word* row(unsigned /*member*/, std::uint32_t b_row) { return b.row(b_row); }
   void commit(const std::uint32_t* /*b_rows*/, unsigned /*members*/) {}
 
   BitMatrix& b;
-  std::size_t word0;
 };
 
 /// scatter_shard_block's deposit: a bit of B row r lands in every output
@@ -129,27 +126,6 @@ class ScatterDeposit {
 
 }  // namespace
 
-ScatterTargets::ScatterTargets(const SparseBitMatrix& m)
-    : num_outputs_(m.rows()), offsets_(m.cols() + 1, 0) {
-  SYMPHASE_CHECK(m.nnz() <= UINT32_MAX);
-  for (std::size_t k = 0; k < m.rows(); ++k) {
-    for (const std::uint32_t c : m.row(k)) {
-      ++offsets_[c + 1];
-    }
-  }
-  for (std::size_t c = 0; c < m.cols(); ++c) {
-    offsets_[c + 1] += offsets_[c];
-  }
-  rows_.resize(offsets_.back());
-  // Walking M's rows in order appends each B row's readers ascending.
-  std::vector<std::uint32_t> next(offsets_.begin(), offsets_.end() - 1);
-  for (std::size_t k = 0; k < m.rows(); ++k) {
-    for (const std::uint32_t c : m.row(k)) {
-      rows_[next[c]++] = static_cast<std::uint32_t>(k);
-    }
-  }
-}
-
 SymbolValueSampler::SymbolValueSampler(const SymbolTable& table,
                                        std::vector<std::uint32_t> used_symbols)
     : table_(table), used_symbols_(std::move(used_symbols)) {
@@ -183,11 +159,6 @@ SymbolValueSampler::SymbolValueSampler(const SymbolTable& table,
       group_plans_[gi] = BiasedBitPlan(group.probability);
     }
   }
-}
-
-std::uint32_t SymbolValueSampler::row_of(std::uint32_t symbol) const {
-  SYMPHASE_CHECK(symbol < row_lookup_.size() && row_lookup_[symbol] != 0);
-  return row_lookup_[symbol] - 1;
 }
 
 template <typename Deposit>
@@ -276,12 +247,6 @@ void SymbolValueSampler::walk_groups(std::size_t words, Rng& rng,
   }
 }
 
-void SymbolValueSampler::generate_shard(BitMatrix& b, std::size_t word0,
-                                        std::size_t words, Rng rng) const {
-  BRowDeposit deposit{b, word0};
-  walk_groups(words, rng, deposit);
-}
-
 void SymbolValueSampler::generate_shard_block(std::size_t shard,
                                               std::size_t num_samples,
                                               std::uint64_t seed,
@@ -290,11 +255,12 @@ void SymbolValueSampler::generate_shard_block(std::size_t shard,
   SYMPHASE_CHECK(shard < num_sample_shards(num_samples));
   SYMPHASE_CHECK(block.rows() == num_rows());
   SYMPHASE_CHECK(block.words_per_row() >= e.words);
-  // generate() starts from a zero matrix and the depolarize path only
-  // XORs fresh pattern bits in; a reused scratch block must be cleared
-  // to match.
+  // The depolarize path only XORs fresh pattern bits in, so a reused
+  // scratch block starts cleared.
   block.clear_all();
-  generate_shard(block, 0, e.words, Rng(seed).stream(shard));
+  Rng rng = Rng(seed).stream(shard);
+  BRowDeposit deposit{block};
+  walk_groups(e.words, rng, deposit);
   if (e.shots % kWordBits != 0) {
     const Word mask = tail_mask(e.shots);
     for (std::size_t r = 0; r < block.rows(); ++r) {
@@ -325,35 +291,6 @@ void SymbolValueSampler::scatter_shard_block(std::size_t shard,
       out.row(r)[e.words - 1] &= mask;
     }
   }
-}
-
-BitMatrix SymbolValueSampler::generate(std::size_t num_samples,
-                                       std::uint64_t seed,
-                                       std::size_t num_threads) const {
-  BitMatrix b(num_rows(), num_samples);
-  if (num_samples == 0 || num_rows() == 0) {
-    return b;
-  }
-  const std::size_t shot_words = words_for_bits(num_samples);
-  const std::size_t num_shards = ceil_div(shot_words, kShardWords);
-  const Rng root(seed);
-
-  parallel_for(num_shards, resolve_thread_count(num_threads),
-               [&](std::size_t shard) {
-                 const std::size_t word0 = shard * kShardWords;
-                 const std::size_t words =
-                     std::min(kShardWords, shot_words - word0);
-                 generate_shard(b, word0, words, root.stream(shard));
-               });
-
-  // Mask tail bits beyond num_samples so downstream popcounts are exact.
-  if (num_samples % kWordBits != 0) {
-    const Word mask = tail_mask(num_samples);
-    for (std::size_t r = 0; r < b.rows(); ++r) {
-      b.row(r)[shot_words - 1] &= mask;
-    }
-  }
-  return b;
 }
 
 }  // namespace symphase

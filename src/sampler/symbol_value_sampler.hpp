@@ -18,8 +18,8 @@
 ///
 /// One walk over the symbol groups, in a fixed order with fixed draws,
 /// deposits the bits in one of two ways:
-///   - generate / generate_shard_block write the rows of B (the dense
-///     reference, and what SymPhaseSampler::sample multiplies);
+///   - generate_shard_block writes the rows of B (the dense reference
+///     the scatter is tested against);
 ///   - scatter_shard_block never builds B: groups with few events per
 ///     reader hand each event to the output rows that read it (through
 ///     Mᵀ), the other groups go through 128-word scratch rows; a cost
@@ -36,7 +36,6 @@
 #include <vector>
 
 #include "bitvec/bit_matrix.hpp"
-#include "bitvec/sparse_bit_matrix.hpp"
 #include "common/noise.hpp"
 #include "common/parallel.hpp"
 #include "common/rng.hpp"
@@ -50,9 +49,31 @@ namespace symphase {
 /// a lookup touches contiguous memory.
 class ScatterTargets {
  public:
-  ScatterTargets() = default;
-  /// Transposes `m`, whose columns index B rows.
-  explicit ScatterTargets(const SparseBitMatrix& m);
+  /// Transposes the `num_outputs` x `num_b_rows` matrix M by a counting
+  /// sort. `for_each_entry(f)` must call f(k, b_row) for every entry of
+  /// M with the output row k non-decreasing; it is called twice (count,
+  /// then place), so each B row's readers come out ascending.
+  template <typename ForEachEntry>
+  ScatterTargets(std::size_t num_outputs, std::size_t num_b_rows,
+                 ForEachEntry&& for_each_entry)
+      : num_outputs_(num_outputs), offsets_(num_b_rows + 1, 0) {
+    SYMPHASE_CHECK(num_outputs <= UINT32_MAX);
+    for_each_entry([&](std::uint32_t, std::uint32_t b_row) {
+      SYMPHASE_ASSERT(b_row < num_b_rows);
+      ++offsets_[b_row + 1];
+    });
+    std::size_t total = 0;
+    for (std::size_t r = 0; r < num_b_rows; ++r) {
+      total += offsets_[r + 1];
+      SYMPHASE_CHECK(total <= UINT32_MAX);
+      offsets_[r + 1] = static_cast<std::uint32_t>(total);
+    }
+    rows_.resize(total);
+    std::vector<std::uint32_t> next(offsets_.begin(), offsets_.end() - 1);
+    for_each_entry([&](std::uint32_t k, std::uint32_t b_row) {
+      rows_[next[b_row]++] = k;
+    });
+  }
 
   std::size_t num_b_rows() const { return offsets_.size() - 1; }
   std::size_t num_outputs() const { return num_outputs_; }
@@ -65,8 +86,8 @@ class ScatterTargets {
   }
 
  private:
-  std::size_t num_outputs_ = 0;
-  std::vector<std::uint32_t> offsets_ = {0};  // num_b_rows() + 1 entries
+  std::size_t num_outputs_;
+  std::vector<std::uint32_t> offsets_;  // num_b_rows() + 1 entries
   std::vector<std::uint32_t> rows_;
 };
 
@@ -82,32 +103,29 @@ class SymbolValueSampler {
 
   /// Row index of `symbol` in the generated matrix;
   /// fails if the symbol is not in the used set.
-  std::uint32_t row_of(std::uint32_t symbol) const;
+  std::uint32_t row_of(std::uint32_t symbol) const {
+    SYMPHASE_CHECK(symbol < row_lookup_.size() && row_lookup_[symbol] != 0);
+    return row_lookup_[symbol] - 1;
+  }
 
   /// Shots per shard (library-wide constant; see common/parallel.hpp).
   static constexpr std::size_t kShardWords = kSampleShardWords;
 
-  /// Generates B: one row per used symbol, `num_samples` columns.
-  /// Deterministic in `seed` and independent of `num_threads`
-  /// (0 = hardware concurrency).
-  BitMatrix generate(std::size_t num_samples, std::uint64_t seed,
-                     std::size_t num_threads = 0) const;
-
-  /// Streaming building block: regenerates global shard `shard` of a
-  /// `num_samples`-shot run into the leading words of `block` (a
-  /// num_rows() x kSampleShardBits scratch matrix, fully overwritten).
-  /// Word w of each block row is bit-identical to word
-  /// shard*kSampleShardWords + w of generate(num_samples, seed), including
-  /// the masked tail of the final shard.
+  /// Generates global shard `shard` of a `num_samples`-shot B into the
+  /// leading words of `block` (a num_rows() x kSampleShardBits scratch
+  /// matrix, fully overwritten): word w of row r is word
+  /// shard*kSampleShardWords + w of the run's B row r, with the bits past
+  /// `num_samples` cleared. Deterministic in `seed`; each shard draws
+  /// from its own stream, so any thread count gives the same B.
   void generate_shard_block(std::size_t shard, std::size_t num_samples,
                             std::uint64_t seed, BitMatrix& block) const;
 
   /// Symbol-major shard pass: computes global shard `shard` of M·B into
   /// the leading words of `out` (a `targets.num_outputs()` x
   /// kSampleShardBits scratch matrix, fully overwritten) without
-  /// materializing B; `targets` is ScatterTargets(M). Bit-identical to
-  /// generate_shard_block followed by M.multiply_word_range. Thread-safe
-  /// for distinct `out`s.
+  /// materializing B; `targets` is Mᵀ, with M's columns indexing this
+  /// sampler's rows. Bit-identical to generate_shard_block followed by
+  /// M.multiply_word_range. Thread-safe for distinct `out`s.
   void scatter_shard_block(std::size_t shard, std::size_t num_samples,
                            std::uint64_t seed, const ScatterTargets& targets,
                            BitMatrix& out) const;
@@ -117,11 +135,6 @@ class SymbolValueSampler {
   }
 
  private:
-  /// Fills columns [word0*64, word0*64 + words*64) of every used row from
-  /// the shard's private stream.
-  void generate_shard(BitMatrix& b, std::size_t word0, std::size_t words,
-                      Rng rng) const;
-
   /// The one walk over the active groups of a `words`-word shard, in
   /// group order with the shard's draws; `Deposit` decides where each
   /// group's bits go (see symbol_value_sampler.cpp).

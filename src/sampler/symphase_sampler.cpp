@@ -1,102 +1,75 @@
 #include "sampler/symphase_sampler.hpp"
 
-#include <algorithm>
-
-#include "common/parallel.hpp"
-#include "common/simd_word.hpp"
+#include <bit>
+#include <initializer_list>
 
 namespace symphase {
 
-std::vector<std::uint32_t> SymPhaseSampler::collect_used_symbols(
-    const std::vector<MeasurementExpression>& expressions) {
-  std::vector<std::uint32_t> used;
-  for (const auto& e : expressions) {
-    used.insert(used.end(), e.symbols.begin(), e.symbols.end());
+namespace {
+
+using ExpressionParts =
+    std::initializer_list<std::span<const MeasurementExpression>>;
+
+/// The symbols any expression reads, ascending: one mark pass over the
+/// table's symbols.
+std::vector<std::uint32_t> used_symbols(const SymbolTable& symbols,
+                                        ExpressionParts parts) {
+  std::vector<std::uint8_t> marked(symbols.num_symbols(), 0);
+  for (const std::span<const MeasurementExpression> part : parts) {
+    for (const MeasurementExpression& e : part) {
+      // Expressions are sorted, so the last id bounds them all.
+      SYMPHASE_CHECK(e.symbols.empty() || e.symbols.back() < marked.size());
+      for (const std::uint32_t s : e.symbols) {
+        marked[s] = 1;
+      }
+    }
   }
-  std::sort(used.begin(), used.end());
-  used.erase(std::unique(used.begin(), used.end()), used.end());
+  std::vector<std::uint32_t> used;
+  for (std::size_t s = 0; s < marked.size(); ++s) {
+    if (marked[s] != 0) {
+      used.push_back(static_cast<std::uint32_t>(s));
+    }
+  }
   return used;
 }
 
-SymPhaseSampler::SymPhaseSampler(
-    const SymbolTable& symbols,
-    const std::vector<MeasurementExpression>& expressions,
-    MultiplyStrategy strategy)
-    : strategy_(strategy),
-      values_(symbols, collect_used_symbols(expressions)),
-      expr_matrix_(expressions.size(), values_.num_rows()),
-      symbols_(symbols) {
-  raw_expressions_.reserve(expressions.size());
-  for (std::size_t k = 0; k < expressions.size(); ++k) {
-    std::vector<std::uint32_t> remapped;
-    remapped.reserve(expressions[k].symbols.size());
-    for (const std::uint32_t s : expressions[k].symbols) {
-      remapped.push_back(values_.row_of(s));
-    }
-    // row_of preserves order (used_symbols sorted), so remapped is sorted.
-    expr_matrix_.set_row(k, std::move(remapped));
-    raw_expressions_.push_back(expressions[k].symbols);
-  }
-  if (strategy_ == MultiplyStrategy::kDense) {
-    dense_matrix_ = expr_matrix_.to_dense();
-  } else {
-    expr_transpose_ = ScatterTargets(expr_matrix_);
-  }
-}
+}  // namespace
 
-BitMatrix SymPhaseSampler::sample(std::size_t num_samples, std::uint64_t seed,
-                                  std::size_t num_threads) const {
-  const std::size_t threads = resolve_thread_count(num_threads);
-  const BitMatrix b = values_.generate(num_samples, seed, threads);
-  if (strategy_ == MultiplyStrategy::kDense) {
-    return dense_matrix_.multiply(b);
-  }
-  // Sparse M·B, shot-sharded: shards own disjoint word ranges of every
-  // output row, so the product parallelizes without contention (and is
-  // trivially independent of the thread count — no RNG involved).
-  BitMatrix out(expr_matrix_.rows(), num_samples);
-  const std::size_t shot_words = words_for_bits(num_samples);
-  const std::size_t num_shards = ceil_div(shot_words, kSampleShardWords);
-  parallel_for(num_shards, threads, [&](std::size_t shard) {
-    const std::size_t word0 = shard * kSampleShardWords;
-    const std::size_t words = std::min(kSampleShardWords, shot_words - word0);
-    expr_matrix_.multiply_word_range(b, out, word0, words);
-  });
-  return out;
-}
+SymPhaseSampler::SymPhaseSampler(const SymbolTable& symbols,
+                                 std::span<const MeasurementExpression> head,
+                                 std::span<const MeasurementExpression> tail)
+    : values_(symbols, used_symbols(symbols, {head, tail})),
+      targets_(head.size() + tail.size(), values_.num_rows(),
+               [&](const auto& visit) {
+                 std::uint32_t k = 0;
+                 for (const std::span<const MeasurementExpression> part :
+                      {head, tail}) {
+                   for (const MeasurementExpression& e : part) {
+                     for (const std::uint32_t s : e.symbols) {
+                       visit(k, values_.row_of(s));
+                     }
+                     ++k;
+                   }
+                 }
+               }) {}
 
 void SymPhaseSampler::sample_shard_block(std::size_t shard,
                                          std::size_t num_samples,
                                          std::uint64_t seed,
                                          BitMatrix& block) const {
   SYMPHASE_CHECK(block.rows() == num_measurements());
-  if (strategy_ == MultiplyStrategy::kSparse) {
-    values_.scatter_shard_block(shard, num_samples, seed, expr_transpose_,
-                                block);
-    return;
-  }
-  const ShardExtent e = sample_shard_extent(shard, num_samples);
-  SYMPHASE_CHECK(block.words_per_row() >= e.words);
-  BitMatrix b(values_.num_rows(), kSampleShardBits);
-  values_.generate_shard_block(shard, num_samples, seed, b);
-  // The dense product is column-separable, so multiplying the shard's
-  // B-block alone yields exactly this word range of the full product.
-  const BitMatrix prod = dense_matrix_.multiply(b);
-  for (std::size_t r = 0; r < block.rows(); ++r) {
-    wide::copy_words(block.row(r), prod.row(r), e.words);
-  }
+  values_.scatter_shard_block(shard, num_samples, seed, targets_, block);
 }
 
-double SymPhaseSampler::outcome_probability(std::size_t k) const {
-  SYMPHASE_CHECK(k < raw_expressions_.size());
-  const std::vector<std::uint32_t>& expr = raw_expressions_[k];
+double outcome_probability(const SymbolTable& symbols,
+                           const std::vector<std::uint32_t>& expr) {
   // E[(-1)^m] = prod over groups of E[(-1)^{parity of included members}];
   // groups are mutually independent.
   double bias = 1.0;
   bool constant = false;
   std::size_t i = 0;
   while (i < expr.size()) {
-    const SymbolGroup& group = symbols_.group_of(expr[i]);
+    const SymbolGroup& group = symbols.group_of(expr[i]);
     // Collect the membership mask of this group's symbols in the expr.
     std::uint32_t mask = 0;
     while (i < expr.size() &&

@@ -13,8 +13,8 @@
 ///             accumulate a symbolic expression in the scratch row
 ///             (deterministic).
 /// The output is one F2 expression (sorted symbol-id list; id 0 is the
-/// constant 1) per measurement, consumed by sampler::SymPhaseSampler as
-/// the sparse matrix M of Eq. (4).
+/// constant 1) per measurement: the rows of the sparse matrix M of
+/// Eq. (4) that sampler::SymPhaseSampler samples.
 ///
 /// Only stabilizer rows and the scratch row keep meaningful symbolic
 /// phases. Gates and faults update a row's phase from that row's own X/Z
@@ -26,6 +26,7 @@
 /// deterministic outcome).
 
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "circuit/circuit.hpp"
@@ -59,6 +60,13 @@ class SymPhaseCompiler {
     return expressions_;
   }
   std::size_t num_measurements() const { return expressions_.size(); }
+
+  /// Move the pass's outputs out (CompiledSampler keeps them, and the
+  /// compiler is discarded); the compiler is empty afterwards.
+  SymbolTable take_symbols() { return std::move(symbols_); }
+  std::vector<MeasurementExpression> take_expressions() {
+    return std::move(expressions_);
+  }
 
   /// Total non-zeros across all expressions (sampling cost driver).
   std::size_t expression_nnz() const {

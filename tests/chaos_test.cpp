@@ -53,6 +53,7 @@
 #include "service/request.hpp"
 #include "service/service.hpp"
 #include "service/wire.hpp"
+#include "test_process.hpp"
 
 namespace symphase {
 namespace {
@@ -413,9 +414,24 @@ TEST(Chaos, DrainFinishesInFlightRejectsNewAndExitsCleanly) {
   // event loop returns true (the exit-0 path).
   SocketServerOptions options;
   options.service.num_workers = 1;
-  // Small outbound cap: the 500 KB response cannot fully flush while
-  // we are busy poking `health`, so request 1 is provably in flight
-  // across the whole drain sequence.
+  // Request 1 parks in the fault hook, on its worker, until request 2
+  // has been turned away: it is in flight across the whole drain
+  // sequence however much of its response the socket buffers could
+  // take. The wait is bounded, so a failed assertion cannot wedge the
+  // harness's shutdown.
+  std::promise<void> claimed;
+  std::future<void> claimed_signal = claimed.get_future();
+  std::promise<void> release;
+  std::shared_future<void> released = release.get_future().share();
+  options.service.fault_hook = [&claimed, released](std::uint64_t sequence,
+                                                    const SampleRequest&) {
+    if (sequence == 1) {
+      claimed.set_value();
+      released.wait_for(std::chrono::seconds(30));
+    }
+  };
+  // A small outbound cap: the 2 MB response then drains under
+  // backpressure once it is released.
   options.max_outbound_buffer = 1u << 16;
   ChaosHarness harness(std::move(options));
   const std::string address = harness.address();
@@ -429,11 +445,11 @@ TEST(Chaos, DrainFinishesInFlightRejectsNewAndExitsCleanly) {
 
   ServiceClient client(address);
   client.submit(1, big);
-  // Drain only once the request demonstrably started executing —
-  // draining an idle connection just retires it, and this test is
-  // about the in-flight path.
-  await_stats(harness.server().service(),
-              [](const ServiceStats& s) { return s.misses == 1; });
+  // Drain only once a worker holds the request — draining an idle
+  // connection just retires it, and this test is about the in-flight
+  // path.
+  ASSERT_EQ(claimed_signal.wait_for(std::chrono::seconds(30)),
+            std::future_status::ready);
   harness.server().drain();
 
   // The drain request travels through the self-pipe; `health` answers
@@ -453,6 +469,7 @@ TEST(Chaos, DrainFinishesInFlightRejectsNewAndExitsCleanly) {
   EXPECT_EQ(error.code, ErrorCode::kDraining) << rejected.error_text;
   EXPECT_TRUE(error.retryable);
 
+  release.set_value();
   const MessageAssembler::Message finished = client.await(1);
   ASSERT_FALSE(finished.error) << finished.error_text;
   EXPECT_EQ(finished.payload,
@@ -1040,7 +1057,7 @@ TEST(ChaosCli, SigtermDrainsInFlightDownloadAndExitsZero) {
   // The acceptance pin: the real binary, a response mid-stream, one
   // SIGTERM. The download must complete byte-identically, the process
   // must exit 0, and the port must stop accepting.
-  const std::string base = ::testing::TempDir() + "/chaos_cli";
+  const std::string base = temp_path("chaos_cli");
   const std::string port_path = base + ".port";
   std::remove(port_path.c_str());
   const pid_t pid = fork();
@@ -1055,6 +1072,7 @@ TEST(ChaosCli, SigtermDrainsInFlightDownloadAndExitsZero) {
           static_cast<char*>(nullptr));
     _exit(127);
   }
+  ChildGuard child(pid);
   std::string port;
   const auto deadline =
       std::chrono::steady_clock::now() + std::chrono::seconds(10);
@@ -1096,6 +1114,7 @@ TEST(ChaosCli, SigtermDrainsInFlightDownloadAndExitsZero) {
 
   int status = 0;
   ASSERT_EQ(waitpid(pid, &status, 0), pid);
+  child.release();
   ASSERT_TRUE(WIFEXITED(status));
   EXPECT_EQ(WEXITSTATUS(status), 0);
 }

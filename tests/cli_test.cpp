@@ -10,6 +10,7 @@
 #include <string>
 
 #include "service/digest.hpp"
+#include "test_process.hpp"
 
 namespace symphase {
 namespace {
@@ -40,8 +41,7 @@ CommandResult run_cli(const std::string& args) {
 }
 
 std::string write_temp_circuit(const std::string& text) {
-  const std::string path =
-      ::testing::TempDir() + "/cli_test_circuit.stim";
+  const std::string path = temp_path("cli_test_circuit") + ".stim";
   FILE* f = fopen(path.c_str(), "w");
   EXPECT_NE(f, nullptr);
   fwrite(text.data(), 1, text.size(), f);
@@ -135,8 +135,7 @@ TEST(Cli, GenFamiliesParseBack) {
 }
 
 TEST(Cli, GenPipesIntoDetect) {
-  const std::string path =
-      ::testing::TempDir() + "/cli_surface.stim";
+  const std::string path = temp_path("cli_surface") + ".stim";
   const CommandResult gen = run_cli(
       "gen surface --distance 3 --rounds 2 --p-data 0.01 > " + path +
       " && " + std::string(SYMPHASE_CLI_PATH) + " detect " + path +
@@ -192,7 +191,7 @@ TEST(Cli, BackendFlagSelectsFrameSimulator) {
 TEST(Cli, DetectThreadsDeterministic) {
   const std::string gen_cmd = "gen surface --distance 3 --rounds 2 --p-data "
                               "0.01 --p-meas 0.01";
-  const std::string path = ::testing::TempDir() + "/cli_surface_threads.stim";
+  const std::string path = temp_path("cli_surface_threads") + ".stim";
   const CommandResult gen = run_cli(gen_cmd + " > " + path);
   ASSERT_EQ(gen.exit_code, 0);
   const CommandResult one = run_cli("detect " + path +
@@ -237,7 +236,7 @@ TEST(Cli, OutputBytesPinned) {
   // multiple of 8.
   const std::string d3 =
       std::string(SYMPHASE_DATA_DIR) + "/surface_d3_r3_noisy.stim";
-  const std::string d5 = ::testing::TempDir() + "/cli_surface_d5.stim";
+  const std::string d5 = temp_path("cli_surface_d5") + ".stim";
   ASSERT_EQ(run_cli("gen surface --distance 5 --rounds 5 --p-data 0.01 "
                     "--p-meas 0.01 > " + d5)
                 .exit_code,

@@ -1,6 +1,6 @@
 // Unit tests for symbol-value generation and the Eq. (4) sampling
 // product, including exact-probability checks against
-// SymPhaseSampler::outcome_probability.
+// outcome_probability.
 
 #include "sampler/symphase_sampler.hpp"
 
@@ -10,6 +10,7 @@
 
 #include "circuit/generators.hpp"
 #include "circuit/parser.hpp"
+#include "reference_sampler.hpp"
 #include "sampler/symbol_value_sampler.hpp"
 
 namespace symphase {
@@ -26,7 +27,7 @@ double row_mean(const BitMatrix& m, std::size_t row, std::size_t cols) {
 TEST(SymbolValueSampler, ConstantRowIsAllOnes) {
   SymbolTable table;
   SymbolValueSampler sampler(table, {0});
-  const BitMatrix b = sampler.generate(100, 1);
+  const BitMatrix b = generate_b(sampler, 100, 1);
   ASSERT_EQ(b.rows(), 1u);
   EXPECT_DOUBLE_EQ(row_mean(b, 0, 100), 1.0);
 }
@@ -36,7 +37,7 @@ TEST(SymbolValueSampler, CoinRowIsBalanced) {
   const auto s = table.add_coin();
   SymbolValueSampler sampler(table, {s});
   constexpr std::size_t kShots = 64000;
-  const BitMatrix b = sampler.generate(kShots, 2);
+  const BitMatrix b = generate_b(sampler, kShots, 2);
   EXPECT_NEAR(row_mean(b, 0, kShots), 0.5, 5 * std::sqrt(0.25 / kShots));
 }
 
@@ -45,7 +46,7 @@ TEST(SymbolValueSampler, BernoulliRate) {
   const auto s = table.add_bernoulli(0.05);
   SymbolValueSampler sampler(table, {s});
   constexpr std::size_t kShots = 100000;
-  const BitMatrix b = sampler.generate(kShots, 3);
+  const BitMatrix b = generate_b(sampler, kShots, 3);
   EXPECT_NEAR(row_mean(b, 0, kShots), 0.05,
               5 * std::sqrt(0.05 * 0.95 / kShots));
 }
@@ -55,7 +56,7 @@ TEST(SymbolValueSampler, Depolarize1JointDistribution) {
   const auto s = table.add_depolarize1(0.3);
   SymbolValueSampler sampler(table, {s, s + 1});
   constexpr std::size_t kShots = 200000;
-  const BitMatrix b = sampler.generate(kShots, 4);
+  const BitMatrix b = generate_b(sampler, kShots, 4);
   // Count joint patterns.
   std::size_t counts[4] = {};
   for (std::size_t j = 0; j < kShots; ++j) {
@@ -75,7 +76,7 @@ TEST(SymbolValueSampler, Depolarize2UniformOverFifteen) {
   const auto s = table.add_depolarize2(0.75);
   SymbolValueSampler sampler(table, {s, s + 1, s + 2, s + 3});
   constexpr std::size_t kShots = 150000;
-  const BitMatrix b = sampler.generate(kShots, 5);
+  const BitMatrix b = generate_b(sampler, kShots, 5);
   std::size_t counts[16] = {};
   for (std::size_t j = 0; j < kShots; ++j) {
     int pattern = 0;
@@ -98,7 +99,7 @@ TEST(SymbolValueSampler, UnusedGroupMembersSkipped) {
   // Only the X component used.
   SymbolValueSampler sampler(table, {s});
   EXPECT_EQ(sampler.num_rows(), 1u);
-  const BitMatrix b = sampler.generate(50000, 6);
+  const BitMatrix b = generate_b(sampler, 50000, 6);
   // Marginal of the X component: P(X or Y) = 2p/3.
   EXPECT_NEAR(row_mean(b, 0, 50000), 2.0 * 0.2 / 3,
               5 * std::sqrt(0.2 * (1 - 0.2) / 50000) + 0.005);
@@ -110,7 +111,7 @@ TEST(SymbolValueSampler, DeterministicInSeed) {
   table.add_bernoulli(0.1);
   table.add_depolarize1(0.05);
   SymbolValueSampler sampler(table, {0, 1, 2, 3, 4});
-  EXPECT_EQ(sampler.generate(1000, 7), sampler.generate(1000, 7));
+  EXPECT_EQ(generate_b(sampler, 1000, 7), generate_b(sampler, 1000, 7));
 }
 
 TEST(SymbolValueSampler, RowLookupValidation) {
@@ -124,36 +125,33 @@ TEST(SymbolValueSampler, RowLookupValidation) {
 
 // --- End-to-end sampling through expressions ------------------------
 
-class SamplerStrategyTest
-    : public ::testing::TestWithParam<MultiplyStrategy> {};
-
-TEST_P(SamplerStrategyTest, ConstantExpressions) {
+TEST(SymPhaseSampling, ConstantExpressions) {
   SymbolTable table;
   std::vector<MeasurementExpression> exprs = {
       {{}, false},    // always 0
       {{0}, false},   // always 1
   };
-  SymPhaseSampler sampler(table, exprs, GetParam());
-  const BitMatrix samples = sampler.sample(130, 1);
+  SymPhaseSampler sampler(table, exprs);
+  const BitMatrix samples = stream_shards(sampler, 130, 1);
   EXPECT_DOUBLE_EQ(row_mean(samples, 0, 130), 0.0);
   EXPECT_DOUBLE_EQ(row_mean(samples, 1, 130), 1.0);
 }
 
-TEST_P(SamplerStrategyTest, XorOfTwoBernoullis) {
+TEST(SymPhaseSampling, XorOfTwoBernoullis) {
   SymbolTable table;
   const auto s1 = table.add_bernoulli(0.2);
   const auto s2 = table.add_bernoulli(0.3);
   std::vector<MeasurementExpression> exprs = {{{s1, s2}, false}};
-  SymPhaseSampler sampler(table, exprs, GetParam());
+  SymPhaseSampler sampler(table, exprs);
   const double expected = 0.2 * 0.7 + 0.8 * 0.3;
-  EXPECT_NEAR(sampler.outcome_probability(0), expected, 1e-12);
+  EXPECT_NEAR(outcome_probability(table, exprs[0].symbols), expected, 1e-12);
   constexpr std::size_t kShots = 100000;
-  const BitMatrix samples = sampler.sample(kShots, 2);
+  const BitMatrix samples = stream_shards(sampler, kShots, 2);
   EXPECT_NEAR(row_mean(samples, 0, kShots), expected,
               5 * std::sqrt(expected * (1 - expected) / kShots));
 }
 
-TEST_P(SamplerStrategyTest, SparseAndDenseAgreeExactly) {
+TEST(SymPhaseSampling, ShardPathAndReferenceAgreeExactly) {
   SymbolTable table;
   std::vector<std::uint32_t> ids;
   for (int i = 0; i < 10; ++i) {
@@ -164,30 +162,22 @@ TEST_P(SamplerStrategyTest, SparseAndDenseAgreeExactly) {
   exprs.push_back({{0, ids[1]}, false});
   exprs.push_back({{}, false});
   exprs.push_back({{ids[9]}, true});
-  SymPhaseSampler sparse(table, exprs, MultiplyStrategy::kSparse);
-  SymPhaseSampler dense(table, exprs, MultiplyStrategy::kDense);
-  EXPECT_EQ(sparse.sample(4096, 3), dense.sample(4096, 3));
+  SymPhaseSampler sampler(table, exprs);
+  EXPECT_EQ(stream_shards(sampler, 4096, 3),
+            ReferenceSampler(table, exprs).sample(4096, 3));
 }
-
-INSTANTIATE_TEST_SUITE_P(Strategies, SamplerStrategyTest,
-                         ::testing::Values(MultiplyStrategy::kSparse,
-                                           MultiplyStrategy::kDense));
 
 TEST(OutcomeProbability, CoinDominates) {
   SymbolTable table;
   const auto c = table.add_coin();
   const auto b = table.add_bernoulli(0.01);
-  std::vector<MeasurementExpression> exprs = {{{c, b}, true}};
-  SymPhaseSampler sampler(table, exprs);
-  EXPECT_DOUBLE_EQ(sampler.outcome_probability(0), 0.5);
+  EXPECT_DOUBLE_EQ(outcome_probability(table, {c, b}), 0.5);
 }
 
 TEST(OutcomeProbability, ConstantInverts) {
   SymbolTable table;
   const auto b = table.add_bernoulli(0.1);
-  std::vector<MeasurementExpression> exprs = {{{0, b}, false}};
-  SymPhaseSampler sampler(table, exprs);
-  EXPECT_NEAR(sampler.outcome_probability(0), 0.9, 1e-12);
+  EXPECT_NEAR(outcome_probability(table, {0, b}), 0.9, 1e-12);
 }
 
 TEST(OutcomeProbability, DepolarizePairParity) {
@@ -195,9 +185,7 @@ TEST(OutcomeProbability, DepolarizePairParity) {
   // patterns (10, 01), 0 for I and Y (00, 11) -> P = 2p/3.
   SymbolTable table;
   const auto s = table.add_depolarize1(0.3);
-  std::vector<MeasurementExpression> exprs = {{{s, s + 1}, false}};
-  SymPhaseSampler sampler(table, exprs);
-  EXPECT_NEAR(sampler.outcome_probability(0), 0.2, 1e-12);
+  EXPECT_NEAR(outcome_probability(table, {s, s + 1}), 0.2, 1e-12);
 }
 
 }  // namespace

@@ -14,15 +14,13 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <span>
 #include <vector>
 
-#include "api/sample_sink.hpp"
-#include "api/sample_stream.hpp"
-#include "bitvec/sparse_bit_matrix.hpp"
 #include "circuit/surface_code.hpp"
 #include "common/parallel.hpp"
 #include "core/symphase.hpp"
-#include "sampler/symbol_value_sampler.hpp"
+#include "reference_sampler.hpp"
 #include "sampler/symphase_sampler.hpp"
 
 namespace symphase {
@@ -31,87 +29,19 @@ namespace {
 constexpr std::size_t kShotCounts[] = {1, 63, 8191, 8192 + 9,
                                        2 * 8192 + 777};
 
-/// The dense reference for one expression set: B rows for the used
-/// symbols and M with its columns remapped to those rows.
-struct Reference {
-  explicit Reference(const SymbolTable& table,
-                     const std::vector<MeasurementExpression>& exprs)
-      : values(table, used_symbols(exprs)), m(exprs.size(), values.num_rows()) {
-    for (std::size_t k = 0; k < exprs.size(); ++k) {
-      std::vector<std::uint32_t> rows;
-      for (const std::uint32_t s : exprs[k].symbols) {
-        rows.push_back(values.row_of(s));
-      }
-      m.set_row(k, std::move(rows));
-    }
-  }
-
-  static std::vector<std::uint32_t> used_symbols(
-      const std::vector<MeasurementExpression>& exprs) {
-    std::vector<std::uint32_t> used;
-    for (const auto& e : exprs) {
-      used.insert(used.end(), e.symbols.begin(), e.symbols.end());
-    }
-    std::sort(used.begin(), used.end());
-    used.erase(std::unique(used.begin(), used.end()), used.end());
-    return used;
-  }
-
-  /// generate_shard_block + multiply_word_range, shard by shard.
-  BitMatrix sample(std::size_t shots, std::uint64_t seed) const {
-    BitMatrix out(m.rows(), shots);
-    BitMatrix b(values.num_rows(), kSampleShardBits);
-    BitMatrix block(m.rows(), kSampleShardBits);
-    for (std::size_t shard = 0; shard < num_sample_shards(shots); ++shard) {
-      const ShardExtent e = sample_shard_extent(shard, shots);
-      values.generate_shard_block(shard, shots, seed, b);
-      block.clear_all();
-      m.multiply_word_range(b, block, 0, e.words);
-      for (std::size_t r = 0; r < m.rows(); ++r) {
-        std::copy(block.row(r), block.row(r) + e.words, out.row(r) + e.word0);
-      }
-    }
-    return out;
-  }
-
-  SymbolValueSampler values;
-  SparseBitMatrix m;
-};
-
-/// The production shard path, streamed through the session engine (which
-/// reuses its scratch blocks across shards) at `threads` workers.
-BitMatrix stream(const SymPhaseSampler& sampler, std::size_t shots,
-                 std::uint64_t seed, std::size_t threads) {
-  StreamSpec spec;
-  spec.bits_per_shot = sampler.num_measurements();
-  spec.num_shots = shots;
-  spec.num_threads = threads;
-  BitMatrixSink sink;
-  stream_sample_blocks(
-      spec,
-      [&](std::size_t, std::size_t shard, BitMatrix& block) {
-        sampler.sample_shard_block(shard, shots, seed, block);
-      },
-      sink);
-  return sink.take();
-}
-
 void expect_scatter_matches_reference(
     const SymbolTable& table, const std::vector<MeasurementExpression>& exprs,
     const char* what) {
   const SymPhaseSampler sampler(table, exprs);
-  const Reference reference(table, exprs);
+  const ReferenceSampler reference(table, exprs);
   for (const std::size_t shots : kShotCounts) {
     for (const std::uint64_t seed : {3u, 77u}) {
       const BitMatrix expected = reference.sample(shots, seed);
       for (const std::size_t threads : {1u, 4u}) {
-        EXPECT_EQ(stream(sampler, shots, seed, threads), expected)
+        EXPECT_EQ(stream_shards(sampler, shots, seed, threads), expected)
             << what << ": shots=" << shots << " seed=" << seed
             << " threads=" << threads;
       }
-      // The full-B path agrees too (same draws, same product).
-      EXPECT_EQ(sampler.sample(shots, seed, 2), expected)
-          << what << ": shots=" << shots << " seed=" << seed;
     }
   }
 }
@@ -213,6 +143,22 @@ TEST(ScatterSampling, SyntheticDetectionsMatchDenseReference) {
   expect_scatter_matches_reference(s.table, s.detections, "detections");
 }
 
+TEST(ScatterSampling, RecordSplitIntoHeadAndTailMatchesOneList) {
+  // A detection record is sampled from two lists (detectors, then
+  // observables) without joining them; the split must not move a bit.
+  const Synthetic s = make_synthetic();
+  const std::span<const MeasurementExpression> all(s.detections);
+  for (const std::size_t head : {std::size_t{0}, std::size_t{1},
+                                 all.size() / 2, all.size()}) {
+    const SymPhaseSampler split(s.table, all.first(head),
+                                all.subspan(head));
+    const std::size_t shots = 8192 + 9;
+    EXPECT_EQ(stream_shards(split, shots, 5, 2),
+              ReferenceSampler(s.table, s.detections).sample(shots, 5))
+        << "head=" << head;
+  }
+}
+
 TEST(ScatterSampling, NoisySurfaceCodeMatchesDenseReference) {
   // p-data 0.02 puts every data DEPOLARIZE1 in [1/64, 1/32).
   SurfaceCodeOptions options;
@@ -222,12 +168,11 @@ TEST(ScatterSampling, NoisySurfaceCodeMatchesDenseReference) {
   options.measurement_flip_probability = 0.001;
   const CompiledSampler cs = CompiledSampler::compile(
       surface_code_memory(options));
-  std::vector<MeasurementExpression> joint = cs.detector_expressions();
-  joint.insert(joint.end(), cs.observable_expressions().begin(),
-               cs.observable_expressions().end());
   expect_scatter_matches_reference(cs.symbols(), cs.expressions(),
                                    "measurements");
-  expect_scatter_matches_reference(cs.symbols(), joint, "detections");
+  expect_scatter_matches_reference(cs.symbols(),
+                                   joint_detection_expressions(cs),
+                                   "detections");
 }
 
 TEST(ScatterSampling, NoUsedSymbolsGivesZeroRows) {

@@ -33,6 +33,7 @@
 #include "service/digest.hpp"
 #include "service/request.hpp"
 #include "service/wire.hpp"
+#include "test_process.hpp"
 
 namespace symphase {
 namespace {
@@ -59,8 +60,7 @@ std::string read_file(const std::string& path) {
 std::string run_serve(const std::string& input, const std::string& extra_args,
                       int expected_exit = 0) {
   static int counter = 0;
-  const std::string base =
-      ::testing::TempDir() + "/serve_" + std::to_string(counter++);
+  const std::string base = temp_path("serve_" + std::to_string(counter++));
   const std::string in_path = base + ".in";
   const std::string out_path = base + ".out";
   {

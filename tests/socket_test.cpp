@@ -43,6 +43,7 @@
 #include "sampler/sample_writer.hpp"
 #include "service/request.hpp"
 #include "service/wire.hpp"
+#include "test_process.hpp"
 
 namespace symphase {
 namespace {
@@ -106,7 +107,7 @@ std::map<std::uint64_t, MessageAssembler::Message> run_stdio(
     const std::string& input) {
   static int counter = 0;
   const std::string base =
-      ::testing::TempDir() + "/socket_stdio_" + std::to_string(counter++);
+      temp_path("socket_stdio_" + std::to_string(counter++));
   {
     std::ofstream out(base + ".in", std::ios::binary);
     out.write(input.data(), static_cast<std::streamsize>(input.size()));
@@ -587,7 +588,7 @@ TEST(SocketCli, ServeListenSampleConnectEndToEnd) {
   // read the bound port from the file (the machine-readable channel —
   // no stderr scraping), sample over TCP, compare to the direct
   // session, then shut down with SIGTERM and expect a clean exit.
-  const std::string base = ::testing::TempDir() + "/socket_cli";
+  const std::string base = temp_path("socket_cli");
   const std::string log_path = base + ".log";
   const std::string port_path = base + ".port";
   std::remove(port_path.c_str());
@@ -604,6 +605,7 @@ TEST(SocketCli, ServeListenSampleConnectEndToEnd) {
           static_cast<char*>(nullptr));
     _exit(127);
   }
+  ChildGuard child(pid);
   // The port file appears (with a full line) once the bind succeeded.
   std::string port;
   const auto deadline =
@@ -651,6 +653,7 @@ TEST(SocketCli, ServeListenSampleConnectEndToEnd) {
   ASSERT_EQ(kill(pid, SIGTERM), 0);
   int status = 0;
   ASSERT_EQ(waitpid(pid, &status, 0), pid);
+  child.release();
   EXPECT_TRUE(WIFEXITED(status));
   EXPECT_EQ(WEXITSTATUS(status), 0);
 }

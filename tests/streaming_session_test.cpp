@@ -4,19 +4,22 @@
 // samplers — per-format byte-identical for WriterSink, matrix-equal for
 // BitMatrixSink, chunk-reassembly-equal for CallbackSink. Companion to
 // tests/parallel_sample_test.cpp, which pins the same contract for the
-// materialized entry points.
+// materialized entry points. The Concurrent* cases race the lazy
+// sampler builds and run under TSan in CI.
 
 #include <gtest/gtest.h>
 
+#include <latch>
 #include <sstream>
+#include <thread>
 #include <vector>
 
 #include "api/sample_stream.hpp"
 #include "api/session.hpp"
 #include "circuit/surface_code.hpp"
 #include "core/symphase.hpp"
+#include "reference_sampler.hpp"
 #include "sampler/sample_writer.hpp"
-#include "sampler/symphase_sampler.hpp"
 
 namespace symphase {
 namespace {
@@ -58,18 +61,6 @@ BitMatrix materialized_joint(const Sampler& sampler, std::size_t shots,
   return joint;
 }
 
-/// Stream-independent joint reference for the SymPhase backend:
-/// CompiledSampler::sample_detection_events is itself a wrapper over the
-/// streaming engine now, so rebuild its joint sampler from the public
-/// expression lists and materialize through the classic full-B path.
-BitMatrix direct_symphase_joint(const CompiledSampler& sampler,
-                                std::size_t shots, std::uint64_t seed) {
-  std::vector<MeasurementExpression> joint = sampler.detector_expressions();
-  joint.insert(joint.end(), sampler.observable_expressions().begin(),
-               sampler.observable_expressions().end());
-  return SymPhaseSampler(sampler.symbols(), joint).sample(shots, seed);
-}
-
 std::string streamed_string(const SimulatorSession& session,
                             const SampleTask& task, SampleFormat format) {
   std::ostringstream oss;
@@ -81,11 +72,10 @@ std::string streamed_string(const SimulatorSession& session,
 TEST(StreamingSession, WriterSinkByteIdenticalEveryFormatSymPhase) {
   const Circuit circuit = noisy_surface_circuit();
   const SimulatorSession session(circuit);
-  // Independent materialized reference: SymPhaseSampler::sample still
-  // builds the full B matrix in one piece (no streaming engine).
-  const SymPhaseSampler direct(session.compiled().symbols(),
-                               session.compiled().expressions());
-  const BitMatrix reference = direct.sample(kShots, 7);
+  // Independent materialized reference: B, then M·B, shard by shard
+  // (no streaming engine, no scatter).
+  const BitMatrix reference =
+      reference_measurements(session.compiled(), kShots, 7);
 
   for (const SampleFormat format :
        {SampleFormat::k01, SampleFormat::kHex, SampleFormat::kB8}) {
@@ -126,8 +116,8 @@ TEST(StreamingSession, DetectionEventsByteIdenticalBothBackends) {
   ASSERT_GT(dets, 0u);
   ASSERT_GT(session.num_observables(), 0u);
 
-  const BitMatrix sym_joint = direct_symphase_joint(session.compiled(),
-                                                    kShots, 13);
+  const BitMatrix sym_joint =
+      reference_detection(session.compiled(), kShots, 13);
   const BitMatrix frame_joint =
       materialized_joint(FrameSimulator(circuit, kFrameSeed), kShots, 13);
 
@@ -156,12 +146,11 @@ TEST(StreamingSession, PackedFormatsByteIdenticalOnRaggedShotCounts) {
   // true end of the run, not at shard flush boundaries.
   const Circuit circuit = noisy_surface_circuit();
   const SimulatorSession session(circuit);
-  const SymPhaseSampler direct(session.compiled().symbols(),
-                               session.compiled().expressions());
   for (const std::size_t shots :
        {1ul, 7ul, 63ul, 101ul, kSampleShardBits - 1, kSampleShardBits + 9,
         2 * kSampleShardBits + 777}) {
-    const BitMatrix reference = direct.sample(shots, 41);
+    const BitMatrix reference =
+        reference_measurements(session.compiled(), shots, 41);
     for (const SampleFormat format :
          {SampleFormat::k01, SampleFormat::kHex, SampleFormat::kB8,
           SampleFormat::kPtb64}) {
@@ -210,29 +199,14 @@ TEST(StreamingSession, BitMatrixSinkMatchesDirectSampler) {
   // Stream-independent reference (full-B materialized path), so this
   // also pins that the engine-backed CompiledSampler::sample stayed
   // bit-compatible with the pre-streaming output.
-  const SymPhaseSampler direct(session.compiled().symbols(),
-                               session.compiled().expressions());
-  const BitMatrix expected = direct.sample(kShots, 17);
+  const BitMatrix expected =
+      reference_measurements(session.compiled(), kShots, 17);
   for (const std::size_t threads : {1ul, 8ul}) {
     const BitMatrix streamed = session.run_to_matrix(
         SampleTask::measurements(kShots).with_seed(17).with_threads(threads));
     EXPECT_EQ(streamed, expected) << "threads " << threads;
     EXPECT_EQ(session.compiled().sample(kShots, 17, threads), expected);
   }
-}
-
-TEST(StreamingSession, DenseStrategyStreamsIdenticalBits) {
-  // kDense and kSparse compute the same product M·B, and both must hold
-  // under shard streaming.
-  const Circuit circuit = noisy_surface_circuit();
-  CompileOptions dense;
-  dense.multiply = MultiplyStrategy::kDense;
-  const SimulatorSession sparse_session(circuit);
-  const SimulatorSession dense_session(circuit, dense);
-  const SampleTask task =
-      SampleTask::measurements(kShots).with_seed(19).with_threads(4);
-  EXPECT_EQ(dense_session.run_to_matrix(task),
-            sparse_session.run_to_matrix(task));
 }
 
 TEST(StreamingSession, CallbackSinkDeliversOrderedDisjointChunks) {
@@ -301,8 +275,7 @@ TEST(StreamingSession, BitSelectionSplitsDetectorPrefix) {
                   .with_seed(31)
                   .with_bit_selection(rows),
               sink);
-  const BitMatrix joint = direct_symphase_joint(session.compiled(), kShots,
-                                                31);
+  const BitMatrix joint = reference_detection(session.compiled(), kShots, 31);
   BitMatrix expected_rows(rows.size(), kShots);
   for (std::size_t i = 0; i < rows.size(); ++i) {
     expected_rows.xor_words_into_row(
@@ -371,6 +344,95 @@ TEST(StreamingSession, FrameDetectionMatchesMaterializedEvents) {
                 events.observables.row(k)[w]);
     }
   }
+}
+
+/// Whether `block` holds shard `shard` of the `shots`-shot `reference`.
+bool block_matches(const BitMatrix& block, const BitMatrix& reference,
+                   std::size_t shard, std::size_t shots) {
+  const ShardExtent e = sample_shard_extent(shard, shots);
+  for (std::size_t r = 0; r < reference.rows(); ++r) {
+    for (std::size_t w = 0; w < e.words; ++w) {
+      if (block.row(r)[w] != reference.row(r)[e.word0 + w]) {
+        return false;
+      }
+    }
+  }
+  return true;
+}
+
+TEST(StreamingSession, ConcurrentFirstUseOfAFreshCompiledSampler) {
+  // Eight threads make their first calls on one fresh CompiledSampler
+  // at once, half of them measurement-first and half detection-first,
+  // so both lazy sampler builds are raced; every thread must see the
+  // reference bits.
+  const Circuit circuit = noisy_surface_circuit();
+  const CompiledSampler cs = CompiledSampler::compile(circuit);
+  constexpr std::size_t kThreads = 8;
+  constexpr std::size_t kRunShots = 2 * kSampleShardBits + 777;
+  constexpr std::uint64_t kSeed = 43;
+  const BitMatrix measurements = reference_measurements(cs, kRunShots, kSeed);
+  const BitMatrix detection = reference_detection(cs, kRunShots, kSeed);
+  const CompiledSampler twin = CompiledSampler::compile(circuit);
+  std::vector<double> expected_p;
+  for (std::size_t t = 0; t < kThreads; ++t) {
+    expected_p.push_back(twin.detector_probability(t % cs.num_detectors()));
+  }
+
+  std::latch start(kThreads);
+  std::vector<int> ok(kThreads, 0);
+  std::vector<double> p(kThreads, -1);
+  std::vector<std::thread> threads;
+  for (std::size_t t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      const std::size_t shard = t % num_sample_shards(kRunShots);
+      BitMatrix m_block(cs.num_measurements(), kSampleShardBits);
+      BitMatrix d_block(cs.num_detectors() + cs.num_observables(),
+                        kSampleShardBits);
+      start.arrive_and_wait();
+      if (t % 2 == 0) {
+        cs.sample_shard_block(shard, kRunShots, kSeed, m_block);
+        cs.sample_detection_shard_block(shard, kRunShots, kSeed, d_block);
+      } else {
+        cs.sample_detection_shard_block(shard, kRunShots, kSeed, d_block);
+        cs.sample_shard_block(shard, kRunShots, kSeed, m_block);
+      }
+      p[t] = cs.detector_probability(t % cs.num_detectors());
+      ok[t] = block_matches(m_block, measurements, shard, kRunShots) &&
+              block_matches(d_block, detection, shard, kRunShots);
+    });
+  }
+  for (std::thread& thread : threads) {
+    thread.join();
+  }
+  for (std::size_t t = 0; t < kThreads; ++t) {
+    EXPECT_TRUE(ok[t]) << "thread " << t;
+    EXPECT_EQ(p[t], expected_p[t]) << "thread " << t;
+  }
+}
+
+TEST(StreamingSession, ConcurrentFirstTasksOnAFreshSession) {
+  // A measurement task and a detection task start together on one
+  // fresh session: the compile and both sampler builds race.
+  const Circuit circuit = noisy_surface_circuit();
+  const SimulatorSession session(circuit);
+  std::latch start(2);
+  BitMatrix measurements;
+  BitMatrix detection;
+  std::thread a([&] {
+    start.arrive_and_wait();
+    measurements = session.run_to_matrix(
+        SampleTask::measurements(kShots).with_seed(47).with_threads(2));
+  });
+  std::thread b([&] {
+    start.arrive_and_wait();
+    detection = session.run_to_matrix(
+        SampleTask::detection_events(kShots).with_seed(47).with_threads(2));
+  });
+  a.join();
+  b.join();
+  EXPECT_EQ(measurements,
+            reference_measurements(session.compiled(), kShots, 47));
+  EXPECT_EQ(detection, reference_detection(session.compiled(), kShots, 47));
 }
 
 }  // namespace

@@ -2,7 +2,7 @@
 // enable gating, ring wraparound accounting, untorn records under
 // concurrent writers (run under TSan in CI), and the Chrome
 // trace-event JSON rendering parsed back through the repo's own JSON
-// parser.
+// parser; plus the compile bracket's build_sampler span.
 
 #include "common/trace.hpp"
 
@@ -15,6 +15,8 @@
 #include <thread>
 #include <vector>
 
+#include "api/session.hpp"
+#include "circuit/surface_code.hpp"
 #include "http/json.hpp"
 
 namespace symphase {
@@ -207,6 +209,38 @@ TEST_F(TraceTest, ScopedSpanRecordsOnDestruction) {
   ASSERT_EQ(events.size(), 1u);
   EXPECT_EQ(events[0].find("name")->as_string(), "scoped");
   EXPECT_EQ(events[0].find("args")->find("id")->as_u64(), 42u);
+}
+
+/// The aux of every build_sampler span in a drained trace document.
+std::vector<std::uint64_t> sampler_builds(const JsonValue& doc) {
+  std::vector<std::uint64_t> aux;
+  for (const JsonValue& event : doc.find("traceEvents")->as_array()) {
+    if (event.find("name")->as_string() == "build_sampler") {
+      aux.push_back(event.find("args")->find("aux")->as_u64());
+    }
+  }
+  return aux;
+}
+
+TEST_F(TraceTest, DetectionPrepareBuildsOnlyTheDetectionSampler) {
+  // A detection task forces exactly its own record's sampler, once:
+  // one build_sampler span with aux 1 (the detection record), and no
+  // measurement-sampler build at all.
+  SurfaceCodeOptions sc;
+  sc.distance = 3;
+  sc.rounds = 2;
+  sc.data_depolarization = 0.01;
+  sc.measurement_flip_probability = 0.01;
+  const SimulatorSession session(surface_code_memory(sc));
+  const SampleTask task = SampleTask::detection_events(100);
+  trace::set_enabled(true);
+  session.prepare(task);
+  const JsonValue first = parse_json(trace::drain_json());
+  session.prepare(task);
+  trace::set_enabled(false);
+  const JsonValue second = parse_json(trace::drain_json());
+  EXPECT_EQ(sampler_builds(first), std::vector<std::uint64_t>{1});
+  EXPECT_TRUE(sampler_builds(second).empty());
 }
 
 }  // namespace
