@@ -29,6 +29,15 @@ std::size_t stream_fill_slots(const StreamSpec& spec) {
       std::max<std::size_t>(num_sample_shards(spec.num_shots), 1));
 }
 
+std::vector<BitMatrix> make_shard_blocks(std::size_t count, std::size_t rows) {
+  std::vector<BitMatrix> blocks;
+  blocks.reserve(count);
+  for (std::size_t i = 0; i < count; ++i) {
+    blocks.emplace_back(rows, kSampleShardBits);
+  }
+  return blocks;
+}
+
 void stream_sample_blocks(const StreamSpec& spec, const ShardBlockFn& fill,
                           SampleSink& sink) {
   const std::size_t rows = spec.bits_per_shot;
@@ -70,9 +79,9 @@ void stream_sample_blocks(const StreamSpec& spec, const ShardBlockFn& fill,
   std::vector<BitMatrix> blocks;
   std::vector<BitMatrix> filtered;
   if (num_shards > 0) {
-    blocks.assign(window, BitMatrix(rows, kSampleShardBits));
+    blocks = make_shard_blocks(window, rows);
     if (!selection.empty()) {
-      filtered.assign(window, BitMatrix(selection.size(), kSampleShardBits));
+      filtered = make_shard_blocks(window, selection.size());
     }
   }
 

@@ -25,6 +25,7 @@
 #include <functional>
 #include <span>
 #include <stdexcept>
+#include <vector>
 
 #include "api/sample_sink.hpp"
 #include "bitvec/bit_matrix.hpp"
@@ -90,5 +91,9 @@ void stream_sample_blocks(const StreamSpec& spec, const ShardBlockFn& fill,
 /// number of preallocated shard blocks: min(resolved threads,
 /// max(num_shards, 1)). Size per-slot producer scratch with this.
 std::size_t stream_fill_slots(const StreamSpec& spec);
+
+/// `count` zeroed rows x kSampleShardBits blocks, each built in place:
+/// the engine's per-slot blocks and producers' per-slot scratch.
+std::vector<BitMatrix> make_shard_blocks(std::size_t count, std::size_t rows);
 
 }  // namespace symphase

@@ -48,7 +48,6 @@ const DetectorLayout& SimulatorSession::detector_layout() const {
   if (!layout_) {
     trace::Span build_span("build_layout");
     layout_ = std::make_unique<DetectorLayout>(resolve_detectors(circuit_));
-    layout_built_.store(true, std::memory_order_release);
   }
   return *layout_;
 }
@@ -146,9 +145,8 @@ void SimulatorSession::run(const SampleTask& task, SampleSink& sink,
   // slot — one allocation per concurrent fill for the whole run, not
   // one per shard.
   const FrameSimulator& fs = frames();
-  std::vector<BitMatrix> scratch(
-      stream_fill_slots(spec),
-      BitMatrix(fs.num_measurements(), kSampleShardBits));
+  std::vector<BitMatrix> scratch =
+      make_shard_blocks(stream_fill_slots(spec), fs.num_measurements());
   stream_sample_blocks(
       spec,
       [&](std::size_t slot, std::size_t shard, BitMatrix& block) {
@@ -181,18 +179,7 @@ SessionArtifacts SimulatorSession::artifacts() const {
   SessionArtifacts a;
   a.compiled = compiled_built_.load(std::memory_order_acquire);
   a.frames = frames_built_.load(std::memory_order_acquire);
-  a.layout = layout_built_.load(std::memory_order_acquire);
   return a;
-}
-
-void SimulatorSession::reset() {
-  const std::lock_guard<std::mutex> lock(build_mutex_);
-  compiled_.reset();
-  frames_.reset();
-  layout_.reset();
-  compiled_built_.store(false, std::memory_order_release);
-  frames_built_.store(false, std::memory_order_release);
-  layout_built_.store(false, std::memory_order_release);
 }
 
 }  // namespace symphase

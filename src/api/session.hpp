@@ -38,7 +38,6 @@ namespace symphase {
 struct SessionArtifacts {
   bool compiled = false;  ///< CompiledSampler (symbolic compilation) built.
   bool frames = false;    ///< FrameSimulator baseline built.
-  bool layout = false;    ///< Detector/observable layout resolved.
 };
 
 class SimulatorSession {
@@ -95,13 +94,6 @@ class SimulatorSession {
   /// safe to call (for stats) while another thread is mid-compile.
   SessionArtifacts artifacts() const;
 
-  /// Drops every built artifact; the next task rebuilds on demand.
-  /// Frees a cached-but-idle session's memory without invalidating
-  /// handles to it. Must not race a concurrently running task (the
-  /// artifacts it borrowed would be destroyed under it) — the service
-  /// only resets sessions it has quiesced.
-  void reset();
-
  private:
   const DetectorLayout& detector_layout() const;
 
@@ -118,7 +110,6 @@ class SimulatorSession {
   /// compile holding build_mutex_.
   mutable std::atomic<bool> compiled_built_{false};
   mutable std::atomic<bool> frames_built_{false};
-  mutable std::atomic<bool> layout_built_{false};
 };
 
 }  // namespace symphase

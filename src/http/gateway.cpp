@@ -8,6 +8,7 @@
 #include <cstdio>
 #include <cstring>
 #include <stdexcept>
+#include <string_view>
 #include <utility>
 
 #include "common/trace.hpp"
@@ -690,97 +691,53 @@ HttpGateway::HttpGateway(SamplingService& service, HttpGatewayOptions options)
   // expose them at scrape time instead of double-instrumenting the
   // hot paths.
   registry_.add_collector([this](std::string& out) {
+    const auto header = [&out](std::string_view name, std::string_view help,
+                               std::string_view type) {
+      out.append("# HELP ").append(name).append(" ").append(help);
+      out.append("\n# TYPE ").append(name).append(" ").append(type);
+      out += '\n';
+    };
+    // A family's samples must be contiguous, and the table is in
+    // stats-line order: render each family at its first row, followed
+    // by the samples of all its rows.
     const ServiceStats s = service_.stats();
-    const ServiceHealth h = service_.health();
-    const auto counter = [&out](const char* name, const char* help,
-                                std::uint64_t value) {
-      out += std::string("# HELP ") + name + " " + help + "\n";
-      out += std::string("# TYPE ") + name + " counter\n";
-      append_metric_line(out, name, {}, value);
-    };
-    const auto gauge = [&out](const char* name, const char* help,
-                              std::uint64_t value) {
-      out += std::string("# HELP ") + name + " " + help + "\n";
-      out += std::string("# TYPE ") + name + " gauge\n";
-      append_metric_line(out, name, {}, value);
-    };
-    gauge("symphase_queue_depth", "Requests waiting in the scheduler queue",
-          s.queue_depth);
-    gauge("symphase_queue_peak", "Highest queue depth ever observed",
-          s.queue_peak);
-    gauge("symphase_shots_in_flight", "Shots queued plus running",
-          s.shots_in_flight);
-    gauge("symphase_active_jobs", "Requests currently executing",
-          h.active_jobs);
-    gauge("symphase_accepting",
-          "1 while accepting new requests, 0 while draining",
-          h.accepting ? 1 : 0);
-    counter("symphase_cache_hits_total",
-            "Requests served by a cached compiled session", s.hits);
-    counter("symphase_cache_misses_total",
-            "Requests that had to create a session", s.misses);
-    counter("symphase_cache_evictions_total",
-            "Sessions dropped by LRU pressure", s.evictions);
-    counter("symphase_compiles_total", "Symbolic compilations", s.compiles);
-    counter("symphase_frame_builds_total", "Frame-simulator builds",
-            s.frame_builds);
-    counter("symphase_requests_completed_total",
-            "Requests finished successfully", s.completed);
-    counter("symphase_requests_failed_total",
-            "Requests that ended in an error frame", s.failed);
-    counter("symphase_requests_cancelled_total",
-            "Requests cancelled while queued or mid-stream", s.cancelled);
-    counter("symphase_requests_expired_running_total",
-            "Requests cut mid-run by the watchdog (deadline or execution "
-            "cap); pre-run deadline rejections stay in "
-            "symphase_requests_rejected_total",
-            s.expired_running);
-    counter("symphase_exec_timeouts_total",
-            "Watchdog enforcements of the per-request execution "
-            "wall-clock cap",
-            s.exec_timeouts);
-    counter("symphase_stalled_requests_total",
-            "In-flight runs flagged for making no shard-chunk progress "
-            "for stall_warn_ms",
-            s.stalled);
-    counter("symphase_worker_restarts_total",
-            "Worker threads respawned after an escaped exception",
-            s.worker_restarts);
-    counter("symphase_error_emit_failures_total",
-            "Error frames the transport emitter failed to deliver",
-            s.error_emit_failures);
-    gauge("symphase_longest_running_ms",
-          "Age in milliseconds of the oldest in-flight run",
-          s.longest_running_ms);
-    gauge("symphase_workers_alive", "Live worker threads", s.workers_alive);
-    gauge("symphase_trace_enabled",
-          "1 while request-lifecycle trace recording is on",
-          trace::enabled() ? 1 : 0);
-    counter("symphase_trace_dropped_events_total",
-            "Trace events overwritten in a ring buffer before a drain "
-            "collected them",
-            trace::dropped_events());
-    out += "# HELP symphase_requests_rejected_total Requests turned away "
-           "before execution, by reason\n"
-           "# TYPE symphase_requests_rejected_total counter\n";
-    append_metric_line(out, "symphase_requests_rejected_total",
-                       {{"reason", "deadline_expired"}}, s.rejected_expired);
-    append_metric_line(out, "symphase_requests_rejected_total",
-                       {{"reason", "queue_full"}}, s.rejected_queue_full);
-    append_metric_line(out, "symphase_requests_rejected_total",
-                       {{"reason", "rate_limited"}}, s.rejected_rate_limited);
-    append_metric_line(out, "symphase_requests_rejected_total",
-                       {{"reason", "draining"}}, s.rejected_draining);
-    out += "# HELP symphase_served_total Successfully completed requests "
-           "by priority class\n"
-           "# TYPE symphase_served_total counter\n";
-    for (std::size_t i = 0; i < kNumPriorities; ++i) {
-      append_metric_line(
-          out, "symphase_served_total",
-          {{"priority",
-            std::string(priority_name(static_cast<RequestPriority>(i)))}},
-          s.served[i]);
+    for (const StatRow& first : kServiceStatRows) {
+      const auto same_family = [&first](const StatRow& row) {
+        return row.family == first.family;
+      };
+      if (std::ranges::find_if(kServiceStatRows, same_family) != &first) {
+        continue;
+      }
+      header(first.family, first.help, first.type);
+      for (const StatRow& row : kServiceStatRows) {
+        if (same_family(row)) {
+          MetricLabels labels;
+          if (!row.label_name.empty()) {
+            labels.emplace_back(row.label_name, row.label_value);
+          }
+          append_metric_line(out, row.family, labels, s.*row.field);
+        }
+      }
     }
+    // Series that are not ServiceStats values.
+    const auto single = [&](std::string_view name, std::string_view help,
+                            std::string_view type, std::uint64_t value) {
+      header(name, help, type);
+      append_metric_line(out, name, {}, value);
+    };
+    const ServiceHealth h = service_.health();
+    single("symphase_active_jobs", "Requests currently executing", "gauge",
+           h.active_jobs);
+    single("symphase_accepting",
+           "1 while accepting new requests, 0 while draining", "gauge",
+           h.accepting ? 1 : 0);
+    single("symphase_trace_enabled",
+           "1 while request-lifecycle trace recording is on", "gauge",
+           trace::enabled() ? 1 : 0);
+    single("symphase_trace_dropped_events_total",
+           "Trace events overwritten in a ring buffer before a drain "
+           "collected them",
+           "counter", trace::dropped_events());
   });
 }
 

@@ -2,18 +2,6 @@
 
 namespace symphase {
 
-std::string_view priority_name(RequestPriority priority) {
-  switch (priority) {
-    case RequestPriority::kHigh:
-      return "high";
-    case RequestPriority::kNormal:
-      return "normal";
-    case RequestPriority::kLow:
-      return "low";
-  }
-  return "normal";
-}
-
 RequestPriority priority_from_name(std::string_view name) {
   if (name == "high") {
     return RequestPriority::kHigh;

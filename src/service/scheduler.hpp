@@ -47,7 +47,17 @@ enum class RequestPriority : std::uint8_t { kHigh = 0, kNormal = 1, kLow = 2 };
 
 inline constexpr std::size_t kNumPriorities = 3;
 
-std::string_view priority_name(RequestPriority priority);
+constexpr std::string_view priority_name(RequestPriority priority) {
+  switch (priority) {
+    case RequestPriority::kHigh:
+      return "high";
+    case RequestPriority::kNormal:
+      return "normal";
+    case RequestPriority::kLow:
+      return "low";
+  }
+  return "normal";
+}
 
 /// Parses "high" | "normal" | "low"; throws std::invalid_argument.
 RequestPriority priority_from_name(std::string_view name);

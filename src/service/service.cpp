@@ -200,64 +200,22 @@ std::uint64_t ms_between(SchedulerClock::time_point from,
           .count());
 }
 
+/// account() picks a completed request's served_* row by its priority:
+/// the rows follow RequestPriority order, each labelled priority_name().
+constexpr bool served_rows_follow_priorities() {
+  const auto first = static_cast<std::size_t>(ServiceStat::served_high);
+  for (std::size_t i = 0; i < kNumPriorities; ++i) {
+    if (kServiceStatRows[first + i].label_value !=
+        priority_name(static_cast<RequestPriority>(i))) {
+      return false;
+    }
+  }
+  return first + kNumPriorities - 1 ==
+         static_cast<std::size_t>(ServiceStat::served_low);
+}
+static_assert(served_rows_follow_priorities());
+
 }  // namespace
-
-std::string ServiceStats::to_line() const {
-  std::ostringstream oss;
-  oss << "hits=" << hits << " misses=" << misses << " evictions=" << evictions
-      << " compiles=" << compiles << " frame_builds=" << frame_builds
-      << " completed=" << completed << " failed=" << failed
-      << " queue_depth=" << queue_depth << " queue_peak=" << queue_peak
-      << " rejected_expired=" << rejected_expired
-      << " cancelled=" << cancelled
-      << " rejected_queue_full=" << rejected_queue_full
-      << " rejected_rate_limited=" << rejected_rate_limited
-      << " rejected_draining=" << rejected_draining
-      << " shots_in_flight=" << shots_in_flight
-      << " expired_running=" << expired_running
-      << " exec_timeouts=" << exec_timeouts << " stalled=" << stalled
-      << " worker_restarts=" << worker_restarts
-      << " error_emit_failures=" << error_emit_failures
-      << " longest_running_ms=" << longest_running_ms
-      << " workers_alive=" << workers_alive;
-  for (std::size_t i = 0; i < kNumPriorities; ++i) {
-    oss << " served_" << priority_name(static_cast<RequestPriority>(i)) << '='
-        << served[i];
-  }
-  oss << '\n';
-  return oss.str();
-}
-
-std::string ServiceStats::to_json() const {
-  std::ostringstream oss;
-  oss << "{\"hits\":" << hits << ",\"misses\":" << misses
-      << ",\"evictions\":" << evictions << ",\"compiles\":" << compiles
-      << ",\"frame_builds\":" << frame_builds << ",\"completed\":" << completed
-      << ",\"failed\":" << failed << ",\"queue_depth\":" << queue_depth
-      << ",\"queue_peak\":" << queue_peak
-      << ",\"rejected_expired\":" << rejected_expired
-      << ",\"cancelled\":" << cancelled
-      << ",\"rejected_queue_full\":" << rejected_queue_full
-      << ",\"rejected_rate_limited\":" << rejected_rate_limited
-      << ",\"rejected_draining\":" << rejected_draining
-      << ",\"shots_in_flight\":" << shots_in_flight
-      // Always zero: cross-request shot fusion is gone, but perfbench's
-      // traced runs still require this key in `stats json=1`.
-      << ",\"fused_requests\":0"
-      << ",\"expired_running\":" << expired_running
-      << ",\"exec_timeouts\":" << exec_timeouts << ",\"stalled\":" << stalled
-      << ",\"worker_restarts\":" << worker_restarts
-      << ",\"error_emit_failures\":" << error_emit_failures
-      << ",\"longest_running_ms\":" << longest_running_ms
-      << ",\"workers_alive\":" << workers_alive << ",\"served\":{";
-  for (std::size_t i = 0; i < kNumPriorities; ++i) {
-    oss << (i == 0 ? "\"" : ",\"")
-        << priority_name(static_cast<RequestPriority>(i)) << "\":"
-        << served[i];
-  }
-  oss << "}}\n";
-  return oss.str();
-}
 
 std::string ServiceHealth::to_line() const {
   std::ostringstream oss;
@@ -366,9 +324,6 @@ std::uint64_t SamplingService::submit_impl(std::uint64_t request_id,
     job.deadline = SchedulerClock::now() +
                    std::chrono::milliseconds(request.deadline_ms);
   }
-  job.cancel_flag = std::make_shared<std::atomic<bool>>(false);
-  job.abort_reason = std::make_shared<std::atomic<std::uint32_t>>(kAbortNone);
-  job.progress = std::make_shared<std::atomic<std::uint64_t>>(0);
   job.shots = request.task.shots;
   job.transport = transport;
   job.request = std::move(request);
@@ -416,14 +371,18 @@ std::uint64_t SamplingService::submit_impl(std::uint64_t request_id,
   // here, after admission said yes and a ticket exists to correlate on.
   job.accept_ns = trace::now_ns();
   trace::instant("accept", job.request_id, ticket);
-  cancel_flags_.emplace(ticket, job.cancel_flag);
+  job.control = std::make_unique<RunControl>();
+  controls_.emplace(ticket, job.control.get());
   DeadlineQueue<Job>::Item item;
   item.ticket = ticket;
   item.priority = job.request.priority;
   item.deadline = job.deadline;
   item.payload = std::move(job);
   queue_.push(std::move(item));
-  queue_peak_ = std::max<std::uint64_t>(queue_peak_, queue_.size());
+  std::atomic<std::uint64_t>& peak = counter(ServiceStat::queue_peak);
+  peak.store(std::max<std::uint64_t>(peak.load(std::memory_order_relaxed),
+                                     queue_.size()),
+             std::memory_order_relaxed);
   queue_work_.notify_one();
   return ticket;
 }
@@ -432,17 +391,17 @@ bool SamplingService::cancel(std::uint64_t ticket) {
   DeadlineQueue<Job>::Item item;
   {
     const std::lock_guard<std::mutex> lock(queue_mutex_);
-    const auto flag = cancel_flags_.find(ticket);
-    if (flag == cancel_flags_.end()) {
+    const auto control = controls_.find(ticket);
+    if (control == controls_.end()) {
       return false;
     }
     if (!queue_.remove(ticket, &item)) {
       // In flight: flip the flag, the worker finishes the bookkeeping.
       // A second cancel of the same ticket reports false — the first
       // one already claimed it.
-      return !flag->second->exchange(true);
+      return !control->second->cancel.exchange(true);
     }
-    cancel_flags_.erase(flag);
+    controls_.erase(control);
     admission_.release(item.payload.shots);
     // The request leaves the queue but stays *active* until its error
     // frame has shipped: signaling quiescence from inside the lock and
@@ -454,7 +413,7 @@ bool SamplingService::cancel(std::uint64_t ticket) {
   }
   // Dequeued before it ever ran: answer it here, from the canceller's
   // thread (FrameFn implementations are thread-safe by contract).
-  finish_without_running(item.payload, Outcome::kCancelled,
+  finish_without_running(item.payload, ServiceStat::cancelled,
                          make_error(ErrorCode::kCancelled, "request cancelled"));
   {
     const std::lock_guard<std::mutex> lock(queue_mutex_);
@@ -497,7 +456,8 @@ ServiceHealth SamplingService::health() const {
     h.max_shots_in_flight = options_.admission.max_shots_in_flight;
   }
   h.longest_running_ms = longest_running_ms();
-  h.workers_alive = workers_alive_.load(std::memory_order_relaxed);
+  h.workers_alive =
+      counter(ServiceStat::workers_alive).load(std::memory_order_relaxed);
   return h;
 }
 
@@ -545,7 +505,7 @@ void SamplingService::clear_sessions() {
   const std::lock_guard<std::mutex> lock(cache_mutex_);
   for (const auto& [digest, entry] : cache_) {
     retire_artifacts(*entry.session);
-    ++evictions_;
+    bump(ServiceStat::evictions);
   }
   cache_.clear();
   lru_.clear();
@@ -554,42 +514,29 @@ void SamplingService::clear_sessions() {
 ServiceStats SamplingService::stats() const {
   ServiceStats s;
   {
+    // Under cache_mutex_, so a session retiring between the counter
+    // loads and the sweep of live sessions is counted exactly once.
     const std::lock_guard<std::mutex> lock(cache_mutex_);
-    s.hits = hits_;
-    s.misses = misses_;
-    s.evictions = evictions_;
-    s.compiles = retired_compiles_;
-    s.frame_builds = retired_frame_builds_;
+    for (std::size_t i = 0; i < kNumServiceStats; ++i) {
+      s.*kServiceStatRows[i].field =
+          counters_[i].load(std::memory_order_acquire);
+    }
     for (const auto& [digest, entry] : cache_) {
       const SessionArtifacts artifacts = entry.session->artifacts();
       s.compiles += artifacts.compiled;
       s.frame_builds += artifacts.frames;
     }
-    s.completed = completed_;
-    s.failed = failed_;
-    s.rejected_expired = rejected_expired_;
-    s.cancelled = cancelled_;
-    s.expired_running = expired_running_;
-    s.rejected_queue_full = rejected_queue_full_;
-    s.rejected_rate_limited = rejected_rate_limited_;
-    s.rejected_draining = rejected_draining_;
-    for (std::size_t i = 0; i < kNumPriorities; ++i) {
-      s.served[i] = served_[i];
-    }
   }
   {
     const std::lock_guard<std::mutex> lock(queue_mutex_);
     s.queue_depth = queue_.size();
-    s.queue_peak = queue_peak_;
+    // Reloaded here: submit_impl raises the peak under this lock, so
+    // the snapshot keeps queue_peak >= queue_depth.
+    s.queue_peak =
+        counter(ServiceStat::queue_peak).load(std::memory_order_relaxed);
     s.shots_in_flight = admission_.shots_in_flight();
   }
-  s.exec_timeouts = exec_timeouts_.load(std::memory_order_relaxed);
-  s.stalled = stalled_.load(std::memory_order_relaxed);
-  s.worker_restarts = worker_restarts_.load(std::memory_order_relaxed);
-  s.error_emit_failures =
-      error_emit_failures_.load(std::memory_order_relaxed);
   s.longest_running_ms = longest_running_ms();
-  s.workers_alive = workers_alive_.load(std::memory_order_relaxed);
   return s;
 }
 
@@ -599,8 +546,8 @@ void SamplingService::retire_artifacts(const SimulatorSession& session) {
   // the service is destroyed first) — an accounting race accepted for
   // not keeping evicted sessions alive.
   const SessionArtifacts artifacts = session.artifacts();
-  retired_compiles_ += artifacts.compiled;
-  retired_frame_builds_ += artifacts.frames;
+  bump(ServiceStat::compiles, artifacts.compiled);
+  bump(ServiceStat::frame_builds, artifacts.frames);
 }
 
 std::shared_ptr<SimulatorSession> SamplingService::session_for(
@@ -608,7 +555,7 @@ std::shared_ptr<SimulatorSession> SamplingService::session_for(
   const std::lock_guard<std::mutex> lock(cache_mutex_);
   const auto hit = cache_.find(digest);
   if (hit != cache_.end()) {
-    ++hits_;
+    bump(ServiceStat::hits);
     lru_.splice(lru_.begin(), lru_, hit->second.lru_position);
     return hit->second.session;
   }
@@ -617,7 +564,7 @@ std::shared_ptr<SimulatorSession> SamplingService::session_for(
                      "unknown circuit digest " << digest);
   registry_lru_.splice(registry_lru_.begin(), registry_lru_,
                        registered->second.lru_position);
-  ++misses_;
+  bump(ServiceStat::misses);
   // Construction is cheap — compilation stays deferred until the worker
   // actually samples, outside the cache lock, guarded by the session's
   // own build mutex (so same-digest racers still compile once).
@@ -631,20 +578,21 @@ std::shared_ptr<SimulatorSession> SamplingService::session_for(
     const auto it = cache_.find(victim);
     retire_artifacts(*it->second.session);
     cache_.erase(it);
-    ++evictions_;
+    bump(ServiceStat::evictions);
   }
   return session;
 }
 
 void SamplingService::worker_loop(std::size_t worker_index) {
-  workers_alive_.fetch_add(1, std::memory_order_relaxed);
+  counter(ServiceStat::workers_alive).fetch_add(1, std::memory_order_relaxed);
   for (;;) {
     Job job;
     {
       std::unique_lock<std::mutex> lock(queue_mutex_);
       queue_work_.wait(lock, [this] { return stopping_ || !queue_.empty(); });
       if (queue_.empty()) {
-        workers_alive_.fetch_sub(1, std::memory_order_relaxed);
+        counter(ServiceStat::workers_alive)
+            .fetch_sub(1, std::memory_order_relaxed);
         return;  // stopping_ and drained
       }
       job = std::move(queue_.pop().payload);
@@ -681,14 +629,14 @@ void SamplingService::worker_loop(std::size_t worker_index) {
       emit_error_frame(job, /*chunk_index=*/0,
                        make_error(ErrorCode::kInternal,
                                   "worker crashed: " + crash_reason));
-      account(Outcome::kFailed, job.request.priority);
+      account(ServiceStat::failed, job.request.priority);
       finish_timing(job, /*compile_done_ns=*/0, /*emit_ns=*/0,
                     /*end_ns=*/0, /*ok=*/false);
     }
     unregister_running(job);
     {
       const std::lock_guard<std::mutex> lock(queue_mutex_);
-      cancel_flags_.erase(job.ticket);
+      controls_.erase(job.ticket);
       admission_.release(job.shots);
       --active_jobs_;
       // Finished work frees shot budget too, not just a queue slot —
@@ -699,7 +647,7 @@ void SamplingService::worker_loop(std::size_t worker_index) {
       }
     }
     if (crashed) {
-      worker_restarts_.fetch_add(1, std::memory_order_relaxed);
+      bump(ServiceStat::worker_restarts);
       {
         std::ostringstream oss;
         oss << "{\"event\":\"worker_restart\",\"worker\":" << worker_index
@@ -730,7 +678,8 @@ void SamplingService::worker_loop(std::size_t worker_index) {
         // Decremented under the lock: once detached, this thread must
         // not touch members after unlocking — stop() serializes on the
         // same mutex before the service is destroyed.
-        workers_alive_.fetch_sub(1, std::memory_order_relaxed);
+        counter(ServiceStat::workers_alive)
+            .fetch_sub(1, std::memory_order_relaxed);
       }
       return;
     }
@@ -749,9 +698,7 @@ void SamplingService::register_running(const Job& job,
     watch.exec_deadline =
         now + std::chrono::milliseconds(options_.exec_timeout_ms);
   }
-  watch.cancel_flag = job.cancel_flag;
-  watch.abort_reason = job.abort_reason;
-  watch.progress = job.progress;
+  watch.control = job.control.get();
   watch.progress_time = now;
   {
     const std::lock_guard<std::mutex> lock(watch_mutex_);
@@ -796,7 +743,7 @@ void SamplingService::watchdog_loop() {
       // sweep resets the stall clock (and clears a standing flag, so a
       // run that stalls repeatedly is counted each time).
       const std::uint64_t chunks =
-          watch.progress->load(std::memory_order_relaxed);
+          watch.control->progress.load(std::memory_order_relaxed);
       if (chunks != watch.seen_progress) {
         watch.seen_progress = chunks;
         watch.progress_time = now;
@@ -817,12 +764,13 @@ void SamplingService::watchdog_loop() {
         }
         if (cut != kNoDeadline) {
           if (cut <= now) {
-            watch.abort_reason->store(reason, std::memory_order_release);
-            watch.cancel_flag->exchange(true);
-            watch.aborted = true;
             if (reason == kAbortExecTimeout) {
-              exec_timeouts_.fetch_add(1, std::memory_order_relaxed);
+              bump(ServiceStat::exec_timeouts);
             }
+            watch.control->abort_reason.store(reason,
+                                              std::memory_order_release);
+            watch.control->cancel.exchange(true);
+            watch.aborted = true;
             const char* event = reason == kAbortExecTimeout
                                     ? "exec_timeout"
                                     : "deadline_expired";
@@ -844,7 +792,7 @@ void SamplingService::watchdog_loop() {
             std::chrono::milliseconds(options_.stall_warn_ms);
         if (stall_at <= now) {
           watch.stall_flagged = true;
-          stalled_.fetch_add(1, std::memory_order_relaxed);
+          bump(ServiceStat::stalled);
           trace::instant("stall", watch.request_id, ticket, /*aux=*/chunks);
           std::ostringstream oss;
           oss << "{\"event\":\"stall\",\"id\":" << watch.request_id
@@ -882,41 +830,19 @@ void SamplingService::watchdog_loop() {
   }
 }
 
-void SamplingService::account(Outcome outcome, RequestPriority priority) {
-  const std::lock_guard<std::mutex> lock(cache_mutex_);
-  switch (outcome) {
-    case Outcome::kCompleted:
-      ++completed_;
-      ++served_[static_cast<std::size_t>(priority)];
-      break;
-    case Outcome::kFailed:
-      ++failed_;
-      break;
-    case Outcome::kExpired:
-      ++rejected_expired_;
-      break;
-    case Outcome::kCancelled:
-      ++cancelled_;
-      break;
-    case Outcome::kExpiredRunning:
-      ++expired_running_;
-      break;
+void SamplingService::account(ServiceStat outcome, RequestPriority priority) {
+  if (outcome == ServiceStat::completed) {
+    bump(static_cast<ServiceStat>(
+        static_cast<std::size_t>(ServiceStat::served_high) +
+        static_cast<std::size_t>(priority)));  // first: see bump()
   }
+  bump(outcome);
 }
 
 void SamplingService::account_rejection(ErrorCode code) {
-  const std::lock_guard<std::mutex> lock(cache_mutex_);
-  switch (code) {
-    case ErrorCode::kRateLimited:
-      ++rejected_rate_limited_;
-      break;
-    case ErrorCode::kDraining:
-      ++rejected_draining_;
-      break;
-    default:
-      ++rejected_queue_full_;
-      break;
-  }
+  bump(code == ErrorCode::kRateLimited ? ServiceStat::rejected_rate_limited
+       : code == ErrorCode::kDraining  ? ServiceStat::rejected_draining
+                                       : ServiceStat::rejected_queue_full);
 }
 
 void SamplingService::emit_error_frame(const Job& job,
@@ -934,11 +860,11 @@ void SamplingService::emit_error_frame(const Job& job,
     // The emitter itself failed (e.g. a closed client stream); the
     // request is still accounted, there is nobody left to tell — but
     // the drop is observable (stats + Prometheus) instead of silent.
-    error_emit_failures_.fetch_add(1, std::memory_order_relaxed);
+    bump(ServiceStat::error_emit_failures);
   }
 }
 
-void SamplingService::finish_without_running(Job& job, Outcome outcome,
+void SamplingService::finish_without_running(Job& job, ServiceStat outcome,
                                              const ServiceError& error) {
   emit_error_frame(job, /*chunk_index=*/0, error);
   account(outcome, job.request.priority);
@@ -1003,35 +929,35 @@ void SamplingService::process(Job& job) {
   // the pop, it is rejected before any compilation or sampling.
   if (job.deadline != kNoDeadline && SchedulerClock::now() > job.deadline) {
     finish_without_running(
-        job, Outcome::kExpired,
+        job, ServiceStat::rejected_expired,
         make_error(ErrorCode::kDeadlineExpired,
                    "deadline expired before sampling started"));
     return;
   }
-  if (job.cancel_flag->load(std::memory_order_relaxed)) {
+  if (job.control->cancel.load(std::memory_order_relaxed)) {
     // The flag is usually a client cancel, but the watchdog can have
     // cut the run already (an exec cap shorter than the gate-to-run
     // window); its stored reason, written before the flag, decides.
     const std::uint32_t abort =
-        job.abort_reason->load(std::memory_order_acquire);
+        job.control->abort_reason.load(std::memory_order_acquire);
     if (abort != kAbortNone) {
       finish_without_running(
-          job, Outcome::kExpiredRunning,
+          job, ServiceStat::expired_running,
           make_error(ErrorCode::kDeadlineExpired,
                      abort == kAbortExecTimeout
                          ? "execution wall-clock cap exceeded"
                          : "deadline expired during execution"));
     } else {
-      finish_without_running(job, Outcome::kCancelled,
+      finish_without_running(job, ServiceStat::cancelled,
                              make_error(ErrorCode::kCancelled,
                                         "request cancelled"));
     }
     return;
   }
   FrameSink sink(job.request_id, job.request.format,
-                 options_.max_frame_payload, job.emit, job.progress.get(),
+                 options_.max_frame_payload, job.emit, &job.control->progress,
                  job.ticket, job.request.want_timing);
-  Outcome outcome = Outcome::kCompleted;
+  ServiceStat outcome = ServiceStat::completed;
   // When the compile stage finished (steady ns); stays 0 when the fault
   // hook, session lookup or artifact construction threw — the timing
   // then reports zero compile/execute and finish_timing supplies
@@ -1060,7 +986,7 @@ void SamplingService::process(Job& job) {
     trace::span("compile", compile_t0, compile_done_ns, job.request_id,
                 job.ticket, /*aux=*/warm ? 1 : 0);
     sink.set_timing_marks(job.accept_ns, job.claim_ns, compile_done_ns);
-    session->run(job.request.task, sink, job.cancel_flag.get(),
+    session->run(job.request.task, sink, &job.control->cancel,
                  job.request_id, job.ticket);
   } catch (const TaskCancelled& e) {
     // The abandoned stream's session stays cached and reusable; only
@@ -1068,9 +994,9 @@ void SamplingService::process(Job& job) {
     // non-success). When the watchdog flipped the flag — not a client —
     // the request ends as a mid-run deadline_expired.
     const std::uint32_t abort =
-        job.abort_reason->load(std::memory_order_acquire);
+        job.control->abort_reason.load(std::memory_order_acquire);
     if (abort != kAbortNone) {
-      outcome = Outcome::kExpiredRunning;
+      outcome = ServiceStat::expired_running;
       emit_error_frame(
           job, sink.next_chunk_index(),
           make_error(ErrorCode::kDeadlineExpired,
@@ -1078,7 +1004,7 @@ void SamplingService::process(Job& job) {
                          ? "execution wall-clock cap exceeded mid-run"
                          : "deadline expired mid-run"));
     } else {
-      outcome = Outcome::kCancelled;
+      outcome = ServiceStat::cancelled;
       emit_error_frame(job, sink.next_chunk_index(),
                        make_error(ErrorCode::kCancelled, e.what()));
     }
@@ -1087,17 +1013,17 @@ void SamplingService::process(Job& job) {
     // malformed tasks — everything SYMPHASE_CHECK rejects): the same
     // request will fail the same way forever, so it must not read as
     // a server-side problem to a retrying client.
-    outcome = Outcome::kFailed;
+    outcome = ServiceStat::failed;
     emit_error_frame(job, sink.next_chunk_index(),
                      make_error(ErrorCode::kBadCircuit, e.what()));
   } catch (const std::exception& e) {
-    outcome = Outcome::kFailed;
+    outcome = ServiceStat::failed;
     emit_error_frame(job, sink.next_chunk_index(),
                      make_error(ErrorCode::kInternal, e.what()));
   }
   account(outcome, job.request.priority);
   finish_timing(job, compile_done_ns, sink.emit_ns(), sink.end_ns(),
-                outcome == Outcome::kCompleted);
+                outcome == ServiceStat::completed);
 }
 
 }  // namespace symphase

@@ -73,6 +73,7 @@
 #include "service/errors.hpp"
 #include "service/request.hpp"
 #include "service/scheduler.hpp"
+#include "service/stats.hpp"
 #include "service/wire.hpp"
 
 namespace symphase {
@@ -175,57 +176,6 @@ struct ServiceOptions {
   /// exception-escaped-the-handlers path that would otherwise call
   /// std::terminate.
   std::function<void(std::size_t worker_index)> worker_fault_hook;
-};
-
-/// Monotonic service counters. Cache counters pin the batching contract
-/// (tests/service_test.cpp): `compiles` counts actual symbolic
-/// compilations across all sessions ever cached, so same-digest requests
-/// leave it at 1 while `hits` grows.
-struct ServiceStats {
-  std::uint64_t hits = 0;        ///< Requests served by a cached session.
-  std::uint64_t misses = 0;      ///< Requests that created a session.
-  std::uint64_t evictions = 0;   ///< Sessions dropped by LRU pressure.
-  std::uint64_t compiles = 0;    ///< CompiledSampler builds (kSymPhase).
-  std::uint64_t frame_builds = 0;  ///< FrameSimulator builds (kFrameSimulator).
-  std::uint64_t completed = 0;   ///< Requests finished successfully.
-  std::uint64_t failed = 0;      ///< Requests that ended in an error frame
-                                 ///< (excluding expired/cancelled below).
-  // Scheduler counters (the queue-metrics contract of
-  // tests/scheduler_test.cpp):
-  std::uint64_t queue_depth = 0;  ///< Requests waiting right now.
-  std::uint64_t queue_peak = 0;   ///< Highest queue_depth ever observed.
-  std::uint64_t rejected_expired = 0;  ///< Deadline passed before start.
-  std::uint64_t cancelled = 0;         ///< Cancelled (queued or mid-stream).
-  // Watchdog counters (mid-run enforcement — distinct from the pre-run
-  // rejected_expired above):
-  std::uint64_t expired_running = 0;  ///< Cut mid-run (deadline or exec cap).
-  std::uint64_t exec_timeouts = 0;    ///< exec_timeout_ms enforcements.
-  std::uint64_t stalled = 0;          ///< Stall warnings (no-progress runs).
-  std::uint64_t worker_restarts = 0;  ///< Workers respawned after a crash.
-  std::uint64_t error_emit_failures = 0;  ///< Error frames the emitter
-                                          ///< itself failed to deliver.
-  // Admission counters (requests turned away before entering the
-  // queue, by structured error code):
-  std::uint64_t rejected_queue_full = 0;     ///< Full or priority-shed.
-  std::uint64_t rejected_rate_limited = 0;   ///< Client over budget.
-  std::uint64_t rejected_draining = 0;       ///< Arrived during drain.
-  std::uint64_t shots_in_flight = 0;  ///< Gauge: shots queued + running.
-  /// Gauge: age in ms of the oldest in-flight run (0 when idle) — a
-  /// wedged worker shows up here long before any timeout fires.
-  std::uint64_t longest_running_ms = 0;
-  std::uint64_t workers_alive = 0;  ///< Gauge: live worker threads.
-  /// Successfully completed requests by priority class, indexed by
-  /// RequestPriority (high, normal, low).
-  std::uint64_t served[kNumPriorities] = {0, 0, 0};
-
-  /// One-line "hits=... misses=..." rendering (the stats verb's reply).
-  std::string to_line() const;
-
-  /// Machine-readable one-object JSON rendering (the stats verb with
-  /// json=1, `symphase stats --json`, and GET /v1/stats). Same fields
-  /// as to_line(), plus served counts keyed by priority name and one
-  /// always-zero legacy key (see the definition).
-  std::string to_json() const;
 };
 
 /// Snapshot of the service's readiness, for the `health` verb: load
@@ -371,6 +321,30 @@ class SamplingService {
   const ServiceOptions& options() const { return options_; }
 
  private:
+  /// RunControl::abort_reason values.
+  static constexpr std::uint32_t kAbortNone = 0;
+  static constexpr std::uint32_t kAbortDeadline = 1;
+  static constexpr std::uint32_t kAbortExecTimeout = 2;
+
+  /// How one accepted request is steered while it runs, allocated once
+  /// at submit. Its Job owns it; controls_ (for cancel()) and the
+  /// watchdog's RunWatch point at it, and both drop their pointer
+  /// before the Job that owns it is destroyed.
+  struct RunControl {
+    /// Set by cancel() or the watchdog; the streaming engine polls it
+    /// at shard-chunk boundaries.
+    std::atomic<bool> cancel{false};
+    /// Why the watchdog set `cancel` (kAbortNone when it did not): lets
+    /// the worker map the resulting TaskCancelled to `deadline_expired`
+    /// instead of `cancelled`. The watchdog stores the reason (release)
+    /// *before* the flag, so a worker that observed the flag and loads
+    /// the reason (acquire) sees it.
+    std::atomic<std::uint32_t> abort_reason{kAbortNone};
+    /// Shard-chunk heartbeat: bumped by the frame sink on every chunk
+    /// delivered, read by the watchdog for stall detection.
+    std::atomic<std::uint64_t> progress{0};
+  };
+
   struct Job {
     std::uint64_t request_id = 0;
     std::uint64_t ticket = 0;
@@ -380,18 +354,7 @@ class SamplingService {
     /// Shots charged against admission at acceptance; released exactly
     /// once when the job leaves (finished or cancelled out of queue).
     std::uint64_t shots = 0;
-    /// Set by cancel(); polled by the streaming engine at shard-chunk
-    /// boundaries. Shared so cancel() can reach a job a worker owns.
-    std::shared_ptr<std::atomic<bool>> cancel_flag;
-    /// Why the watchdog flipped cancel_flag (kAbortNone when it did
-    /// not): lets the worker map the resulting TaskCancelled to
-    /// `deadline_expired` instead of `cancelled`. The watchdog stores
-    /// the reason *before* the flag, so a worker that observed the flag
-    /// sees the reason too.
-    std::shared_ptr<std::atomic<std::uint32_t>> abort_reason;
-    /// Shard-chunk heartbeat: bumped by the frame sink on every chunk
-    /// delivered, read by the watchdog for stall detection.
-    std::shared_ptr<std::atomic<std::uint64_t>> progress;
+    std::unique_ptr<RunControl> control;
     /// Transport tag from submit() — a string literal ("frame", "http",
     /// "local"), stamped on timing observations and slow-request logs.
     const char* transport = "local";
@@ -399,23 +362,6 @@ class SamplingService {
     /// (ticket assignment) and worker claim. Zero until stamped.
     std::uint64_t accept_ns = 0;
     std::uint64_t claim_ns = 0;
-  };
-
-  /// Job::abort_reason values.
-  static constexpr std::uint32_t kAbortNone = 0;
-  static constexpr std::uint32_t kAbortDeadline = 1;
-  static constexpr std::uint32_t kAbortExecTimeout = 2;
-
-  /// How a processed request ended (drives which counter it lands in
-  /// and the final frame's error text). kExpired is the pre-run
-  /// rejection (rejected_expired); kExpiredRunning is a mid-run
-  /// watchdog cut (expired_running).
-  enum class Outcome {
-    kCompleted,
-    kFailed,
-    kExpired,
-    kCancelled,
-    kExpiredRunning
   };
 
   struct CacheEntry {
@@ -430,17 +376,15 @@ class SamplingService {
 
   /// One in-flight job as the watchdog sees it, keyed by ticket in
   /// running_. Watchdog-side fields (seen_progress, progress_time,
-  /// aborted, stall_flagged) are only touched under watch_mutex_; the
-  /// shared_ptrs reach into the job a worker owns.
+  /// aborted, stall_flagged) are only touched under watch_mutex_;
+  /// `control` is the RunControl of the job a worker owns.
   struct RunWatch {
     std::uint64_t request_id = 0;
     std::size_t worker = 0;
     SchedulerClock::time_point start;
     SchedulerClock::time_point deadline = kNoDeadline;
     SchedulerClock::time_point exec_deadline = kNoDeadline;
-    std::shared_ptr<std::atomic<bool>> cancel_flag;
-    std::shared_ptr<std::atomic<std::uint32_t>> abort_reason;
-    std::shared_ptr<std::atomic<std::uint64_t>> progress;
+    RunControl* control = nullptr;
     std::uint64_t seen_progress = 0;
     SchedulerClock::time_point progress_time;
     bool aborted = false;
@@ -480,8 +424,23 @@ class SamplingService {
   /// deadline/cancel gate and fault hook, the session lookup, the
   /// compile bracket, the streamed run, and outcome accounting.
   void process(Job& job);
-  /// Folds one finished request into the stats counters.
-  void account(Outcome outcome, RequestPriority priority);
+  /// The counter slot of `stat`.
+  std::atomic<std::uint64_t>& counter(ServiceStat stat) {
+    return counters_[static_cast<std::size_t>(stat)];
+  }
+  const std::atomic<std::uint64_t>& counter(ServiceStat stat) const {
+    return counters_[static_cast<std::size_t>(stat)];
+  }
+  /// Adds one to the counter of `stat`. Release, against stats()'s
+  /// acquire loads in table order: a snapshot that read a count sees,
+  /// in later rows, what was bumped before it (served_* before
+  /// completed, exec_timeouts before the expired_running it caused).
+  void bump(ServiceStat stat, std::uint64_t count = 1) {
+    counter(stat).fetch_add(count, std::memory_order_release);
+  }
+  /// Counts one finished request in the row its outcome names
+  /// (completed, failed, rejected_expired, cancelled, expired_running).
+  void account(ServiceStat outcome, RequestPriority priority);
   /// Counts one admission rejection under its error code.
   void account_rejection(ErrorCode code);
   /// Ships the final error-flagged frame (structured payload,
@@ -490,12 +449,12 @@ class SamplingService {
                         const ServiceError& error);
   /// Error frame + accounting for a request that never started
   /// (deadline-expired or cancelled while queued).
-  void finish_without_running(Job& job, Outcome outcome,
+  void finish_without_running(Job& job, ServiceStat outcome,
                               const ServiceError& error);
   /// Cache lookup/insert; `digest` must already be registered.
   std::shared_ptr<SimulatorSession> session_for(const std::string& digest);
-  /// Folds a leaving session's built artifacts into the retired tally
-  /// (cache_mutex_ must be held).
+  /// Counts a leaving session's built artifacts in the compiles and
+  /// frame_builds counters (cache_mutex_ must be held).
   void retire_artifacts(const SimulatorSession& session);
 
   ServiceOptions options_;
@@ -505,12 +464,10 @@ class SamplingService {
   std::condition_variable queue_work_;   // workers wait for jobs
   std::condition_variable queue_idle_;   // drain() waits for quiescence
   DeadlineQueue<Job> queue_;
-  /// Cancel flags of accepted-but-unfinished requests, keyed by ticket.
+  /// Run controls of accepted-but-unfinished requests, keyed by ticket.
   /// An entry exists from submit() until the final status frame.
-  std::unordered_map<std::uint64_t, std::shared_ptr<std::atomic<bool>>>
-      cancel_flags_;
+  std::unordered_map<std::uint64_t, RunControl*> controls_;
   std::uint64_t next_ticket_ = 1;
-  std::uint64_t queue_peak_ = 0;
   std::size_t active_jobs_ = 0;
   bool stopping_ = false;
   bool draining_ = false;
@@ -535,32 +492,20 @@ class SamplingService {
   std::uint64_t watch_epoch_ = 0;
   bool watch_stop_ = false;
   std::thread watchdog_;
-  std::atomic<std::uint64_t> exec_timeouts_{0};
-  std::atomic<std::uint64_t> stalled_{0};
-  std::atomic<std::uint64_t> worker_restarts_{0};
-  std::atomic<std::uint64_t> error_emit_failures_{0};
-  std::atomic<std::uint64_t> workers_alive_{0};
 
   mutable std::mutex cache_mutex_;
   std::unordered_map<std::string, RegistryEntry> registry_;
   std::list<std::string> registry_lru_;  // front = most recently used
   std::unordered_map<std::string, CacheEntry> cache_;
   std::list<std::string> lru_;  // front = most recently used digest
-  std::uint64_t hits_ = 0;
-  std::uint64_t misses_ = 0;
-  std::uint64_t evictions_ = 0;
-  /// Compiles/builds of sessions no longer in the cache.
-  std::uint64_t retired_compiles_ = 0;
-  std::uint64_t retired_frame_builds_ = 0;
-  std::uint64_t completed_ = 0;
-  std::uint64_t failed_ = 0;
-  std::uint64_t rejected_expired_ = 0;
-  std::uint64_t cancelled_ = 0;
-  std::uint64_t expired_running_ = 0;
-  std::uint64_t rejected_queue_full_ = 0;
-  std::uint64_t rejected_rate_limited_ = 0;
-  std::uint64_t rejected_draining_ = 0;
-  std::uint64_t served_[kNumPriorities] = {0, 0, 0};
+
+  /// One slot per ServiceStat row. Counters only grow; queue_peak is
+  /// raised under queue_mutex_ and workers_alive moves both ways. The
+  /// compiles and frame_builds slots hold the builds of sessions that
+  /// left the cache (bumped under cache_mutex_); stats() adds the live
+  /// sessions' builds. The queue_depth, shots_in_flight and
+  /// longest_running_ms slots stay zero: stats() computes those.
+  std::atomic<std::uint64_t> counters_[kNumServiceStats] = {};
 };
 
 }  // namespace symphase

@@ -60,14 +60,6 @@ namespace {
 
 constexpr const char* kCircuit = "X 0\nM 0 1\n";
 
-std::string read_file(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  EXPECT_TRUE(in.good()) << path;
-  std::ostringstream oss;
-  oss << in.rdbuf();
-  return oss.str();
-}
-
 std::string direct_output(const std::string& circuit_text,
                           const SampleTask& task, SampleFormat format) {
   const SimulatorSession session(parse_circuit(circuit_text));

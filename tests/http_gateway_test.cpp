@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <chrono>
 #include <mutex>
 #include <sstream>
@@ -193,13 +194,27 @@ TEST(HttpGateway, PipelinedRequestsAnswerInOrder) {
 TEST(HttpGateway, MetricsAgreeWithServiceStats) {
   GatewayHarness harness;
   HttpClient client(harness.http_port());
-  // Two requests for the same circuit: one miss+compile, one hit.
+  // Two requests for the same circuit: one miss+compile, one hit. Then
+  // a high- and a low-priority hit (the low one on the frame backend,
+  // one frame build), and a circuit that fails to parse: the counters
+  // below mostly differ, so a series wired to the wrong field shows.
   for (int i = 0; i < 2; ++i) {
     client.send_request(
         "POST", "/v1/sample",
         R"({"circuit":"H 0\nCNOT 0 1\nM 0 1\n","shots":32,"seed":9})");
     EXPECT_EQ(client.read_response().status, 200);
   }
+  client.send_request("POST", "/v1/sample",
+                      R"({"circuit":"H 0\nCNOT 0 1\nM 0 1\n","shots":32,)"
+                      R"("priority":"high"})");
+  EXPECT_EQ(client.read_response().status, 200);
+  client.send_request("POST", "/v1/sample",
+                      R"({"circuit":"H 0\nCNOT 0 1\nM 0 1\n","shots":32,)"
+                      R"("priority":"low","backend":"frames"})");
+  EXPECT_EQ(client.read_response().status, 200);
+  client.send_request("POST", "/v1/sample",
+                      R"({"circuit":"NOT_A_GATE 0\n","shots":32})");
+  EXPECT_EQ(client.read_response().status, 400);
   // The worker bumps `completed` after its last frame is handed off,
   // so a fast client can get here first — wait for the counter. The
   // shots-in-flight release lands separately (queue cleanup, after the
@@ -208,13 +223,17 @@ TEST(HttpGateway, MetricsAgreeWithServiceStats) {
   ServiceStats stats = harness.server().service().stats();
   const auto deadline =
       std::chrono::steady_clock::now() + std::chrono::seconds(5);
-  while (stats.completed < 2 || stats.shots_in_flight != 0) {
+  while (stats.completed < 4 || stats.failed < 1 ||
+         stats.shots_in_flight != 0) {
     ASSERT_LT(std::chrono::steady_clock::now(), deadline)
         << stats.to_line();
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
     stats = harness.server().service().stats();
   }
-  ASSERT_EQ(stats.completed, 2u);
+  ASSERT_EQ(stats.completed, 4u);
+  EXPECT_EQ(stats.hits, 3u);
+  EXPECT_EQ(stats.frame_builds, 1u);
+  EXPECT_EQ(stats.served_low, 1u);
 
   client.send_request("GET", "/metrics");
   const HttpResponse response = client.read_response();
@@ -234,18 +253,41 @@ TEST(HttpGateway, MetricsAgreeWithServiceStats) {
     return static_cast<std::uint64_t>(
         std::stoull(text.substr(start, text.find('\n', start) - start)));
   };
-  // The acceptance set: queue depth, shots in flight, cache hit/miss,
-  // per-priority served counts, request-latency histograms.
-  EXPECT_EQ(metric_value("symphase_queue_depth"), stats.queue_depth);
-  EXPECT_EQ(metric_value("symphase_shots_in_flight"), stats.shots_in_flight);
-  EXPECT_EQ(metric_value("symphase_cache_hits_total"), stats.hits);
-  EXPECT_EQ(metric_value("symphase_cache_misses_total"), stats.misses);
-  EXPECT_EQ(metric_value("symphase_requests_completed_total"),
-            stats.completed);
-  EXPECT_EQ(metric_value("symphase_served_total{priority=\"normal\"}"),
-            stats.served[static_cast<int>(RequestPriority::kNormal)]);
-  EXPECT_NE(text.find("symphase_served_total{priority=\"high\"}"),
-            std::string::npos);
+  // Every ServiceStats value against the series that exports it.
+  const std::pair<std::string, std::uint64_t> series[] = {
+      {"symphase_cache_hits_total", stats.hits},
+      {"symphase_cache_misses_total", stats.misses},
+      {"symphase_cache_evictions_total", stats.evictions},
+      {"symphase_compiles_total", stats.compiles},
+      {"symphase_frame_builds_total", stats.frame_builds},
+      {"symphase_requests_completed_total", stats.completed},
+      {"symphase_requests_failed_total", stats.failed},
+      {"symphase_queue_depth", stats.queue_depth},
+      {"symphase_queue_peak", stats.queue_peak},
+      {"symphase_requests_rejected_total{reason=\"deadline_expired\"}",
+       stats.rejected_expired},
+      {"symphase_requests_cancelled_total", stats.cancelled},
+      {"symphase_requests_rejected_total{reason=\"queue_full\"}",
+       stats.rejected_queue_full},
+      {"symphase_requests_rejected_total{reason=\"rate_limited\"}",
+       stats.rejected_rate_limited},
+      {"symphase_requests_rejected_total{reason=\"draining\"}",
+       stats.rejected_draining},
+      {"symphase_shots_in_flight", stats.shots_in_flight},
+      {"symphase_requests_expired_running_total", stats.expired_running},
+      {"symphase_exec_timeouts_total", stats.exec_timeouts},
+      {"symphase_stalled_requests_total", stats.stalled},
+      {"symphase_worker_restarts_total", stats.worker_restarts},
+      {"symphase_error_emit_failures_total", stats.error_emit_failures},
+      {"symphase_longest_running_ms", stats.longest_running_ms},
+      {"symphase_workers_alive", stats.workers_alive},
+      {"symphase_served_total{priority=\"high\"}", stats.served_high},
+      {"symphase_served_total{priority=\"normal\"}", stats.served_normal},
+      {"symphase_served_total{priority=\"low\"}", stats.served_low},
+  };
+  for (const auto& [name, value] : series) {
+    EXPECT_EQ(metric_value(name), value) << name;
+  }
   EXPECT_NE(text.find("http_request_duration_seconds_bucket"),
             std::string::npos);
   EXPECT_NE(
@@ -254,12 +296,119 @@ TEST(HttpGateway, MetricsAgreeWithServiceStats) {
       std::string::npos);
   EXPECT_NE(text.find("le=\"+Inf\""), std::string::npos);
   EXPECT_NE(text.find("http_requests_total{endpoint=\"/v1/sample\","
-                      "code=\"200\"} 2"),
+                      "code=\"200\"} 4"),
             std::string::npos);
 
   // The registry view and the HTTP view are the same text.
   const std::string scraped = harness.server().gateway()->metrics().scrape();
   EXPECT_NE(scraped.find("symphase_cache_hits_total"), std::string::npos);
+}
+
+TEST(HttpGateway, MetricFamiliesKeepTheirNamesHelpAndTypes) {
+  // Every `# HELP`/`# TYPE` line of a live scrape, sorted, as recorded
+  // from the build before the service counters moved into one table.
+  // The families' order may change; their names, help text and types
+  // may not.
+  GatewayHarness harness;
+  HttpClient client(harness.http_port());
+  client.send_request("GET", "/metrics");
+  const HttpResponse response = client.read_response();
+  ASSERT_EQ(response.status, 200);
+  std::vector<std::string> lines;
+  std::istringstream in(response.body);
+  for (std::string line; std::getline(in, line);) {
+    if (line.rfind("# ", 0) == 0) {
+      lines.push_back(line);
+    }
+  }
+  std::sort(lines.begin(), lines.end());
+  const std::vector<std::string> expected = {
+      "# HELP http_connections_active Open HTTP connections",
+      "# HELP http_connections_total HTTP connections accepted",
+      "# HELP http_parse_errors_total Requests rejected by the HTTP parser",
+      "# HELP http_request_duration_seconds HTTP request latency from parse "
+      "to final response byte enqueued",
+      "# HELP http_requests_total HTTP requests by endpoint and status code",
+      "# HELP http_response_bytes_total Response bytes enqueued to HTTP "
+      "clients",
+      "# HELP symphase_accepting 1 while accepting new requests, 0 while "
+      "draining",
+      "# HELP symphase_active_jobs Requests currently executing",
+      "# HELP symphase_cache_evictions_total Sessions dropped by LRU pressure",
+      "# HELP symphase_cache_hits_total Requests served by a cached compiled "
+      "session",
+      "# HELP symphase_cache_misses_total Requests that had to create a "
+      "session",
+      "# HELP symphase_compiles_total Symbolic compilations",
+      "# HELP symphase_error_emit_failures_total Error frames the transport "
+      "emitter failed to deliver",
+      "# HELP symphase_exec_timeouts_total Watchdog enforcements of the "
+      "per-request execution wall-clock cap",
+      "# HELP symphase_frame_builds_total Frame-simulator builds",
+      "# HELP symphase_longest_running_ms Age in milliseconds of the oldest "
+      "in-flight run",
+      "# HELP symphase_queue_depth Requests waiting in the scheduler queue",
+      "# HELP symphase_queue_peak Highest queue depth ever observed",
+      "# HELP symphase_request_duration_seconds End-to-end request latency "
+      "(acceptance to final frame) by submitting transport",
+      "# HELP symphase_requests_cancelled_total Requests cancelled while "
+      "queued or mid-stream",
+      "# HELP symphase_requests_completed_total Requests finished successfully",
+      "# HELP symphase_requests_expired_running_total Requests cut mid-run by "
+      "the watchdog (deadline or execution cap); pre-run deadline rejections "
+      "stay in symphase_requests_rejected_total",
+      "# HELP symphase_requests_failed_total Requests that ended in an error "
+      "frame",
+      "# HELP symphase_requests_rejected_total Requests turned away before "
+      "execution, by reason",
+      "# HELP symphase_served_total Successfully completed requests by "
+      "priority class",
+      "# HELP symphase_shots_in_flight Shots queued plus running",
+      "# HELP symphase_stage_duration_seconds Per-request stage latency "
+      "(queue|compile|execute|emit)",
+      "# HELP symphase_stalled_requests_total In-flight runs flagged for "
+      "making no shard-chunk progress for stall_warn_ms",
+      "# HELP symphase_trace_dropped_events_total Trace events overwritten in "
+      "a ring buffer before a drain collected them",
+      "# HELP symphase_trace_enabled 1 while request-lifecycle trace "
+      "recording is on",
+      "# HELP symphase_worker_restarts_total Worker threads respawned after "
+      "an escaped exception",
+      "# HELP symphase_workers_alive Live worker threads",
+      "# TYPE http_connections_active gauge",
+      "# TYPE http_connections_total counter",
+      "# TYPE http_parse_errors_total counter",
+      "# TYPE http_request_duration_seconds histogram",
+      "# TYPE http_requests_total counter",
+      "# TYPE http_response_bytes_total counter",
+      "# TYPE symphase_accepting gauge",
+      "# TYPE symphase_active_jobs gauge",
+      "# TYPE symphase_cache_evictions_total counter",
+      "# TYPE symphase_cache_hits_total counter",
+      "# TYPE symphase_cache_misses_total counter",
+      "# TYPE symphase_compiles_total counter",
+      "# TYPE symphase_error_emit_failures_total counter",
+      "# TYPE symphase_exec_timeouts_total counter",
+      "# TYPE symphase_frame_builds_total counter",
+      "# TYPE symphase_longest_running_ms gauge",
+      "# TYPE symphase_queue_depth gauge",
+      "# TYPE symphase_queue_peak gauge",
+      "# TYPE symphase_request_duration_seconds histogram",
+      "# TYPE symphase_requests_cancelled_total counter",
+      "# TYPE symphase_requests_completed_total counter",
+      "# TYPE symphase_requests_expired_running_total counter",
+      "# TYPE symphase_requests_failed_total counter",
+      "# TYPE symphase_requests_rejected_total counter",
+      "# TYPE symphase_served_total counter",
+      "# TYPE symphase_shots_in_flight gauge",
+      "# TYPE symphase_stage_duration_seconds histogram",
+      "# TYPE symphase_stalled_requests_total counter",
+      "# TYPE symphase_trace_dropped_events_total counter",
+      "# TYPE symphase_trace_enabled gauge",
+      "# TYPE symphase_worker_restarts_total counter",
+      "# TYPE symphase_workers_alive gauge",
+  };
+  EXPECT_EQ(lines, expected);
 }
 
 TEST(HttpGateway, DrainRejectsNewWorkAndCompletes) {

@@ -294,12 +294,9 @@ TEST(SchedulerService, HighPriorityLateArrivalOvertakesEarlierLowPriority) {
   EXPECT_EQ(recorder.order(), (std::vector<std::uint64_t>{1, 4, 2, 3}));
 
   const ServiceStats stats = service.stats();
-  EXPECT_EQ(stats.served[static_cast<std::size_t>(RequestPriority::kHigh)],
-            1u);
-  EXPECT_EQ(stats.served[static_cast<std::size_t>(RequestPriority::kNormal)],
-            1u);  // the blocker
-  EXPECT_EQ(stats.served[static_cast<std::size_t>(RequestPriority::kLow)],
-            2u);
+  EXPECT_EQ(stats.served_high, 1u);
+  EXPECT_EQ(stats.served_normal, 1u);  // the blocker
+  EXPECT_EQ(stats.served_low, 2u);
   EXPECT_EQ(stats.queue_peak, 3u);
   EXPECT_EQ(stats.queue_depth, 0u);
 }

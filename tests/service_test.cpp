@@ -458,21 +458,56 @@ TEST(SamplingService, ClearSessionsRetiresCompilesIntoStats) {
   EXPECT_EQ(service.stats().compiles, 2u);
 }
 
-TEST(SimulatorSession, ResetDropsArtifactsAndRebuildsDeterministically) {
-  SimulatorSession session(parse_circuit(kCircuitA));
-  EXPECT_FALSE(session.artifacts().compiled);
-  const BitMatrix first =
-      session.run_to_matrix(SampleTask::measurements(500).with_seed(9));
-  EXPECT_TRUE(session.artifacts().compiled);
-  session.reset();
-  const SessionArtifacts after = session.artifacts();
-  EXPECT_FALSE(after.compiled);
-  EXPECT_FALSE(after.frames);
-  EXPECT_FALSE(after.layout);
-  // Back-to-back task on the same session after reset: identical bits.
-  const BitMatrix second =
-      session.run_to_matrix(SampleTask::measurements(500).with_seed(9));
-  EXPECT_EQ(first, second);
+TEST(ServiceStats, LineAndJsonBytesArePinned) {
+  // A distinct value in every field, rendered byte for byte as the
+  // build before the stats table did: key order, the nested served
+  // object and the always-zero fused_requests key all hold.
+  ServiceStats s;
+  s.hits = 1;
+  s.misses = 2;
+  s.evictions = 3;
+  s.compiles = 4;
+  s.frame_builds = 5;
+  s.completed = 6;
+  s.failed = 7;
+  s.queue_depth = 8;
+  s.queue_peak = 9;
+  s.rejected_expired = 10;
+  s.cancelled = 11;
+  s.expired_running = 12;
+  s.exec_timeouts = 13;
+  s.stalled = 14;
+  s.worker_restarts = 15;
+  s.error_emit_failures = 16;
+  s.rejected_queue_full = 17;
+  s.rejected_rate_limited = 18;
+  s.rejected_draining = 19;
+  s.shots_in_flight = 20;
+  s.longest_running_ms = 21;
+  s.workers_alive = 22;
+  s.served_high = 23;
+  s.served_normal = 24;
+  s.served_low = 25;
+  EXPECT_EQ(s.to_line(),
+            "hits=1 misses=2 evictions=3 compiles=4 frame_builds=5 "
+            "completed=6 failed=7 queue_depth=8 queue_peak=9 "
+            "rejected_expired=10 cancelled=11 rejected_queue_full=17 "
+            "rejected_rate_limited=18 rejected_draining=19 "
+            "shots_in_flight=20 expired_running=12 exec_timeouts=13 "
+            "stalled=14 worker_restarts=15 error_emit_failures=16 "
+            "longest_running_ms=21 workers_alive=22 served_high=23 "
+            "served_normal=24 served_low=25\n");
+  EXPECT_EQ(s.to_json(),
+            "{\"hits\":1,\"misses\":2,\"evictions\":3,\"compiles\":4,"
+            "\"frame_builds\":5,\"completed\":6,\"failed\":7,"
+            "\"queue_depth\":8,\"queue_peak\":9,\"rejected_expired\":10,"
+            "\"cancelled\":11,\"rejected_queue_full\":17,"
+            "\"rejected_rate_limited\":18,\"rejected_draining\":19,"
+            "\"shots_in_flight\":20,\"fused_requests\":0,"
+            "\"expired_running\":12,\"exec_timeouts\":13,\"stalled\":14,"
+            "\"worker_restarts\":15,\"error_emit_failures\":16,"
+            "\"longest_running_ms\":21,\"workers_alive\":22,"
+            "\"served\":{\"high\":23,\"normal\":24,\"low\":25}}\n");
 }
 
 TEST(SamplingService, RegistryIsLruBounded) {
