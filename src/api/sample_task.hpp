@@ -19,6 +19,9 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <stdexcept>
+#include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -44,6 +47,23 @@ enum class SampleBackend {
   /// circuit per shard, no compilation pass beyond the reference run.
   kFrameSimulator,
 };
+
+/// The backend's name on the CLI and the wire: "symphase" | "frames".
+constexpr std::string_view backend_name(SampleBackend backend) {
+  return backend == SampleBackend::kSymPhase ? "symphase" : "frames";
+}
+
+/// Parses backend_name()'s names; throws std::invalid_argument.
+inline SampleBackend backend_from_name(std::string_view name) {
+  if (name == "symphase") {
+    return SampleBackend::kSymPhase;
+  }
+  if (name == "frames") {
+    return SampleBackend::kFrameSimulator;
+  }
+  throw std::invalid_argument("unknown backend '" + std::string(name) +
+                              "' (symphase|frames)");
+}
 
 /// A value-type description of one sampling request.
 struct SampleTask {

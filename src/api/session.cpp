@@ -19,15 +19,15 @@ constexpr std::uint64_t kFrameReferenceSeed = 0;
 
 }  // namespace
 
-SimulatorSession::SimulatorSession(Circuit circuit, CompileOptions options)
-    : circuit_(std::move(circuit)), options_(options) {}
+SimulatorSession::SimulatorSession(Circuit circuit)
+    : circuit_(std::move(circuit)) {}
 
 const CompiledSampler& SimulatorSession::compiled() const {
   const std::lock_guard<std::mutex> lock(build_mutex_);
   if (!compiled_) {
     trace::Span build_span("build_compiled");
     compiled_ = std::make_unique<CompiledSampler>(
-        CompiledSampler::compile(circuit_, options_));
+        CompiledSampler::compile(circuit_));
     compiled_built_.store(true, std::memory_order_release);
   }
   return *compiled_;

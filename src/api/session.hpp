@@ -44,7 +44,7 @@ class SimulatorSession {
  public:
   /// Takes the circuit by value; compilation is deferred until a task
   /// needs the corresponding backend.
-  explicit SimulatorSession(Circuit circuit, CompileOptions options = {});
+  explicit SimulatorSession(Circuit circuit);
 
   const Circuit& circuit() const { return circuit_; }
 
@@ -98,7 +98,6 @@ class SimulatorSession {
   const DetectorLayout& detector_layout() const;
 
   Circuit circuit_;
-  CompileOptions options_;
   /// Guards lazy construction only; built artifacts are immutable and
   /// read concurrently.
   mutable std::mutex build_mutex_;

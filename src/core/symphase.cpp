@@ -6,23 +6,8 @@
 #include "api/sample_stream.hpp"
 #include "common/simd_word.hpp"
 #include "common/trace.hpp"
-#include "tableau/col_major_tableau.hpp"
-#include "tableau/row_major_tableau.hpp"
 
 namespace symphase {
-
-namespace {
-
-template <typename Layout>
-void compile_with_layout(const Circuit& circuit,
-                         std::unique_ptr<SymbolTable>& symbols,
-                         std::vector<MeasurementExpression>& expressions) {
-  SymPhaseCompiler<Layout> compiler(circuit);
-  symbols = std::make_unique<SymbolTable>(compiler.take_symbols());
-  expressions = compiler.take_expressions();
-}
-
-}  // namespace
 
 std::vector<std::uint32_t> xor_symbol_lists(
     const std::vector<std::uint32_t>& a, const std::vector<std::uint32_t>& b) {
@@ -80,22 +65,13 @@ std::vector<MeasurementExpression> combine_expressions(
 
 }  // namespace
 
-CompiledSampler CompiledSampler::compile(const Circuit& circuit,
-                                         const CompileOptions& options) {
+CompiledSampler CompiledSampler::compile(const Circuit& circuit) {
   CompiledSampler result;
-  switch (options.layout) {
-    case CompileOptions::Layout::kBlocked512:
-      compile_with_layout<BlockedTableau>(circuit, result.symbols_,
-                                          result.expressions_);
-      break;
-    case CompileOptions::Layout::kRowMajor:
-      compile_with_layout<RowMajorTableau>(circuit, result.symbols_,
-                                           result.expressions_);
-      break;
-    case CompileOptions::Layout::kColMajor:
-      compile_with_layout<ColMajorTableau>(circuit, result.symbols_,
-                                           result.expressions_);
-      break;
+  {
+    // Scoped: the tableau is freed before the detectors are combined.
+    DefaultSymPhaseCompiler compiler(circuit);
+    result.symbols_ = std::make_unique<SymbolTable>(compiler.take_symbols());
+    result.expressions_ = compiler.take_expressions();
   }
 
   const DetectorLayout layout = resolve_detectors(circuit);
@@ -236,9 +212,8 @@ double CompiledSampler::outcome_probability(std::size_t k) const {
 }
 
 BitMatrix sample_circuit(const Circuit& circuit, std::size_t num_samples,
-                         std::uint64_t seed, const CompileOptions& options) {
-  return CompiledSampler::compile(circuit, options)
-      .sample(num_samples, seed);
+                         std::uint64_t seed) {
+  return CompiledSampler::compile(circuit).sample(num_samples, seed);
 }
 
 std::string expression_to_string(const MeasurementExpression& expr) {

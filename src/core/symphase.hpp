@@ -39,14 +39,6 @@
 
 namespace symphase {
 
-/// Options for CompiledSampler::compile.
-struct CompileOptions {
-  /// Data layout for the symbolic tableau pass (paper §4). The blocked
-  /// layout is the paper's; the others exist for the layout study.
-  enum class Layout { kBlocked512, kRowMajor, kColMajor };
-  Layout layout = Layout::kBlocked512;
-};
-
 /// A circuit compiled once (Algorithm 1 Initialization) and sampled many
 /// times (Algorithm 1 Sampling). Cheap to sample repeatedly; the circuit
 /// is never traversed again after construction.
@@ -58,8 +50,9 @@ struct CompileOptions {
 /// first use, so a task pays only for the record it reads.
 class CompiledSampler {
  public:
-  static CompiledSampler compile(const Circuit& circuit,
-                                 const CompileOptions& options = {});
+  /// Runs the Initialization pass on the paper's blocked tableau layout
+  /// (§4); the other layouts are reachable through SymPhaseCompiler.
+  static CompiledSampler compile(const Circuit& circuit);
 
   std::size_t num_measurements() const;
   std::size_t num_symbols() const;
@@ -171,8 +164,7 @@ std::vector<std::uint32_t> xor_symbol_lists(
 
 /// One-call convenience: compile + sample.
 BitMatrix sample_circuit(const Circuit& circuit, std::size_t num_samples,
-                         std::uint64_t seed,
-                         const CompileOptions& options = {});
+                         std::uint64_t seed);
 
 /// Renders a measurement expression like "s3 ^ s7 ^ 1" (symbol 0 prints
 /// as the constant 1). Used by the fault-analysis tooling and examples.

@@ -133,17 +133,6 @@ void append_chunk(std::string& out, std::string_view payload) {
   out += "\r\n";
 }
 
-SampleBackend backend_from_name(std::string_view name) {
-  if (name == "symphase") {
-    return SampleBackend::kSymPhase;
-  }
-  if (name == "frames") {
-    return SampleBackend::kFrameSimulator;
-  }
-  throw std::invalid_argument("unknown backend '" + std::string(name) +
-                              "' (symphase|frames)");
-}
-
 /// JSON body -> SampleRequest. Typed fields only (enum names are
 /// validated here and re-rendered canonically), then a round trip
 /// through the directive codec so both transports accept exactly the

@@ -19,8 +19,7 @@
 
 #include "net/connection.hpp"
 #include "net/socket.hpp"
-#include "service/errors.hpp"
-#include "service/request.hpp"
+#include "service/frame_session.hpp"
 
 namespace symphase {
 
@@ -30,10 +29,6 @@ struct SocketServer::Impl : ConnectionHost {
         listen_at(parse_host_port(options.listen)),
         listener(tcp_listen(listen_at)),
         bound_port(local_port(listener)),
-        // Inbound frames follow the stdio loop's allowance: at least
-        // the decoder default, so big inline circuits always fit.
-        max_inbound(std::max(options.service.max_frame_payload,
-                             kDefaultMaxFramePayload)),
         service(options.service) {
     int pipe_fds[2];
     if (::pipe(pipe_fds) != 0) {
@@ -128,7 +123,6 @@ struct SocketServer::Impl : ConnectionHost {
   HostPort listen_at;
   Socket listener;
   std::uint16_t bound_port;
-  std::size_t max_inbound;
   Socket http_listener;  ///< Invalid when HTTP is disabled.
   std::uint16_t http_bound_port = 0;
   /// HTTP connection factory + metrics. Declared before `service` so
@@ -156,21 +150,23 @@ struct SocketServer::Impl : ConnectionHost {
 
 namespace {
 
-/// The frame-protocol connection: service/wire.hpp frames over the
-/// shared net/connection.hpp machinery. The wire behavior is the one
-/// the stdio loop defines — byte-identical streams, pinned by
-/// tests/socket_test.cpp.
+/// The frame-protocol connection: a FrameSession (the session rules
+/// `serve --stdio` runs too) over the shared net/connection.hpp
+/// machinery. What is left here is the transport: the outbound buffer
+/// the session's frames go to, and the idle timeout. Its map of open
+/// response streams is the base's inflight_, under the base's mutex_.
 class FrameConnection : public Connection,
                         public std::enable_shared_from_this<FrameConnection> {
  public:
   FrameConnection(ConnectionHost& host, Socket socket,
-                  std::size_t max_inbound, std::uint64_t client_id,
-                  std::uint64_t idle_timeout_ms)
+                  std::uint64_t client_id, std::uint64_t idle_timeout_ms)
       : Connection(host, std::move(socket), client_id),
         idle_timeout_(std::chrono::milliseconds(idle_timeout_ms)),
         idle_enabled_(idle_timeout_ms != 0),
         last_activity_(Clock::now()),
-        decoder_(max_inbound) {}
+        // The poll thread must never park on queue space.
+        session_(host.host_service(), mutex_, inflight_,
+                 /*may_block=*/false, client_id) {}
 
  protected:
   /// Idle-read timeout (SocketServerOptions::idle_timeout_ms): armed
@@ -204,7 +200,7 @@ class FrameConnection : public Connection,
                idle_timeout_)
                .count()
         << " ms; closing connection";
-    enqueue_error(0, make_error(ErrorCode::kTimeout, oss.str()));
+    emit_error_reply(emitter(), 0, make_error(ErrorCode::kTimeout, oss.str()));
     // Stop reading; the connection retires once the error frame flushed
     // (retire_when_idle_locked() — read_done_ — plus empty inflight_).
     const std::lock_guard<std::mutex> lock(mutex_);
@@ -216,51 +212,25 @@ class FrameConnection : public Connection,
       const std::lock_guard<std::mutex> lock(mutex_);
       last_activity_ = Clock::now();
     }
-    decoder_.feed(bytes);
-    Frame frame;
-    bool session_ok = true;
-    while (session_ok && decoder_.next(frame)) {
-      if (auto message = assembler_.accept(frame)) {
-        const std::uint64_t id = message->request_id;
-        session_ok = handle_message(std::move(*message));
-        if (!session_ok) {
-          std::ostringstream oss;
-          oss << "protocol error: request id " << id
-              << " reused while still in flight";
-          enqueue_error(0, make_error(ErrorCode::kBadCircuit, oss.str()));
-        }
-      }
-    }
-    if (decoder_.failed() || assembler_.failed()) {
-      const std::string reason =
-          decoder_.failed() ? decoder_.error() : assembler_.error();
-      enqueue_error(0, make_error(ErrorCode::kBadCircuit,
-                                  "protocol error: " + reason));
-      session_ok = false;
-    }
-    return session_ok;
+    return session_.feed(bytes, emitter());
   }
 
-  void on_read_end() override {
-    std::string eof_error;
-    if (!decoder_.finish()) {
-      eof_error = "protocol error: " + decoder_.error();
-    } else if (assembler_.open_messages() > 0) {
-      std::ostringstream oss;
-      oss << "protocol error: stream ended with "
-          << assembler_.open_messages() << " incomplete request(s)";
-      eof_error = oss.str();
-    }
-    if (!eof_error.empty()) {
-      enqueue_error(0, make_error(ErrorCode::kBadCircuit, eof_error));
-    }
-  }
+  void on_read_end() override { session_.finish(emitter()); }
 
  private:
+  /// The session's emitter. A submitted request holds it until its
+  /// final frame, and through it this connection.
+  FrameFn emitter() {
+    return [self = shared_from_this()](const FrameHeader& header,
+                                       std::string_view payload) {
+      self->enqueue_frame(header, payload);
+    };
+  }
+
   /// Appends one encoded frame to the outbound buffer. Runs on service
-  /// worker threads (and, for queued-cancel error frames, the poll
-  /// thread); backpressure and the final-frame inflight erase live in
-  /// the shared send_locked().
+  /// worker threads (and, for replies and queued-cancel error frames,
+  /// the poll thread); backpressure lives in the shared send_locked(),
+  /// under whose lock a final frame also releases its id.
   void enqueue_frame(const FrameHeader& header, std::string_view payload) {
     send_locked([&] {
       bool wake = false;
@@ -278,144 +248,11 @@ class FrameConnection : public Connection,
     });
   }
 
-  void enqueue_error(std::uint64_t request_id, const ServiceError& error) {
-    const std::string payload = encode_error_payload(error);
-    FrameHeader header;
-    header.request_id = request_id;
-    header.flags = kFrameLast | kFrameError;
-    header.payload_bytes = static_cast<std::uint32_t>(payload.size());
-    enqueue_frame(header, payload);
-  }
-
-  void enqueue_reply(std::uint64_t request_id, std::string_view reply) {
-    FrameHeader header;
-    header.request_id = request_id;
-    header.flags = kFrameLast;
-    header.payload_bytes = static_cast<std::uint32_t>(reply.size());
-    enqueue_frame(header, reply);
-  }
-
-  /// One complete request message. Mirrors the --stdio loop's verb
-  /// handling; divergences are documented in server.hpp. Returns false
-  /// on a session-fatal protocol error.
-  bool handle_message(MessageAssembler::Message message) {
-    SamplingService& service = host_.host_service();
-    if (message.request_id == 0) {
-      enqueue_error(0, make_error(ErrorCode::kBadCircuit,
-                                  "request_id 0 is reserved for "
-                                  "session-level errors"));
-      return true;
-    }
-    {
-      const std::lock_guard<std::mutex> lock(mutex_);
-      if (!inflight_.emplace(message.request_id, 0).second) {
-        return false;  // concurrent id reuse: protocol error
-      }
-    }
-    if (message.error) {
-      enqueue_error(message.request_id,
-                    make_error(ErrorCode::kBadCircuit,
-                               "client sent an error frame"));
-      return true;
-    }
-    try {
-      SampleRequest request = parse_request_payload(message.payload);
-      switch (request.verb) {
-        case RequestVerb::kRegister: {
-          // Parses on the loop thread — a deliberate tradeoff: register
-          // is a rare control verb and its reply must come from the
-          // registration, while the hot path (inline sample/detect
-          // circuits) parses on worker threads. A multi-MB register
-          // does stall other clients for the parse; route registrations
-          // through sample-by-inline-text if that ever matters.
-          const std::string digest =
-              service.register_circuit(request.circuit_text);
-          enqueue_reply(message.request_id, "digest=" + digest + "\n");
-          break;
-        }
-        case RequestVerb::kStats: {
-          // Snapshot, not drain: draining would park the shared event
-          // loop behind every other client's queue.
-          const ServiceStats stats = service.stats();
-          enqueue_reply(message.request_id, request.stats_json
-                                                ? stats.to_json()
-                                                : stats.to_line());
-          break;
-        }
-        case RequestVerb::kHealth: {
-          const ServiceHealth health = service.health();
-          enqueue_reply(message.request_id, request.stats_json
-                                                ? health.to_json()
-                                                : health.to_line());
-          break;
-        }
-        case RequestVerb::kCancel: {
-          std::uint64_t ticket = 0;
-          {
-            const std::lock_guard<std::mutex> lock(mutex_);
-            const auto it = inflight_.find(request.cancel_id);
-            ticket = it == inflight_.end() ? 0 : it->second;
-          }
-          if (ticket != 0 && service.cancel(ticket)) {
-            enqueue_reply(message.request_id, "cancelled\n");
-          } else {
-            std::ostringstream oss;
-            oss << "request " << request.cancel_id
-                << " is not in flight on this connection";
-            enqueue_error(message.request_id,
-                          make_error(ErrorCode::kBadCircuit, oss.str()));
-          }
-          break;
-        }
-        case RequestVerb::kSample:
-        case RequestVerb::kDetect: {
-          const std::uint64_t id = message.request_id;
-          auto self = shared_from_this();
-          const FrameFn emit = [self](const FrameHeader& header,
-                                      std::string_view payload) {
-            self->enqueue_frame(header, payload);
-          };
-          // try_submit, not submit: the loop thread must never park on
-          // queue space — workers free that space only after draining
-          // response bytes through sockets only this thread flushes, so
-          // blocking here could deadlock the whole transport. Admission
-          // rejections (full/shed queue, rate limit, drain) turn into
-          // structured error frames with a retry hint.
-          ServiceError rejection;
-          const std::uint64_t ticket = service.try_submit(
-              id, std::move(request), emit, client_id(), &rejection,
-              /*transport=*/"frame");
-          if (ticket == 0) {
-            enqueue_error(id, rejection);
-            break;
-          }
-          const std::lock_guard<std::mutex> lock(mutex_);
-          const auto it = inflight_.find(id);
-          if (it != inflight_.end()) {
-            // Still streaming (the final frame can race try_submit()'s
-            // return; if it won, the entry is already gone).
-            it->second = ticket;
-          }
-          break;
-        }
-      }
-    } catch (const std::invalid_argument& e) {
-      // Parse/validation failures of the client's own payload.
-      enqueue_error(message.request_id,
-                    make_error(ErrorCode::kBadCircuit, e.what()));
-    } catch (const std::exception& e) {
-      enqueue_error(message.request_id,
-                    make_error(ErrorCode::kInternal, e.what()));
-    }
-    return true;
-  }
-
   const Clock::duration idle_timeout_;
   const bool idle_enabled_;
   /// Last inbound byte or response completion (mutex_).
   Clock::time_point last_activity_;
-  FrameDecoder decoder_;
-  MessageAssembler assembler_;
+  FrameSession session_;
 };
 
 }  // namespace
@@ -542,7 +379,7 @@ bool SocketServer::run() {
               *impl, std::move(accepted), client_id));
         } else {
           impl->connections.push_back(std::make_shared<FrameConnection>(
-              *impl, std::move(accepted), impl->max_inbound, client_id,
+              *impl, std::move(accepted), client_id,
               impl->options.idle_timeout_ms));
         }
       }

@@ -19,17 +19,17 @@
 /// DAC-style chunked codeword framing stays the single contract across
 /// transports.
 ///
-/// Per connection, the server enforces the same session rules as the
-/// stdio loop: request ids are scoped to the connection (the service
-/// demultiplexes internally by ticket), id 0 is reserved, and reusing
-/// an id whose response is still streaming is a protocol error that
-/// ends that connection only. Disconnects cancel the connection's
-/// queued and in-flight requests — abandoned work stops at the next
-/// shard-chunk boundary instead of sampling into a void.
-///
-/// Verb differences from --stdio (documented in docs/service.md):
-/// `stats` replies with a live snapshot instead of draining — a drain
-/// would block the shared loop on every other client's work.
+/// Each frame connection runs one FrameSession
+/// (service/frame_session.hpp), the session `serve --stdio` runs for
+/// its one client: request ids are scoped to the connection, id 0 is
+/// reserved, and reusing an id whose response is still streaming is a
+/// protocol error that ends that connection only. The sessions here
+/// run with may_block = false, since the loop thread must never park:
+/// a full queue sheds the request with a `queue_full` error frame, and
+/// `stats` replies with a live snapshot instead of draining (see
+/// docs/service.md). Disconnects cancel the connection's queued and
+/// in-flight requests — abandoned work stops at the next shard-chunk
+/// boundary instead of sampling into a void.
 ///
 /// Shutdown comes in two shapes. shutdown() is immediate: every
 /// connection closes, outstanding requests are cancelled. drain() is

@@ -7,6 +7,7 @@
 #include <cstring>
 #include <istream>
 #include <limits>
+#include <stdexcept>
 #include <vector>
 
 #include "bitvec/transpose.hpp"
@@ -30,9 +31,8 @@ SampleFormat sample_format_from_name(std::string_view name) {
   if (name == "dets") {
     return SampleFormat::kDets;
   }
-  SYMPHASE_CHECK_MSG(false, "unknown sample format '"
-                                << name << "' (01|hex|b8|ptb64|dets)");
-  return SampleFormat::k01;
+  throw std::invalid_argument("unknown sample format '" + std::string(name) +
+                              "' (01|hex|b8|ptb64|dets)");
 }
 
 namespace {

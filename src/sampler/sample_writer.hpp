@@ -48,7 +48,8 @@ namespace symphase {
 
 enum class SampleFormat { k01, kHex, kB8, kPtb64, kDets };
 
-/// Parses "01", "hex", "b8", "ptb64", "dets"; throws on anything else.
+/// Parses "01", "hex", "b8", "ptb64", "dets"; throws
+/// std::invalid_argument on anything else.
 SampleFormat sample_format_from_name(std::string_view name);
 
 /// Appends shots [shot_begin, shot_end) of `samples` (measurement-major)

@@ -40,22 +40,6 @@ std::vector<std::size_t> parse_rows(std::string_view value) {
   return rows;
 }
 
-SampleBackend parse_backend(std::string_view value) {
-  if (value == "symphase") {
-    return SampleBackend::kSymPhase;
-  }
-  if (value == "frames") {
-    return SampleBackend::kFrameSimulator;
-  }
-  SYMPHASE_CHECK_MSG(false,
-                     "unknown backend '" << value << "' (symphase|frames)");
-  return SampleBackend::kSymPhase;
-}
-
-std::string_view backend_name(SampleBackend backend) {
-  return backend == SampleBackend::kSymPhase ? "symphase" : "frames";
-}
-
 std::string_view format_name(SampleFormat format) {
   switch (format) {
     case SampleFormat::k01:
@@ -159,7 +143,7 @@ SampleRequest parse_request_payload(std::string_view payload) {
     } else if (key == "format") {
       request.format = sample_format_from_name(value);
     } else if (key == "backend") {
-      request.task.backend = parse_backend(value);
+      request.task.backend = backend_from_name(value);
     } else if (key == "rows") {
       request.task.bit_selection = parse_rows(value);
     } else if (key == "priority") {

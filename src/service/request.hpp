@@ -15,9 +15,10 @@
 ///   sample   stream measurement shots back           (circuit or digest=)
 ///   detect   stream detection events back            (circuit or digest=)
 ///   register parse + register the circuit, reply "digest=<hex>\n"
-///   stats    reply one line of service counters (the stdio loop drains
-///            first so the counters reflect every previously submitted
-///            request; the socket server snapshots — see docs/service.md)
+///   stats    reply one line of service counters (a session that may
+///            block, as on stdio, drains first so the counters reflect
+///            every previously submitted request; the socket server
+///            snapshots — see frame_session.hpp)
 ///   cancel   id=N: cancel the in-flight/queued request N on this
 ///            transport session; reply "cancelled\n", or an error frame
 ///            when N is unknown or already finished

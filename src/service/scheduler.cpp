@@ -1,5 +1,8 @@
 #include "service/scheduler.hpp"
 
+#include <stdexcept>
+#include <string>
+
 namespace symphase {
 
 RequestPriority priority_from_name(std::string_view name) {
@@ -12,9 +15,8 @@ RequestPriority priority_from_name(std::string_view name) {
   if (name == "low") {
     return RequestPriority::kLow;
   }
-  SYMPHASE_CHECK_MSG(false,
-                     "unknown priority '" << name << "' (high|normal|low)");
-  return RequestPriority::kNormal;
+  throw std::invalid_argument("unknown priority '" + std::string(name) +
+                              "' (high|normal|low)");
 }
 
 }  // namespace symphase

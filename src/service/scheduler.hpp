@@ -15,7 +15,7 @@
 /// requests sort after every deadline-carrying one in their class).
 /// The index (ticket -> heap slot) makes cancellation of a *queued*
 /// request O(log n) instead of a scan — the service's cancel() uses it,
-/// and the serve loops map client request ids onto tickets.
+/// and each FrameSession maps its client's request ids onto tickets.
 ///
 /// Deadlines are scheduling hints AND admission gates: the queue itself
 /// never drops anything, but the service checks `deadline` when a

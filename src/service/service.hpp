@@ -42,10 +42,11 @@
 /// request and is respawned (see docs/service.md, "Watchdog &
 /// execution limits").
 ///
-/// The in-process API is below; `symphase serve --stdio` (framed
-/// stdin/stdout) and `symphase serve --listen` (the TCP server in
-/// src/net/) wrap it — same frames, byte-compatible streams (see
-/// docs/service.md).
+/// The in-process API is below. The frame protocol reaches it through
+/// one FrameSession per client (frame_session.hpp), which both
+/// `symphase serve --stdio` (framed stdin/stdout) and `symphase serve
+/// --listen` (the TCP server in src/net/) run — same frames,
+/// byte-compatible streams (see docs/service.md).
 ///
 ///   SamplingService service;
 ///   const std::string digest = service.register_circuit(circuit_text);

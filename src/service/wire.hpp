@@ -139,7 +139,7 @@ class FrameDecoder {
 /// chunk_index (starting at 0), the per-message size cap, and the
 /// open-message cap. Requests may interleave arbitrarily; a request_id
 /// can be reused once its previous message completed — but never while
-/// it is still in flight (the serve loop enforces that side).
+/// it is still in flight (FrameSession enforces that side).
 class MessageAssembler {
  public:
   struct Message {

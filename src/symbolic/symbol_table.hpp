@@ -36,6 +36,8 @@ struct SymbolGroup {
   double probability = 0.0;       // channel parameter p (unused for coins)
   std::uint32_t first_symbol = 0; // id of the group's first symbol
   std::uint32_t num_symbols = 1;
+
+  bool operator==(const SymbolGroup&) const = default;
 };
 
 class SymbolTable {

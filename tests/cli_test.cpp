@@ -186,6 +186,16 @@ TEST(Cli, BackendFlagSelectsFrameSimulator) {
   EXPECT_EQ(r.output, "10\n10\n10\n");  // deterministic circuit
   const CommandResult bad = run_cli("sample " + path + " --backend quantum");
   EXPECT_EQ(bad.exit_code, 2);
+  // Every unknown enum name is a usage error, checked before any work
+  // (the --connect address is never dialled).
+  for (const std::string& args :
+       {"sample " + path + " --format bogus",
+        "sample " + path + " --connect 127.0.0.1:1 --priority bogus"}) {
+    const CommandResult r = run_cli(args);
+    EXPECT_EQ(r.exit_code, 2) << args << "\n" << r.output;
+    EXPECT_EQ(r.output.rfind("error: unknown ", 0), 0u) << args << "\n"
+                                                        << r.output;
+  }
 }
 
 TEST(Cli, DetectThreadsDeterministic) {

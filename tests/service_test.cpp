@@ -151,6 +151,21 @@ TEST(RequestCodec, RejectsMalformedDirectives) {
   both += std::string(32, '0');
   both += "\nM 0\n";
   EXPECT_THROW(parse_request_payload(both), std::invalid_argument);
+  // An unknown enum name says so, without a check's source location.
+  for (const char* bad : {
+           "sample format=bogus\nM 0\n",
+           "sample backend=bogus\nM 0\n",
+           "sample priority=bogus\nM 0\n",
+       }) {
+    try {
+      parse_request_payload(bad);
+      ADD_FAILURE() << "accepted " << bad;
+    } catch (const std::invalid_argument& e) {
+      const std::string what = e.what();
+      EXPECT_EQ(what.rfind("unknown ", 0), 0u) << what;
+      EXPECT_EQ(what.find("check failed"), std::string::npos) << what;
+    }
+  }
 }
 
 TEST(SamplingService, SameDigestRequestsCompileOnceAcrossTextVariants) {

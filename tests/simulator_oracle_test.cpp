@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <vector>
 
 #include "circuit/generators.hpp"
 #include "statevector/state_vector.hpp"
@@ -17,13 +18,16 @@ namespace {
 /// the oracle is postselected along the tableau's measurement outcomes,
 /// asserting that each outcome has the right oracle probability
 /// (1.0 when the tableau says deterministic, 0.5 when random).
+/// Record-controlled Paulis read the lockstep's own outcome record.
 template <typename Layout>
 void run_lockstep(const Circuit& circuit, std::uint64_t seed) {
   const std::size_t n = circuit.num_qubits();
   StabilizerSimulator<Layout> sim(n, seed);
   StateVector sv(n);
+  std::vector<bool> record;  // M and MR outcomes; R records nothing
 
-  const auto measure_both = [&](std::uint32_t q, bool reset_after) {
+  const auto measure_both = [&](std::uint32_t q, bool reset_after,
+                                bool recorded) {
     const bool deterministic = sim.measurement_is_deterministic(q);
     const double p0 = sv.prob_zero(q);
     if (deterministic) {
@@ -37,6 +41,9 @@ void run_lockstep(const Circuit& circuit, std::uint64_t seed) {
       ASSERT_EQ(r.outcome, p0 < 0.5);
     }
     sv.postselect(q, r.outcome);
+    if (recorded) {
+      record.push_back(r.outcome);
+    }
     if (reset_after && r.outcome) {
       sim.apply_unitary(GateType::X, q);
       sv.apply_gate(GateType::X, q);
@@ -59,18 +66,33 @@ void run_lockstep(const Circuit& circuit, std::uint64_t seed) {
         break;
       case GateKind::kMeasure:
         for (const std::uint32_t q : inst.targets) {
-          measure_both(q, inst.type == GateType::MR);
+          measure_both(q, inst.type == GateType::MR, /*recorded=*/true);
         }
         break;
       case GateKind::kReset:
         for (const std::uint32_t q : inst.targets) {
-          measure_both(q, true);
+          measure_both(q, true, /*recorded=*/false);
         }
         break;
+      case GateKind::kControlled: {
+        const GateType pauli = inst.type == GateType::COND_X   ? GateType::X
+                               : inst.type == GateType::COND_Y ? GateType::Y
+                                                               : GateType::Z;
+        for (std::size_t i = 0; i < inst.targets.size(); i += 2) {
+          const std::uint32_t lookback = rec_lookback(inst.targets[i]);
+          ASSERT_LE(lookback, record.size());
+          if (record[record.size() - lookback]) {
+            sim.apply_unitary(pauli, inst.targets[i + 1]);
+            sv.apply_gate(pauli, inst.targets[i + 1]);
+          }
+        }
+        break;
+      }
       case GateKind::kNoise1:
       case GateKind::kNoise2:
+      case GateKind::kDetector:
       case GateKind::kAnnotation:
-        break;  // noise-free lockstep
+        break;  // noise-free lockstep; detectors sample nothing
     }
   }
 

@@ -52,7 +52,7 @@
 #include "net/client.hpp"
 #include "net/server.hpp"
 #include "sampler/sample_writer.hpp"
-#include "service/errors.hpp"
+#include "service/frame_session.hpp"
 #include "service/request.hpp"
 #include "service/service.hpp"
 #include "service/wire.hpp"
@@ -191,6 +191,17 @@ class Options {
     return it == values_.end() ? std::move(fallback) : it->second;
   }
 
+  /// Reads an enum-valued flag through one of the library's name
+  /// parsers (backend_from_name, ...); an unknown name is a usage error.
+  template <typename Parse>
+  auto get_named(const std::string& key, std::string fallback, Parse parse) {
+    try {
+      return parse(get_string(key, std::move(fallback)));
+    } catch (const std::invalid_argument& e) {
+      usage(e.what());
+    }
+  }
+
   /// Presence check without consuming — for flags that are only valid
   /// in combination with another flag.
   bool has(const std::string& key) const { return values_.contains(key); }
@@ -244,16 +255,6 @@ std::string load_circuit_text(const std::string& path) {
   return oss.str();
 }
 
-SampleBackend backend_from_name(const std::string& name) {
-  if (name == "symphase") {
-    return SampleBackend::kSymPhase;
-  }
-  if (name == "frames") {
-    return SampleBackend::kFrameSimulator;
-  }
-  usage("unknown backend '" + name + "' (symphase|frames)");
-}
-
 /// Shared option handling for the sampling subcommands: every knob of a
 /// SampleTask is surfaced as a flag.
 SampleTask task_from_options(SampleTarget target, Options& opt) {
@@ -262,7 +263,7 @@ SampleTask task_from_options(SampleTarget target, Options& opt) {
   task.shots = opt.get_u64("shots", 1024);
   task.seed = opt.get_u64("seed", 0);
   task.num_threads = opt.get_u64("threads", 0);
-  task.backend = backend_from_name(opt.get_string("backend", "symphase"));
+  task.backend = opt.get_named("backend", "symphase", backend_from_name);
   return task;
 }
 
@@ -309,7 +310,7 @@ int run_remote(const std::string& address, const std::string& path,
   request.verb = verb;
   request.task = task;
   request.format = format;
-  request.priority = priority_from_name(opt.get_string("priority", "normal"));
+  request.priority = opt.get_named("priority", "normal", priority_from_name);
   request.deadline_ms = opt.get_u64("deadline-ms", 0);
   const std::uint64_t repeat =
       std::max<std::uint64_t>(1, opt.get_u64("repeat", 1));
@@ -426,7 +427,7 @@ int cmd_sample(const std::string& path, Options& opt) {
   const SampleTask task =
       task_from_options(SampleTarget::kMeasurements, opt);
   const SampleFormat format =
-      sample_format_from_name(opt.get_string("format", "01"));
+      opt.get_named("format", "01", sample_format_from_name);
   if (format == SampleFormat::kDets) {
     usage("dets format is for `symphase detect`");
   }
@@ -446,7 +447,7 @@ int cmd_detect(const std::string& path, Options& opt) {
   const SampleTask task =
       task_from_options(SampleTarget::kDetectionEvents, opt);
   const SampleFormat format =
-      sample_format_from_name(opt.get_string("format", "dets"));
+      opt.get_named("format", "dets", sample_format_from_name);
   const std::string connect = opt.get_string("connect", "");
   if (!connect.empty()) {
     return run_remote(connect, path, RequestVerb::kDetect, task, format, opt);
@@ -528,77 +529,35 @@ ServiceOptions read_service_options(Options& opt, std::string& trace_out) {
   return service;
 }
 
-/// The framed stdio service loop. Frames arrive on stdin (possibly
-/// split across reads), complete request messages are parsed and fed to
-/// the SamplingService, and response frames go to stdout — interleaved
-/// across in-flight requests, serialized per frame by a write mutex.
-/// Protocol errors on stdin (bad framing) end the session with exit 1
-/// after an error frame for request 0; per-request errors (bad
-/// directive, parse failure, unknown digest) only fail that request.
+/// The framed stdio service loop: one FrameSession fed from stdin, its
+/// frames written to stdout, interleaved across in-flight requests one
+/// whole frame at a time. A protocol error (bad framing, in-flight id
+/// reuse) ends the session with exit 1 once accepted work has drained;
+/// per-request errors (bad directive, parse failure, unknown digest)
+/// only fail that request.
 int cmd_serve(Options& opt) {
   std::string trace_out;
   const ServiceOptions service_options = read_service_options(opt, trace_out);
   opt.finish();
 
-  SamplingService service(service_options);
-  std::mutex out_mutex;
-  // request_ids with a response stream still open, mapped to their
-  // scheduler tickets (0 until submit() hands one back) so `cancel
-  // id=N` can reach them. A request may reuse an id its previous
-  // message completed with, but concurrent reuse would interleave two
-  // chunk sequences under one id and poison the client's assembler —
-  // it is rejected as a protocol error below.
-  std::mutex inflight_mutex;
+  // The writer ships a frame and, for a final frame, releases its id
+  // under the session's lock in one step. Declared before the service,
+  // whose workers may still emit while it is destroyed.
+  std::mutex mutex;
   std::map<std::uint64_t, std::uint64_t> inflight;
   const FrameFn emit = [&](const FrameHeader& header,
                            std::string_view payload) {
-    {
-      const std::lock_guard<std::mutex> lock(out_mutex);
-      write_frame(std::cout, header, payload);
-      std::cout.flush();
-    }
+    const std::lock_guard<std::mutex> lock(mutex);
+    write_frame(std::cout, header, payload);
+    std::cout.flush();
     if ((header.flags & kFrameLast) != 0) {
-      const std::lock_guard<std::mutex> lock(inflight_mutex);
       inflight.erase(header.request_id);
     }
   };
-  const auto emit_error = [&emit](std::uint64_t request_id,
-                                  const ServiceError& error) {
-    FrameHeader header;
-    header.request_id = request_id;
-    header.flags = kFrameLast | kFrameError;
-    emit(header, encode_error_payload(error));
-  };
-  // Claims `id` for a response stream; false = already streaming.
-  const auto claim = [&](std::uint64_t id) {
-    const std::lock_guard<std::mutex> lock(inflight_mutex);
-    return inflight.emplace(id, 0).second;
-  };
-  // Records id's ticket — unless the request already finished (its
-  // final frame may race submit()'s return and erase the entry first).
-  const auto record_ticket = [&](std::uint64_t id, std::uint64_t ticket) {
-    const std::lock_guard<std::mutex> lock(inflight_mutex);
-    const auto it = inflight.find(id);
-    if (it != inflight.end()) {
-      it->second = ticket;
-    }
-  };
-  const auto ticket_of = [&](std::uint64_t id) -> std::uint64_t {
-    const std::lock_guard<std::mutex> lock(inflight_mutex);
-    const auto it = inflight.find(id);
-    return it == inflight.end() ? 0 : it->second;
-  };
-
-  // Raising --max-frame also raises the inbound allowance (it never
-  // shrinks below the decoder default, so big inline circuits keep
-  // working with the small response-chunk default).
-  FrameDecoder decoder(
-      std::max<std::size_t>(service_options.max_frame_payload,
-                            kDefaultMaxFramePayload));
-  MessageAssembler assembler;
+  SamplingService service(service_options);
+  FrameSession session(service, mutex, inflight, /*may_block=*/true);
   std::vector<char> buffer(1 << 16);
-  std::string protocol_error;
-  while (protocol_error.empty()) {
+  for (;;) {
     // POSIX read: returns as soon as *any* bytes are available, so an
     // interactive client gets its response without having to fill a
     // buffer or close stdin first (istream::read would block for the
@@ -607,146 +566,19 @@ int cmd_serve(Options& opt) {
     if (got < 0 && errno == EINTR) {
       continue;
     }
-    if (got <= 0) {
-      break;
-    }
-    decoder.feed({buffer.data(), static_cast<std::size_t>(got)});
-    Frame frame;
-    while (protocol_error.empty() && decoder.next(frame)) {
-      const auto message = assembler.accept(frame);
-      if (!message) {
-        continue;
-      }
-      if (message->request_id == 0) {
-        // 0 is reserved for session-level error frames, so a response
-        // under it could collide with one; refuse it per-request.
-        emit_error(0, make_error(ErrorCode::kBadCircuit,
-                                 "request_id 0 is reserved for "
-                                 "session-level errors"));
-        continue;
-      }
-      if (!claim(message->request_id)) {
-        std::ostringstream oss;
-        oss << "request id " << message->request_id
-            << " reused while still in flight";
-        protocol_error = oss.str();
-        break;
-      }
-      if (message->error) {
-        emit_error(message->request_id,
-                   make_error(ErrorCode::kBadCircuit,
-                              "client sent an error frame"));
-        continue;
-      }
-      try {
-        SampleRequest request = parse_request_payload(message->payload);
-        switch (request.verb) {
-          case RequestVerb::kRegister: {
-            const std::string digest =
-                service.register_circuit(request.circuit_text);
-            FrameHeader header;
-            header.request_id = message->request_id;
-            header.flags = kFrameLast;
-            emit(header, "digest=" + digest + "\n");
-            break;
-          }
-          case RequestVerb::kStats: {
-            // Quiesce first so the reply reflects every request that was
-            // submitted before this one on the stream.
-            service.drain();
-            FrameHeader header;
-            header.request_id = message->request_id;
-            header.flags = kFrameLast;
-            const ServiceStats stats = service.stats();
-            emit(header, request.stats_json ? stats.to_json() : stats.to_line());
-            break;
-          }
-          case RequestVerb::kHealth: {
-            // A point-in-time snapshot — deliberately no drain() here;
-            // health must answer while the queue is busy.
-            FrameHeader header;
-            header.request_id = message->request_id;
-            header.flags = kFrameLast;
-            const ServiceHealth health = service.health();
-            emit(header,
-                 request.stats_json ? health.to_json() : health.to_line());
-            break;
-          }
-          case RequestVerb::kCancel: {
-            // The cancel message has its own id (claimed above); the
-            // target is request.cancel_id within this session.
-            const std::uint64_t ticket = ticket_of(request.cancel_id);
-            if (ticket != 0 && service.cancel(ticket)) {
-              FrameHeader header;
-              header.request_id = message->request_id;
-              header.flags = kFrameLast;
-              emit(header, "cancelled\n");
-            } else {
-              std::ostringstream oss;
-              oss << "request " << request.cancel_id
-                  << " is not in flight on this session";
-              emit_error(message->request_id,
-                         make_error(ErrorCode::kBadCircuit, oss.str()));
-            }
-            break;
-          }
-          case RequestVerb::kSample:
-          case RequestVerb::kDetect: {
-            const std::uint64_t id = message->request_id;
-            // All stdio requests share client id 0 for admission — one
-            // pipe, one client. A rejection returns ticket 0 and emits
-            // no frames, so ship the structured error here.
-            ServiceError rejection;
-            const std::uint64_t ticket =
-                service.submit(id, std::move(request), emit, 0, &rejection,
-                               /*transport=*/"frame");
-            if (ticket == 0) {
-              emit_error(id, rejection);
-              break;
-            }
-            record_ticket(id, ticket);
-            break;
-          }
-        }
-      } catch (const std::invalid_argument& e) {
-        emit_error(message->request_id,
-                   make_error(ErrorCode::kBadCircuit, e.what()));
-      } catch (const std::exception& e) {
-        emit_error(message->request_id,
-                   make_error(ErrorCode::kInternal, e.what()));
-      }
-    }
-    if (decoder.failed() || assembler.failed()) {
+    if (got <= 0 ||
+        !session.feed({buffer.data(), static_cast<std::size_t>(got)}, emit)) {
       break;
     }
   }
+  const std::string error = session.finish(emit);
   service.drain();
   if (!trace_out.empty()) {
     std::ofstream out(trace_out, std::ios::trunc);
     out << trace::drain_json();
   }
-  if (!protocol_error.empty()) {
-    emit_error(0, make_error(ErrorCode::kBadCircuit,
-                             "protocol error: " + protocol_error));
-    std::cerr << "error: protocol error: " << protocol_error << '\n';
-    return 1;
-  }
-  if (decoder.failed() || assembler.failed() || !decoder.finish()) {
-    const std::string reason = decoder.failed()
-                                   ? decoder.error()
-                                   : assembler.failed() ? assembler.error()
-                                                        : decoder.error();
-    emit_error(0, make_error(ErrorCode::kBadCircuit,
-                             "protocol error: " + reason));
-    std::cerr << "error: protocol error: " << reason << '\n';
-    return 1;
-  }
-  if (assembler.open_messages() > 0) {
-    std::ostringstream oss;
-    oss << "protocol error: stream ended with " << assembler.open_messages()
-        << " incomplete request(s)";
-    emit_error(0, make_error(ErrorCode::kBadCircuit, oss.str()));
-    std::cerr << "error: " << oss.str() << '\n';
+  if (!error.empty()) {
+    std::cerr << "error: " << error << '\n';
     return 1;
   }
   return 0;
