@@ -17,56 +17,73 @@ namespace {
 /// the task alone.
 constexpr std::uint64_t kFrameReferenceSeed = 0;
 
+/// Builds `artifact` with `make` unless it exists, under `mutex` and a
+/// `span` trace span. Returns whether this call built it. An artifact
+/// is never reset, so once built it is read without the lock.
+template <typename T, typename Make>
+bool build_once(std::mutex& mutex, std::unique_ptr<T>& artifact,
+                const char* span, Make make) {
+  const std::lock_guard<std::mutex> lock(mutex);
+  if (artifact) {
+    return false;
+  }
+  trace::Span build_span(span);
+  artifact = make();
+  return true;
+}
+
 }  // namespace
 
 SimulatorSession::SimulatorSession(Circuit circuit)
     : circuit_(std::move(circuit)) {}
 
-const CompiledSampler& SimulatorSession::compiled() const {
-  const std::lock_guard<std::mutex> lock(build_mutex_);
-  if (!compiled_) {
-    trace::Span build_span("build_compiled");
-    compiled_ = std::make_unique<CompiledSampler>(
+bool SimulatorSession::build_compiled() const {
+  return build_once(build_mutex_, compiled_, "build_compiled", [this] {
+    return std::make_unique<CompiledSampler>(
         CompiledSampler::compile(circuit_));
-    compiled_built_.store(true, std::memory_order_release);
-  }
+  });
+}
+
+bool SimulatorSession::build_frames() const {
+  return build_once(build_mutex_, frames_, "build_frames", [this] {
+    return std::make_unique<FrameSimulator>(circuit_, kFrameReferenceSeed);
+  });
+}
+
+const CompiledSampler& SimulatorSession::compiled() const {
+  build_compiled();
   return *compiled_;
 }
 
 const FrameSimulator& SimulatorSession::frames() const {
-  const std::lock_guard<std::mutex> lock(build_mutex_);
-  if (!frames_) {
-    trace::Span build_span("build_frames");
-    frames_ = std::make_unique<FrameSimulator>(circuit_, kFrameReferenceSeed);
-    frames_built_.store(true, std::memory_order_release);
-  }
+  build_frames();
   return *frames_;
 }
 
 const DetectorLayout& SimulatorSession::detector_layout() const {
-  const std::lock_guard<std::mutex> lock(build_mutex_);
-  if (!layout_) {
-    trace::Span build_span("build_layout");
-    layout_ = std::make_unique<DetectorLayout>(resolve_detectors(circuit_));
-  }
+  build_once(build_mutex_, layout_, "build_layout", [this] {
+    return std::make_unique<DetectorLayout>(resolve_detectors(circuit_));
+  });
   return *layout_;
 }
 
-void SimulatorSession::prepare(const SampleTask& task) const {
+SessionArtifacts SimulatorSession::prepare(const SampleTask& task) const {
   const bool measurements = task.target == SampleTarget::kMeasurements;
   if (!measurements) {
     detector_layout();
   }
+  SessionArtifacts built;
   if (task.backend == SampleBackend::kSymPhase) {
-    const CompiledSampler& cs = compiled();
+    built.compiled = build_compiled();
     if (measurements) {
-      cs.measurement_sampler();
+      compiled_->measurement_sampler();
     } else {
-      cs.detection_sampler();
+      compiled_->detection_sampler();
     }
   } else {
-    frames();
+    built.frames = build_frames();
   }
+  return built;
 }
 
 std::size_t SimulatorSession::num_detectors() const {
@@ -173,13 +190,6 @@ BitMatrix SimulatorSession::run_to_matrix(const SampleTask& task) const {
   BitMatrixSink sink;
   run(task, sink);
   return sink.take();
-}
-
-SessionArtifacts SimulatorSession::artifacts() const {
-  SessionArtifacts a;
-  a.compiled = compiled_built_.load(std::memory_order_acquire);
-  a.frames = frames_built_.load(std::memory_order_acquire);
-  return a;
 }
 
 }  // namespace symphase

@@ -31,9 +31,9 @@
 
 namespace symphase {
 
-/// Which of a session's lazily built artifacts currently exist. The
-/// service's cache stats are summed from these snapshots: `compiled`
-/// flips to true exactly once per SymPhase compilation, so "how many
+/// Which of a session's lazily built artifacts one prepare() call
+/// built. Each artifact is built by exactly one call, so the service
+/// counts its `compiles` and `frame_builds` from these: "how many
 /// compiles did N requests cost" is directly observable.
 struct SessionArtifacts {
   bool compiled = false;  ///< CompiledSampler (symbolic compilation) built.
@@ -83,19 +83,20 @@ class SimulatorSession {
   /// layout) to exist — exactly the lazy builds run() would trigger.
   /// Lets a caller bracket the compile stage (trace spans, stage
   /// histograms) separately from execution; a second call is a cheap
-  /// mutex acquire + pointer checks.
-  void prepare(const SampleTask& task) const;
+  /// mutex acquire + pointer checks. Returns which of the compiled
+  /// sampler and the frame baseline this call built (none when another
+  /// call already had).
+  SessionArtifacts prepare(const SampleTask& task) const;
 
   /// Convenience: run() into a BitMatrixSink and return the matrix
   /// (measurement-major, like CompiledSampler::sample).
   BitMatrix run_to_matrix(const SampleTask& task) const;
 
-  /// Snapshot of which artifacts have been built so far. Never blocks —
-  /// safe to call (for stats) while another thread is mid-compile.
-  SessionArtifacts artifacts() const;
-
  private:
   const DetectorLayout& detector_layout() const;
+  /// Build the artifact unless it exists; true when this call built it.
+  bool build_compiled() const;
+  bool build_frames() const;
 
   Circuit circuit_;
   /// Guards lazy construction only; built artifacts are immutable and
@@ -104,11 +105,6 @@ class SimulatorSession {
   mutable std::unique_ptr<CompiledSampler> compiled_;
   mutable std::unique_ptr<FrameSimulator> frames_;
   mutable std::unique_ptr<DetectorLayout> layout_;
-  /// Lock-free mirrors of the pointers above for artifacts(): stats and
-  /// cache-eviction accounting must never block behind an in-progress
-  /// compile holding build_mutex_.
-  mutable std::atomic<bool> compiled_built_{false};
-  mutable std::atomic<bool> frames_built_{false};
 };
 
 }  // namespace symphase

@@ -460,7 +460,7 @@ class HttpConnection : public Connection,
     ServiceError rejection;
     const std::uint64_t ticket = gateway_.service_.try_submit(
         seq, std::move(request), std::move(emit), client_id(), &rejection,
-        /*transport=*/"http");
+        RequestTransport::kHttp);
     {
       const std::lock_guard<std::mutex> lock(mutex_);
       awaiting_ticket_ = false;

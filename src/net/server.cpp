@@ -4,6 +4,7 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <array>
 #include <atomic>
 #include <cerrno>
 #include <chrono>
@@ -49,41 +50,41 @@ struct SocketServer::Impl : ConnectionHost {
       // the gateway's registry, so frame/TCP requests show up on
       // /metrics exactly like HTTP ones. Wired before run() accepts
       // anything, as set_timing_observer requires.
+      // The stage histograms cover the stages that partition a request
+      // (every RequestStage before kTotal); kTotal goes to the histogram
+      // of the request's transport.
+      constexpr std::size_t kTotal =
+          static_cast<std::size_t>(RequestStage::kTotal);
       MetricsRegistry& reg = gateway->metrics();
-      const auto stage_hist = [&reg](const char* stage) {
-        return &reg.histogram(
-            "symphase_stage_duration_seconds",
-            "Per-request stage latency (queue|compile|execute|emit)",
-            Histogram::default_latency_bounds(), {{"stage", stage}});
-      };
-      const auto request_hist = [&reg](const char* transport) {
-        return &reg.histogram(
+      std::string stage_help = "Per-request stage latency (";
+      for (std::size_t i = 0; i < kTotal; ++i) {
+        stage_help += (i == 0 ? "" : "|");
+        stage_help += kRequestStageNames[i];
+      }
+      stage_help += ")";
+      std::array<Histogram*, kTotal> stage_h{};
+      for (std::size_t i = 0; i < kTotal; ++i) {
+        stage_h[i] = &reg.histogram(
+            "symphase_stage_duration_seconds", stage_help,
+            Histogram::default_latency_bounds(),
+            {{"stage", std::string(kRequestStageNames[i])}});
+      }
+      std::array<Histogram*, kNumRequestTransports> request_h{};
+      for (std::size_t i = 0; i < kNumRequestTransports; ++i) {
+        request_h[i] = &reg.histogram(
             "symphase_request_duration_seconds",
             "End-to-end request latency (acceptance to final frame) by "
             "submitting transport",
-            Histogram::default_latency_bounds(), {{"transport", transport}});
-      };
-      Histogram* queue_h = stage_hist("queue");
-      Histogram* compile_h = stage_hist("compile");
-      Histogram* execute_h = stage_hist("execute");
-      Histogram* emit_h = stage_hist("emit");
-      Histogram* frame_h = request_hist("frame");
-      Histogram* http_h = request_hist("http");
-      Histogram* local_h = request_hist("local");
+            Histogram::default_latency_bounds(),
+            {{"transport", std::string(kRequestTransportNames[i])}});
+      }
       service.set_timing_observer(
-          [queue_h, compile_h, execute_h, emit_h, frame_h, http_h,
-           local_h](const RequestTiming& t) {
-            queue_h->observe(t.queue_s);
-            compile_h->observe(t.compile_s);
-            execute_h->observe(t.execute_s);
-            emit_h->observe(t.emit_s);
-            if (std::strcmp(t.transport, "http") == 0) {
-              http_h->observe(t.total_s);
-            } else if (std::strcmp(t.transport, "frame") == 0) {
-              frame_h->observe(t.total_s);
-            } else {
-              local_h->observe(t.total_s);
+          [stage_h, request_h](const RequestTiming& t) {
+            for (std::size_t i = 0; i < kTotal; ++i) {
+              stage_h[i]->observe(t.seconds[i]);
             }
+            request_h[static_cast<std::size_t>(t.transport)]->observe(
+                t.seconds[kTotal]);
           });
     }
   }

@@ -24,16 +24,6 @@ void emit_reply(const FrameFn& emit, std::uint64_t request_id,
 
 }  // namespace
 
-void emit_error_reply(const FrameFn& emit, std::uint64_t request_id,
-                      const ServiceError& error) {
-  const std::string payload = encode_error_payload(error);
-  FrameHeader header;
-  header.request_id = request_id;
-  header.flags = kFrameLast | kFrameError;
-  header.payload_bytes = static_cast<std::uint32_t>(payload.size());
-  emit(header, payload);
-}
-
 FrameSession::FrameSession(SamplingService& service, std::mutex& mutex,
                            std::map<std::uint64_t, std::uint64_t>& inflight,
                            bool may_block, std::uint64_t client_id)
@@ -179,10 +169,10 @@ void FrameSession::submit(std::uint64_t id, SampleRequest request,
   ServiceError rejection;
   const std::uint64_t ticket =
       may_block_ ? service_.submit(id, std::move(request), emit, client_id_,
-                                   &rejection, /*transport=*/"frame")
+                                   &rejection, RequestTransport::kFrame)
                  : service_.try_submit(id, std::move(request), emit,
                                        client_id_, &rejection,
-                                       /*transport=*/"frame");
+                                       RequestTransport::kFrame);
   if (ticket == 0) {
     emit_error_reply(emit, id, rejection);
     return;

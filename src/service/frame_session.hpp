@@ -23,6 +23,10 @@
 ///    (malformed directive, circuit parse error, admission rejection)
 ///    gets an error frame on its own id while the session goes on.
 ///
+/// The session's error frames are written by emit_error_reply
+/// (service.hpp), the same encoder as the service's own error final
+/// frames.
+///
 /// The transports differ in one property, `may_block`. The stdio
 /// reader may wait (true): sample/detect use the blocking submit(), and
 /// `stats` drains first so its counters reflect every request submitted
@@ -53,10 +57,6 @@
 #include "service/wire.hpp"
 
 namespace symphase {
-
-/// Emits `error` as the final, error-flagged frame of `request_id`.
-void emit_error_reply(const FrameFn& emit, std::uint64_t request_id,
-                      const ServiceError& error);
 
 class FrameSession {
  public:

@@ -1,6 +1,7 @@
 #include "service/service.hpp"
 
 #include <algorithm>
+#include <array>
 #include <chrono>
 #include <cstdio>
 #include <iomanip>
@@ -17,46 +18,6 @@ namespace symphase {
 
 namespace {
 
-/// One request's stage partition, in steady-clock ns. queue + compile +
-/// execute + emit == total up to clamping (each stage is clamped at 0
-/// individually, so a degenerate clock never produces underflowed
-/// giants).
-struct StageBreakdown {
-  std::uint64_t queue_ns = 0;
-  std::uint64_t compile_ns = 0;
-  std::uint64_t execute_ns = 0;
-  std::uint64_t emit_ns = 0;
-  std::uint64_t total_ns = 0;
-};
-
-/// Derives the partition from the lifecycle marks. Marks a request
-/// never reached are zero and collapse their stage to zero: a request
-/// cancelled in the queue has only queue time, a cache-hit compile is
-/// near-zero, an errored run keeps whatever it accrued. `emit_ns` is
-/// the sink-accumulated serialize+ship time; execute is the rest of
-/// the post-compile window.
-StageBreakdown stage_breakdown(std::uint64_t accept_ns, std::uint64_t claim_ns,
-                               std::uint64_t compile_done_ns,
-                               std::uint64_t emit_ns, std::uint64_t end_ns) {
-  const auto delta = [](std::uint64_t from, std::uint64_t to) {
-    return to > from ? to - from : 0;
-  };
-  if (claim_ns == 0) {
-    claim_ns = end_ns;
-  }
-  if (compile_done_ns == 0) {
-    compile_done_ns = claim_ns;
-  }
-  StageBreakdown s;
-  s.queue_ns = delta(accept_ns, claim_ns);
-  s.compile_ns = delta(claim_ns, compile_done_ns);
-  s.emit_ns = emit_ns;
-  const std::uint64_t run_ns = delta(compile_done_ns, end_ns);
-  s.execute_ns = run_ns > emit_ns ? run_ns - emit_ns : 0;
-  s.total_ns = delta(accept_ns, end_ns);
-  return s;
-}
-
 /// Renders ns as fixed-point milliseconds with microsecond precision
 /// ("12.345") — locale-independent, no scientific notation.
 void append_ms(std::ostringstream& oss, std::uint64_t ns) {
@@ -68,51 +29,35 @@ void append_ms(std::ostringstream& oss, std::uint64_t ns) {
 /// The Server-Timing value (RFC draft syntax: `name;dur=ms, ...`) the
 /// gateway forwards verbatim as an HTTP trailer and the frame protocol
 /// carries in its kFrameTiming final frame.
-std::string render_server_timing(const StageBreakdown& s) {
+std::string render_server_timing(
+    const std::array<std::uint64_t, kNumRequestStages>& ns) {
   std::ostringstream oss;
-  const auto stage = [&oss](const char* name, std::uint64_t ns, bool first) {
-    if (!first) {
-      oss << ", ";
-    }
-    oss << name << ";dur=";
-    append_ms(oss, ns);
-  };
-  stage("queue", s.queue_ns, true);
-  stage("compile", s.compile_ns, false);
-  stage("execute", s.execute_ns, false);
-  stage("emit", s.emit_ns, false);
-  stage("total", s.total_ns, false);
+  for (std::size_t i = 0; i < kNumRequestStages; ++i) {
+    oss << (i == 0 ? "" : ", ") << kRequestStageNames[i] << ";dur=";
+    append_ms(oss, ns[i]);
+  }
   return oss.str();
 }
 
 /// SampleSink that renders each chunk with append_samples into one
 /// reused byte buffer (the same renderer and ptb64 alignment check as
 /// the streaming CLI's WriterSink) and ships the bytes as wire data
-/// frames, split at the payload cap. end() appends the final status
-/// frame.
+/// frames, split at the payload cap. The request's final frame is the
+/// service's to send, numbered claim_chunk_index().
 class FrameSink final : public SampleSink {
  public:
+  /// Adds each chunk's serialize+ship time to `emit_ns`.
   FrameSink(std::uint64_t request_id, SampleFormat format,
             std::size_t max_payload, const FrameFn& emit,
             std::atomic<std::uint64_t>* progress, std::uint64_t ticket,
-            bool want_timing)
+            std::uint64_t& emit_ns)
       : request_id_(request_id),
         max_payload_(max_payload),
         emit_(emit),
         progress_(progress),
         ticket_(ticket),
         format_(format),
-        want_timing_(want_timing) {}
-
-  /// Installs the pre-execution clock marks the final timing frame
-  /// needs. Called once the compile stage has finished, before any
-  /// chunk flows; all marks are steady-clock ns (common/trace.hpp).
-  void set_timing_marks(std::uint64_t accept_ns, std::uint64_t claim_ns,
-                        std::uint64_t compile_done_ns) {
-    accept_ns_ = accept_ns;
-    claim_ns_ = claim_ns;
-    compile_done_ns_ = compile_done_ns;
-  }
+        emit_ns_(emit_ns) {}
 
   void begin(const SampleStreamInfo& info) override { info_ = info; }
 
@@ -126,7 +71,7 @@ class FrameSink final : public SampleSink {
          offset += max_payload_) {
       FrameHeader header;
       header.request_id = request_id_;
-      header.chunk_index = next_chunk_++;
+      header.chunk_index = claim_chunk_index();
       const std::string_view slice =
           std::string_view(buffer_).substr(offset, max_payload_);
       header.payload_bytes = static_cast<std::uint32_t>(slice.size());
@@ -143,34 +88,12 @@ class FrameSink final : public SampleSink {
     }
   }
 
-  void end() override {
-    end_ns_ = trace::now_ns();
-    FrameHeader header;
-    header.request_id = request_id_;
-    header.chunk_index = next_chunk_++;
-    header.flags = kFrameLast;
-    std::string payload;
-    if (want_timing_) {
-      // The client asked for the stage summary (`timing=1`): the final
-      // frame carries it as a kFrameTiming payload instead of the
-      // classic empty body. Clients that did not opt in never see the
-      // flag, so their byte streams are unchanged.
-      header.flags |= kFrameTiming;
-      payload = render_server_timing(stage_breakdown(
-          accept_ns_, claim_ns_, compile_done_ns_, emit_ns_, end_ns_));
-      header.payload_bytes = static_cast<std::uint32_t>(payload.size());
-    }
-    emit_(header, payload);
-  }
+  /// The index of the request's next frame, counted as sent: every
+  /// frame's index, data or final, stays contiguous.
+  std::uint32_t claim_chunk_index() { return next_chunk_++; }
 
-  /// The chunk index an error frame should carry to stay contiguous.
+  /// The index the request's next frame would carry.
   std::uint32_t next_chunk_index() const { return next_chunk_; }
-
-  /// Accumulated serialize+ship time across every chunk (ns).
-  std::uint64_t emit_ns() const { return emit_ns_; }
-  /// When the final frame shipped (steady ns); 0 if end() never ran
-  /// (errored/cancelled streams are abandoned without end()).
-  std::uint64_t end_ns() const { return end_ns_; }
 
  private:
   std::uint64_t request_id_;
@@ -179,13 +102,8 @@ class FrameSink final : public SampleSink {
   std::atomic<std::uint64_t>* progress_;
   std::uint64_t ticket_;
   SampleFormat format_;
-  bool want_timing_;
+  std::uint64_t& emit_ns_;
   SampleStreamInfo info_;
-  std::uint64_t accept_ns_ = 0;
-  std::uint64_t claim_ns_ = 0;
-  std::uint64_t compile_done_ns_ = 0;
-  std::uint64_t emit_ns_ = 0;
-  std::uint64_t end_ns_ = 0;
   std::string buffer_;
   std::uint32_t next_chunk_ = 0;
 };
@@ -200,7 +118,7 @@ std::uint64_t ms_between(SchedulerClock::time_point from,
           .count());
 }
 
-/// account() picks a completed request's served_* row by its priority:
+/// finish() picks a completed request's served_* row by its priority:
 /// the rows follow RequestPriority order, each labelled priority_name().
 constexpr bool served_rows_follow_priorities() {
   const auto first = static_cast<std::size_t>(ServiceStat::served_high);
@@ -216,6 +134,17 @@ constexpr bool served_rows_follow_priorities() {
 static_assert(served_rows_follow_priorities());
 
 }  // namespace
+
+void emit_error_reply(const FrameFn& emit, std::uint64_t request_id,
+                      const ServiceError& error, std::uint32_t chunk_index) {
+  const std::string payload = encode_error_payload(error);
+  FrameHeader header;
+  header.request_id = request_id;
+  header.chunk_index = chunk_index;
+  header.flags = kFrameLast | kFrameError;
+  header.payload_bytes = static_cast<std::uint32_t>(payload.size());
+  emit(header, payload);
+}
 
 std::string ServiceHealth::to_line() const {
   std::ostringstream oss;
@@ -292,7 +221,7 @@ std::uint64_t SamplingService::submit(std::uint64_t request_id,
                                       SampleRequest request, FrameFn emit,
                                       std::uint64_t client_id,
                                       ServiceError* rejection,
-                                      const char* transport) {
+                                      RequestTransport transport) {
   return submit_impl(request_id, std::move(request), std::move(emit),
                      client_id, rejection, transport, /*blocking=*/true);
 }
@@ -301,7 +230,7 @@ std::uint64_t SamplingService::try_submit(std::uint64_t request_id,
                                           SampleRequest request, FrameFn emit,
                                           std::uint64_t client_id,
                                           ServiceError* rejection,
-                                          const char* transport) {
+                                          RequestTransport transport) {
   return submit_impl(request_id, std::move(request), std::move(emit),
                      client_id, rejection, transport, /*blocking=*/false);
 }
@@ -310,7 +239,7 @@ std::uint64_t SamplingService::submit_impl(std::uint64_t request_id,
                                            SampleRequest request, FrameFn emit,
                                            std::uint64_t client_id,
                                            ServiceError* rejection,
-                                           const char* transport,
+                                           RequestTransport transport,
                                            bool blocking) {
   SYMPHASE_CHECK_MSG(request.verb == RequestVerb::kSample ||
                          request.verb == RequestVerb::kDetect,
@@ -413,8 +342,10 @@ bool SamplingService::cancel(std::uint64_t ticket) {
   }
   // Dequeued before it ever ran: answer it here, from the canceller's
   // thread (FrameFn implementations are thread-safe by contract).
-  finish_without_running(item.payload, ServiceStat::cancelled,
-                         make_error(ErrorCode::kCancelled, "request cancelled"));
+  finish(item.payload,
+         {ServiceStat::cancelled,
+          make_error(ErrorCode::kCancelled, "request cancelled")},
+         /*next_chunk=*/0, {});
   {
     const std::lock_guard<std::mutex> lock(queue_mutex_);
     --active_jobs_;
@@ -503,29 +434,15 @@ void SamplingService::stop() {
 
 void SamplingService::clear_sessions() {
   const std::lock_guard<std::mutex> lock(cache_mutex_);
-  for (const auto& [digest, entry] : cache_) {
-    retire_artifacts(*entry.session);
-    bump(ServiceStat::evictions);
-  }
+  bump(ServiceStat::evictions, cache_.size());
   cache_.clear();
   lru_.clear();
 }
 
 ServiceStats SamplingService::stats() const {
   ServiceStats s;
-  {
-    // Under cache_mutex_, so a session retiring between the counter
-    // loads and the sweep of live sessions is counted exactly once.
-    const std::lock_guard<std::mutex> lock(cache_mutex_);
-    for (std::size_t i = 0; i < kNumServiceStats; ++i) {
-      s.*kServiceStatRows[i].field =
-          counters_[i].load(std::memory_order_acquire);
-    }
-    for (const auto& [digest, entry] : cache_) {
-      const SessionArtifacts artifacts = entry.session->artifacts();
-      s.compiles += artifacts.compiled;
-      s.frame_builds += artifacts.frames;
-    }
+  for (std::size_t i = 0; i < kNumServiceStats; ++i) {
+    s.*kServiceStatRows[i].field = counters_[i].load(std::memory_order_acquire);
   }
   {
     const std::lock_guard<std::mutex> lock(queue_mutex_);
@@ -538,16 +455,6 @@ ServiceStats SamplingService::stats() const {
   }
   s.longest_running_ms = longest_running_ms();
   return s;
-}
-
-void SamplingService::retire_artifacts(const SimulatorSession& session) {
-  // Snapshot at retirement: a request still holding the evicted session
-  // and compiling concurrently is counted a frame late (or not at all if
-  // the service is destroyed first) — an accounting race accepted for
-  // not keeping evicted sessions alive.
-  const SessionArtifacts artifacts = session.artifacts();
-  bump(ServiceStat::compiles, artifacts.compiled);
-  bump(ServiceStat::frame_builds, artifacts.frames);
 }
 
 std::shared_ptr<SimulatorSession> SamplingService::session_for(
@@ -575,9 +482,7 @@ std::shared_ptr<SimulatorSession> SamplingService::session_for(
   while (cache_.size() > options_.session_cache_capacity) {
     const std::string victim = lru_.back();
     lru_.pop_back();
-    const auto it = cache_.find(victim);
-    retire_artifacts(*it->second.session);
-    cache_.erase(it);
+    cache_.erase(victim);
     bump(ServiceStat::evictions);
   }
   return session;
@@ -626,12 +531,11 @@ void SamplingService::worker_loop(std::size_t worker_index) {
       crash_reason = "unknown exception";
     }
     if (crashed) {
-      emit_error_frame(job, /*chunk_index=*/0,
-                       make_error(ErrorCode::kInternal,
-                                  "worker crashed: " + crash_reason));
-      account(ServiceStat::failed, job.request.priority);
-      finish_timing(job, /*compile_done_ns=*/0, /*emit_ns=*/0,
-                    /*end_ns=*/0, /*ok=*/false);
+      finish(job,
+             {ServiceStat::failed, make_error(ErrorCode::kInternal,
+                                              "worker crashed: " +
+                                                  crash_reason)},
+             /*next_chunk=*/0, {});
     }
     unregister_running(job);
     {
@@ -830,94 +734,115 @@ void SamplingService::watchdog_loop() {
   }
 }
 
-void SamplingService::account(ServiceStat outcome, RequestPriority priority) {
-  if (outcome == ServiceStat::completed) {
-    bump(static_cast<ServiceStat>(
-        static_cast<std::size_t>(ServiceStat::served_high) +
-        static_cast<std::size_t>(priority)));  // first: see bump()
-  }
-  bump(outcome);
-}
-
 void SamplingService::account_rejection(ErrorCode code) {
   bump(code == ErrorCode::kRateLimited ? ServiceStat::rejected_rate_limited
        : code == ErrorCode::kDraining  ? ServiceStat::rejected_draining
                                        : ServiceStat::rejected_queue_full);
 }
 
-void SamplingService::emit_error_frame(const Job& job,
-                                       std::uint32_t chunk_index,
-                                       const ServiceError& error) {
-  try {
-    const std::string payload = encode_error_payload(error);
-    FrameHeader header;
-    header.request_id = job.request_id;
-    header.chunk_index = chunk_index;
-    header.flags = kFrameLast | kFrameError;
-    header.payload_bytes = static_cast<std::uint32_t>(payload.size());
-    job.emit(header, payload);
-  } catch (...) {
-    // The emitter itself failed (e.g. a closed client stream); the
-    // request is still accounted, there is nobody left to tell — but
-    // the drop is observable (stats + Prometheus) instead of silent.
-    bump(ServiceStat::error_emit_failures);
-  }
+SamplingService::StageNs SamplingService::stage_breakdown(
+    const Job& job, const RunMarks& marks) {
+  const auto delta = [](std::uint64_t from, std::uint64_t to) {
+    return to > from ? to - from : 0;
+  };
+  // Each stage is clamped at 0 on its own, so a degenerate clock never
+  // produces underflowed giants; a request cancelled in the queue has
+  // only queue time, and an errored run keeps what it accrued.
+  const std::uint64_t claim_ns =
+      job.claim_ns == 0 ? marks.end_ns : job.claim_ns;
+  const std::uint64_t compile_done_ns =
+      marks.compile_done_ns == 0 ? claim_ns : marks.compile_done_ns;
+  const std::uint64_t run_ns = delta(compile_done_ns, marks.end_ns);
+  StageNs ns{};
+  const auto stage = [&ns](RequestStage s) -> std::uint64_t& {
+    return ns[static_cast<std::size_t>(s)];
+  };
+  stage(RequestStage::kQueue) = delta(job.accept_ns, claim_ns);
+  stage(RequestStage::kCompile) = delta(claim_ns, compile_done_ns);
+  stage(RequestStage::kExecute) =
+      run_ns > marks.emit_ns ? run_ns - marks.emit_ns : 0;
+  stage(RequestStage::kEmit) = marks.emit_ns;
+  stage(RequestStage::kTotal) = delta(job.accept_ns, marks.end_ns);
+  return ns;
 }
 
-void SamplingService::finish_without_running(Job& job, ServiceStat outcome,
-                                             const ServiceError& error) {
-  emit_error_frame(job, /*chunk_index=*/0, error);
-  account(outcome, job.request.priority);
-  finish_timing(job, /*compile_done_ns=*/0, /*emit_ns=*/0, /*end_ns=*/0,
-                /*ok=*/false);
+SamplingService::Ending SamplingService::cut_ending(const RunControl& control,
+                                                    bool mid_run) {
+  // The flag is usually a client cancel, but the watchdog may have set
+  // it; its reason, stored before the flag, decides.
+  const std::uint32_t abort =
+      control.abort_reason.load(std::memory_order_acquire);
+  if (abort == kAbortNone) {
+    return {ServiceStat::cancelled,
+            make_error(ErrorCode::kCancelled, "request cancelled")};
+  }
+  const bool cap = abort == kAbortExecTimeout;
+  const char* text =
+      mid_run ? (cap ? "execution wall-clock cap exceeded mid-run"
+                     : "deadline expired mid-run")
+              : (cap ? "execution wall-clock cap exceeded"
+                     : "deadline expired during execution");
+  return {ServiceStat::expired_running,
+          make_error(ErrorCode::kDeadlineExpired, text)};
 }
 
-void SamplingService::finish_timing(const Job& job,
-                                    std::uint64_t compile_done_ns,
-                                    std::uint64_t emit_ns,
-                                    std::uint64_t end_ns, bool ok) const {
-  if (end_ns == 0) {
-    // The stream never shipped a final frame (pre-run rejection,
-    // error, cancellation): the request still ends now.
-    end_ns = trace::now_ns();
+void SamplingService::finish(const Job& job, const Ending& ending,
+                             std::uint32_t next_chunk, RunMarks marks) {
+  const bool ok = ending.outcome == ServiceStat::completed;
+  if (ok) {
+    bump(static_cast<ServiceStat>(
+        static_cast<std::size_t>(ServiceStat::served_high) +
+        static_cast<std::size_t>(job.request.priority)));  // first: see bump()
+  } else {
+    try {
+      emit_error_reply(job.emit, job.request_id, ending.error, next_chunk);
+    } catch (...) {
+      // The emitter itself failed (e.g. a closed client stream); the
+      // request is still accounted, there is nobody left to tell — but
+      // the drop is observable (stats + Prometheus) instead of silent.
+      bump(ServiceStat::error_emit_failures);
+    }
   }
-  const StageBreakdown s = stage_breakdown(job.accept_ns, job.claim_ns,
-                                           compile_done_ns, emit_ns, end_ns);
-  if (compile_done_ns != 0) {
+  bump(ending.outcome);
+  if (marks.end_ns == 0) {
+    // No final frame was due (pre-run rejection, error, cancellation):
+    // the request ends now.
+    marks.end_ns = trace::now_ns();
+  }
+  const StageNs ns = stage_breakdown(job, marks);
+  if (marks.compile_done_ns != 0) {
     // The post-compile window as one span; per-chunk emit spans overlay
     // it on the same thread track.
-    trace::span("execute", compile_done_ns, end_ns, job.request_id,
-                job.ticket);
+    trace::span("execute", marks.compile_done_ns, marks.end_ns,
+                job.request_id, job.ticket);
   }
-  trace::instant(ok ? "done" : "aborted", job.request_id, job.ticket);
+  trace::instant(
+      ok ? "done" : "aborted", job.request_id, job.ticket,
+      /*aux=*/ok ? 0 : static_cast<std::uint64_t>(ending.error.code));
   if (options_.timing_observer) {
     RequestTiming t;
     t.request_id = job.request_id;
     t.ticket = job.ticket;
     t.transport = job.transport;
-    t.queue_s = static_cast<double>(s.queue_ns) * 1e-9;
-    t.compile_s = static_cast<double>(s.compile_ns) * 1e-9;
-    t.execute_s = static_cast<double>(s.execute_ns) * 1e-9;
-    t.emit_s = static_cast<double>(s.emit_ns) * 1e-9;
-    t.total_s = static_cast<double>(s.total_ns) * 1e-9;
+    for (std::size_t i = 0; i < kNumRequestStages; ++i) {
+      t.seconds[i] = static_cast<double>(ns[i]) * 1e-9;
+    }
     t.ok = ok;
     options_.timing_observer(t);
   }
+  const std::uint64_t total_ns =
+      ns[static_cast<std::size_t>(RequestStage::kTotal)];
   if (options_.slow_request_ms != 0 &&
-      s.total_ns >= options_.slow_request_ms * 1'000'000ull) {
+      total_ns >= options_.slow_request_ms * 1'000'000ull) {
     std::ostringstream oss;
     oss << "{\"event\":\"slow_request\",\"id\":" << job.request_id
-        << ",\"ticket\":" << job.ticket << ",\"transport\":\"" << job.transport
-        << "\",\"ok\":" << (ok ? "true" : "false") << ",\"queue_ms\":";
-    append_ms(oss, s.queue_ns);
-    oss << ",\"compile_ms\":";
-    append_ms(oss, s.compile_ns);
-    oss << ",\"execute_ms\":";
-    append_ms(oss, s.execute_ns);
-    oss << ",\"emit_ms\":";
-    append_ms(oss, s.emit_ns);
-    oss << ",\"total_ms\":";
-    append_ms(oss, s.total_ns);
+        << ",\"ticket\":" << job.ticket << ",\"transport\":\""
+        << kRequestTransportNames[static_cast<std::size_t>(job.transport)]
+        << "\",\"ok\":" << (ok ? "true" : "false");
+    for (std::size_t i = 0; i < kNumRequestStages; ++i) {
+      oss << ",\"" << kRequestStageNames[i] << "_ms\":";
+      append_ms(oss, ns[i]);
+    }
     oss << "}";
     watchdog_emit(oss.str());
   }
@@ -928,41 +853,28 @@ void SamplingService::process(Job& job) {
   // request — whether it expired while queued or in the instant after
   // the pop, it is rejected before any compilation or sampling.
   if (job.deadline != kNoDeadline && SchedulerClock::now() > job.deadline) {
-    finish_without_running(
-        job, ServiceStat::rejected_expired,
-        make_error(ErrorCode::kDeadlineExpired,
-                   "deadline expired before sampling started"));
+    finish(job,
+           {ServiceStat::rejected_expired,
+            make_error(ErrorCode::kDeadlineExpired,
+                       "deadline expired before sampling started")},
+           /*next_chunk=*/0, {});
     return;
   }
   if (job.control->cancel.load(std::memory_order_relaxed)) {
-    // The flag is usually a client cancel, but the watchdog can have
-    // cut the run already (an exec cap shorter than the gate-to-run
-    // window); its stored reason, written before the flag, decides.
-    const std::uint32_t abort =
-        job.control->abort_reason.load(std::memory_order_acquire);
-    if (abort != kAbortNone) {
-      finish_without_running(
-          job, ServiceStat::expired_running,
-          make_error(ErrorCode::kDeadlineExpired,
-                     abort == kAbortExecTimeout
-                         ? "execution wall-clock cap exceeded"
-                         : "deadline expired during execution"));
-    } else {
-      finish_without_running(job, ServiceStat::cancelled,
-                             make_error(ErrorCode::kCancelled,
-                                        "request cancelled"));
-    }
+    // A client cancel, or a watchdog cut that came before the gate (an
+    // exec cap shorter than the gate-to-run window).
+    finish(job, cut_ending(*job.control, /*mid_run=*/false),
+           /*next_chunk=*/0, {});
     return;
   }
+  // compile_done_ns stays 0 when the fault hook, session lookup or
+  // artifact construction threw: the timing then reports zero
+  // compile/execute.
+  RunMarks marks;
   FrameSink sink(job.request_id, job.request.format,
                  options_.max_frame_payload, job.emit, &job.control->progress,
-                 job.ticket, job.request.want_timing);
-  ServiceStat outcome = ServiceStat::completed;
-  // When the compile stage finished (steady ns); stays 0 when the fault
-  // hook, session lookup or artifact construction threw — the timing
-  // then reports zero compile/execute and finish_timing supplies
-  // end-now.
-  std::uint64_t compile_done_ns = 0;
+                 job.ticket, marks.emit_ns);
+  Ending ending;
   try {
     if (options_.fault_hook) {
       options_.fault_hook(
@@ -975,55 +887,55 @@ void SamplingService::process(Job& job) {
     }
     const std::shared_ptr<SimulatorSession> session = session_for(digest);
     // Compile bracket: force the artifacts the task needs here, so the
-    // stage is measured apart from execution. A cache-hit session makes
-    // this a mutex acquire + pointer checks (the span's aux=1 marks it
-    // warm).
+    // stage is measured apart from execution, and count what this
+    // request built. A session that already had them makes this a
+    // mutex acquire + pointer checks (the span's aux=1 marks it warm).
     const std::uint64_t compile_t0 = trace::now_ns();
-    const SessionArtifacts pre = session->artifacts();
-    const bool warm = pre.compiled || pre.frames;
-    session->prepare(job.request.task);
-    compile_done_ns = trace::now_ns();
-    trace::span("compile", compile_t0, compile_done_ns, job.request_id,
-                job.ticket, /*aux=*/warm ? 1 : 0);
-    sink.set_timing_marks(job.accept_ns, job.claim_ns, compile_done_ns);
+    const SessionArtifacts built = session->prepare(job.request.task);
+    marks.compile_done_ns = trace::now_ns();
+    if (built.compiled) {
+      bump(ServiceStat::compiles);
+    }
+    if (built.frames) {
+      bump(ServiceStat::frame_builds);
+    }
+    trace::span("compile", compile_t0, marks.compile_done_ns, job.request_id,
+                job.ticket, /*aux=*/built.compiled || built.frames ? 0 : 1);
     session->run(job.request.task, sink, &job.control->cancel,
                  job.request_id, job.ticket);
-  } catch (const TaskCancelled& e) {
+    // The success final frame. A client that asked for the stage
+    // summary (`timing=1`) gets it as a kFrameTiming payload instead of
+    // the classic empty body; clients that did not opt in never see the
+    // flag, so their byte streams are unchanged. An emitter that throws
+    // here fails the request like any other.
+    marks.end_ns = trace::now_ns();
+    FrameHeader header;
+    header.request_id = job.request_id;
+    header.chunk_index = sink.claim_chunk_index();
+    header.flags = kFrameLast;
+    std::string timing;
+    if (job.request.want_timing) {
+      header.flags |= kFrameTiming;
+      timing = render_server_timing(stage_breakdown(job, marks));
+      header.payload_bytes = static_cast<std::uint32_t>(timing.size());
+    }
+    job.emit(header, timing);
+  } catch (const TaskCancelled&) {
     // The abandoned stream's session stays cached and reusable; only
     // this request's frames stop (with the error flag, like any other
-    // non-success). When the watchdog flipped the flag — not a client —
-    // the request ends as a mid-run deadline_expired.
-    const std::uint32_t abort =
-        job.control->abort_reason.load(std::memory_order_acquire);
-    if (abort != kAbortNone) {
-      outcome = ServiceStat::expired_running;
-      emit_error_frame(
-          job, sink.next_chunk_index(),
-          make_error(ErrorCode::kDeadlineExpired,
-                     abort == kAbortExecTimeout
-                         ? "execution wall-clock cap exceeded mid-run"
-                         : "deadline expired mid-run"));
-    } else {
-      outcome = ServiceStat::cancelled;
-      emit_error_frame(job, sink.next_chunk_index(),
-                       make_error(ErrorCode::kCancelled, e.what()));
-    }
+    // non-success).
+    ending = cut_ending(*job.control, /*mid_run=*/true);
   } catch (const std::invalid_argument& e) {
     // Caller-data failures (circuit parse errors, unknown digests,
     // malformed tasks — everything SYMPHASE_CHECK rejects): the same
     // request will fail the same way forever, so it must not read as
     // a server-side problem to a retrying client.
-    outcome = ServiceStat::failed;
-    emit_error_frame(job, sink.next_chunk_index(),
-                     make_error(ErrorCode::kBadCircuit, e.what()));
+    ending = {ServiceStat::failed,
+              make_error(ErrorCode::kBadCircuit, e.what())};
   } catch (const std::exception& e) {
-    outcome = ServiceStat::failed;
-    emit_error_frame(job, sink.next_chunk_index(),
-                     make_error(ErrorCode::kInternal, e.what()));
+    ending = {ServiceStat::failed, make_error(ErrorCode::kInternal, e.what())};
   }
-  account(outcome, job.request.priority);
-  finish_timing(job, compile_done_ns, sink.emit_ns(), sink.end_ns(),
-                outcome == ServiceStat::completed);
+  finish(job, ending, sink.next_chunk_index(), marks);
 }
 
 }  // namespace symphase

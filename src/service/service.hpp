@@ -19,12 +19,19 @@
 /// formatting) or as a registered digest handle — map to the same
 /// digest (digest.hpp) and are batched onto one cached
 /// SimulatorSession, so N concurrent requests cost one symbolic
-/// compilation, observable via stats().  Each request's shots stream
-/// through the existing SampleSink machinery and leave as
-/// length-prefixed frames: data frames whose concatenation is
-/// bit-identical to the direct SimulatorSession output in the chosen
-/// writer format, then one final status frame (kFrameLast, plus
-/// kFrameError with error text when the request failed).
+/// compilation, observable via stats(): a request counts a compile
+/// when its own compile bracket (SimulatorSession::prepare) built one.
+/// Each request's shots stream through the existing SampleSink
+/// machinery and leave as length-prefixed frames: data frames whose
+/// concatenation is bit-identical to the direct SimulatorSession output
+/// in the chosen writer format, then one final status frame
+/// (kFrameLast, plus kFrameError with error text when the request
+/// failed).
+///
+/// Every accepted request ends in one private epilogue, finish(),
+/// whatever its outcome: it ships the error final frame, counts the
+/// outcome, and reports the request's stages (RequestStage) to the
+/// trace, the timing observer and the slow_request log.
 ///
 /// The queue is not FIFO: requests carry a priority class and an
 /// optional deadline, and workers always take the most urgent pending
@@ -56,10 +63,12 @@
 ///   // ... service.cancel(ticket) to abandon it ...
 ///   service.drain();
 
+#include <array>
 #include <atomic>
 #include <condition_variable>
 #include <cstdint>
 #include <functional>
+#include <iterator>
 #include <list>
 #include <memory>
 #include <mutex>
@@ -79,24 +88,50 @@
 
 namespace symphase {
 
+/// The stages of a request's wall-clock life, in the order every
+/// rendering lists them (Server-Timing, the slow_request line, the
+/// stage histograms). The stages before kTotal partition it: queue
+/// (acceptance to worker claim), compile (claim to artifacts ready —
+/// near zero on a session-cache hit), execute (the rest of the window
+/// from artifacts ready to the final frame) and emit (serializing +
+/// shipping chunks). kTotal is acceptance to final frame. Adding a
+/// stage is a row here and in kRequestStageNames, plus the site that
+/// measures it.
+enum class RequestStage : std::uint8_t {
+  kQueue,
+  kCompile,
+  kExecute,
+  kEmit,
+  kTotal,
+};
+
+inline constexpr std::string_view kRequestStageNames[] = {
+    "queue", "compile", "execute", "emit", "total"};
+inline constexpr std::size_t kNumRequestStages = std::size(kRequestStageNames);
+static_assert(static_cast<std::size_t>(RequestStage::kTotal) ==
+              kNumRequestStages - 1);
+
+/// The transport a request was submitted through. It tags the
+/// request's timing observation and slow_request line.
+enum class RequestTransport : std::uint8_t { kFrame, kHttp, kLocal };
+
+inline constexpr std::string_view kRequestTransportNames[] = {"frame", "http",
+                                                              "local"};
+inline constexpr std::size_t kNumRequestTransports =
+    std::size(kRequestTransportNames);
+static_assert(static_cast<std::size_t>(RequestTransport::kLocal) ==
+              kNumRequestTransports - 1);
+
 /// Per-request stage breakdown, delivered once per finished request
 /// (any terminal outcome) to ServiceOptions::timing_observer. Stages
-/// partition the request's wall-clock life: queue (acceptance to
-/// worker claim), compile (claim to artifacts ready — near zero on a
-/// session-cache hit), emit (serializing + shipping chunks), execute
-/// (everything else between artifacts-ready and the final frame).
-/// Stages that never ran (a request rejected at the gate) are zero.
+/// that never ran (a request rejected at the gate) are zero.
 struct RequestTiming {
   std::uint64_t request_id = 0;
   std::uint64_t ticket = 0;
-  /// Transport tag the submitter passed ("frame", "http", "local").
-  const char* transport = "local";
-  double queue_s = 0;
-  double compile_s = 0;
-  double execute_s = 0;
-  double emit_s = 0;
-  double total_s = 0;  ///< Acceptance to final frame; == sum of stages.
-  bool ok = false;     ///< True when the request completed successfully.
+  RequestTransport transport = RequestTransport::kLocal;
+  /// Seconds spent in each stage, indexed by RequestStage.
+  std::array<double, kNumRequestStages> seconds{};
+  bool ok = false;  ///< True when the request completed successfully.
 };
 
 /// Called on worker threads, once per finished request, with no
@@ -129,7 +164,7 @@ struct ServiceOptions {
   /// and priority shedding thresholds (admission.hpp). Rate limiting
   /// is off by default; the shedding thresholds always apply to
   /// try_submit() callers.
-  AdmissionOptions admission;
+  AdmissionOptions admission{};
   /// Per-request execution wall-clock cap in milliseconds (0 = off).
   /// The budget starts when a worker picks the request up; the watchdog
   /// thread cuts an over-budget run at the next shard-chunk boundary
@@ -147,7 +182,7 @@ struct ServiceOptions {
   /// Sink for the watchdog's structured one-line JSON events (stalls,
   /// mid-run timeout cuts, worker restarts). Unset writes to stderr.
   /// Called without service locks held; must be thread-safe.
-  std::function<void(std::string_view line)> watchdog_log;
+  std::function<void(std::string_view line)> watchdog_log{};
   /// Test-only fault injection. When set, called on the worker thread
   /// immediately before a request executes, with the 1-based execution
   /// sequence number (the order workers picked requests up) and the
@@ -159,12 +194,12 @@ struct ServiceOptions {
   /// *blocks* wedges the worker mid-claim — the chaos suite drives
   /// stall detection and timeout recovery that way.
   std::function<void(std::uint64_t sequence, const SampleRequest& request)>
-      fault_hook;
+      fault_hook{};
   /// Per-request stage breakdown sink — the shared instrument path
   /// behind `symphase_stage_duration_seconds` and
   /// `symphase_request_duration_seconds` on every transport (the
   /// socket server wires it into the gateway's MetricsRegistry).
-  TimingObserver timing_observer;
+  TimingObserver timing_observer{};
   /// Log one structured JSON line (`"event":"slow_request"`, full
   /// stage breakdown) through `watchdog_log` for every request whose
   /// end-to-end time exceeds this many milliseconds (0 = off).
@@ -176,7 +211,7 @@ struct ServiceOptions {
   /// worker thread (`worker_restarts` counts it) — the
   /// exception-escaped-the-handlers path that would otherwise call
   /// std::terminate.
-  std::function<void(std::size_t worker_index)> worker_fault_hook;
+  std::function<void(std::size_t worker_index)> worker_fault_hook{};
 };
 
 /// Snapshot of the service's readiness, for the `health` verb: load
@@ -208,6 +243,14 @@ struct ServiceHealth {
 /// Frames of a single request arrive in order from one worker.
 using FrameFn =
     std::function<void(const FrameHeader& header, std::string_view payload)>;
+
+/// Emits `error` as the final, error-flagged frame of `request_id`,
+/// numbered `chunk_index` (the count of frames the request already
+/// sent). Every error final frame, of the service and of the frame
+/// transports, is written here.
+void emit_error_reply(const FrameFn& emit, std::uint64_t request_id,
+                      const ServiceError& error,
+                      std::uint32_t chunk_index = 0);
 
 class SamplingService {
  public:
@@ -244,12 +287,11 @@ class SamplingService {
   /// transports pass a stable id per connection (0 = one shared
   /// bucket).
   /// `transport` tags the request's timing observations and slow-log
-  /// lines; pass a string literal ("frame", "http") — the pointer is
-  /// kept for the request's lifetime.
+  /// lines.
   std::uint64_t submit(std::uint64_t request_id, SampleRequest request,
                        FrameFn emit, std::uint64_t client_id = 0,
                        ServiceError* rejection = nullptr,
-                       const char* transport = "local");
+                       RequestTransport transport = RequestTransport::kLocal);
 
   /// Non-blocking submit: where submit() would wait, try_submit
   /// rejects. For callers that must never park on queue capacity — the
@@ -262,10 +304,10 @@ class SamplingService {
   /// capacity saturated, client rate-limited, or draining. `*rejection`
   /// (when non-null) carries the structured error — including the
   /// retryable bit and a retry_after_ms backoff hint.
-  std::uint64_t try_submit(std::uint64_t request_id, SampleRequest request,
-                           FrameFn emit, std::uint64_t client_id = 0,
-                           ServiceError* rejection = nullptr,
-                           const char* transport = "local");
+  std::uint64_t try_submit(
+      std::uint64_t request_id, SampleRequest request, FrameFn emit,
+      std::uint64_t client_id = 0, ServiceError* rejection = nullptr,
+      RequestTransport transport = RequestTransport::kLocal);
 
   /// Installs/replaces the timing observer after construction. The
   /// socket server uses this to wire the gateway's metrics registry in
@@ -313,8 +355,8 @@ class SamplingService {
   /// drain() + reject future submissions + join workers. Idempotent.
   void stop();
 
-  /// Drops every cached session (stats keep counting their compiles;
-  /// each drop counts as an eviction). Registered circuits remain.
+  /// Drops every cached session; each drop counts as an eviction.
+  /// Registered circuits remain.
   void clear_sessions();
 
   ServiceStats stats() const;
@@ -356,14 +398,33 @@ class SamplingService {
     /// once when the job leaves (finished or cancelled out of queue).
     std::uint64_t shots = 0;
     std::unique_ptr<RunControl> control;
-    /// Transport tag from submit() — a string literal ("frame", "http",
-    /// "local"), stamped on timing observations and slow-request logs.
-    const char* transport = "local";
+    /// Transport tag from submit(), stamped on timing observations and
+    /// slow-request logs.
+    RequestTransport transport = RequestTransport::kLocal;
     /// Lifecycle clock marks (common/trace.hpp steady ns): acceptance
     /// (ticket assignment) and worker claim. Zero until stamped.
     std::uint64_t accept_ns = 0;
     std::uint64_t claim_ns = 0;
   };
+
+  /// A run's clock marks past the claim (steady ns), zero where the
+  /// request never got that far.
+  struct RunMarks {
+    std::uint64_t compile_done_ns = 0;  ///< Artifacts ready.
+    std::uint64_t emit_ns = 0;  ///< Serialize+ship time over all chunks.
+    /// When the final frame was due; 0 means when finish() runs.
+    std::uint64_t end_ns = 0;
+  };
+
+  /// How a request ends: the outcome row it counts in and, for every
+  /// outcome but `completed`, the error its final frame carries.
+  struct Ending {
+    ServiceStat outcome = ServiceStat::completed;
+    ServiceError error{};
+  };
+
+  /// A request's stage partition in ns, indexed by RequestStage.
+  using StageNs = std::array<std::uint64_t, kNumRequestStages>;
 
   struct CacheEntry {
     std::shared_ptr<SimulatorSession> session;
@@ -410,20 +471,26 @@ class SamplingService {
   /// Shared submit path; `blocking` selects wait-for-space vs reject.
   std::uint64_t submit_impl(std::uint64_t request_id, SampleRequest request,
                             FrameFn emit, std::uint64_t client_id,
-                            ServiceError* rejection, const char* transport,
-                            bool blocking);
-  /// Terminal-path timing fan-out: derives the request's stage
-  /// breakdown (queue/compile/execute/emit) from the job's clock marks,
-  /// records the trace "execute" span, fires timing_observer, and logs
-  /// a slow_request line when the total crosses slow_request_ms.
-  /// Called exactly once per finished request, no service locks held;
-  /// stages that never ran arrive as zeros.
-  void finish_timing(const Job& job, std::uint64_t compile_done_ns,
-                     std::uint64_t emit_ns, std::uint64_t end_ns,
-                     bool ok) const;
+                            ServiceError* rejection,
+                            RequestTransport transport, bool blocking);
+  /// Derives the stage partition from the job's and the run's clock
+  /// marks; a stage whose marks were never reached is zero.
+  static StageNs stage_breakdown(const Job& job, const RunMarks& marks);
+  /// The end of a request whose cancel flag was found set, at the gate
+  /// or `mid_run`: the watchdog's stored reason makes it
+  /// `expired_running`, otherwise the client cancelled it.
+  static Ending cut_ending(const RunControl& control, bool mid_run);
+  /// The one way an accepted request ends, called exactly once per
+  /// request with no service locks held: ships the error final frame
+  /// (numbered `next_chunk`) unless the request completed, counts the
+  /// outcome (served_* first), records the trace "execute" span and
+  /// the done/aborted instant, fires timing_observer, and logs a
+  /// slow_request line when the total crosses slow_request_ms.
+  void finish(const Job& job, const Ending& ending, std::uint32_t next_chunk,
+              RunMarks marks);
   /// Executes one claimed job on the calling worker thread: the
   /// deadline/cancel gate and fault hook, the session lookup, the
-  /// compile bracket, the streamed run, and outcome accounting.
+  /// compile bracket, the streamed run and the final frame.
   void process(Job& job);
   /// The counter slot of `stat`.
   std::atomic<std::uint64_t>& counter(ServiceStat stat) {
@@ -439,24 +506,10 @@ class SamplingService {
   void bump(ServiceStat stat, std::uint64_t count = 1) {
     counter(stat).fetch_add(count, std::memory_order_release);
   }
-  /// Counts one finished request in the row its outcome names
-  /// (completed, failed, rejected_expired, cancelled, expired_running).
-  void account(ServiceStat outcome, RequestPriority priority);
   /// Counts one admission rejection under its error code.
   void account_rejection(ErrorCode code);
-  /// Ships the final error-flagged frame (structured payload,
-  /// errors.hpp); swallows emitter failures.
-  void emit_error_frame(const Job& job, std::uint32_t chunk_index,
-                        const ServiceError& error);
-  /// Error frame + accounting for a request that never started
-  /// (deadline-expired or cancelled while queued).
-  void finish_without_running(Job& job, ServiceStat outcome,
-                              const ServiceError& error);
   /// Cache lookup/insert; `digest` must already be registered.
   std::shared_ptr<SimulatorSession> session_for(const std::string& digest);
-  /// Counts a leaving session's built artifacts in the compiles and
-  /// frame_builds counters (cache_mutex_ must be held).
-  void retire_artifacts(const SimulatorSession& session);
 
   ServiceOptions options_;
 
@@ -502,10 +555,10 @@ class SamplingService {
 
   /// One slot per ServiceStat row. Counters only grow; queue_peak is
   /// raised under queue_mutex_ and workers_alive moves both ways. The
-  /// compiles and frame_builds slots hold the builds of sessions that
-  /// left the cache (bumped under cache_mutex_); stats() adds the live
-  /// sessions' builds. The queue_depth, shots_in_flight and
-  /// longest_running_ms slots stay zero: stats() computes those.
+  /// compiles and frame_builds slots are bumped by the compile bracket
+  /// of the request whose prepare() built the artifact. The
+  /// queue_depth, shots_in_flight and longest_running_ms slots stay
+  /// zero: stats() computes those.
   std::atomic<std::uint64_t> counters_[kNumServiceStats] = {};
 };
 

@@ -145,14 +145,14 @@ class MessageAssembler {
   struct Message {
     std::uint64_t request_id = 0;
     /// Concatenated data payloads (empty for failed messages).
-    std::string payload;
+    std::string payload{};
     /// True when the final frame carried kFrameError.
     bool error = false;
     /// Error text from the final frame (failed messages only).
-    std::string error_text;
+    std::string error_text{};
     /// Stage-timing summary from a kFrameTiming final frame (empty
     /// unless the request opted in with `timing=1`).
-    std::string timing;
+    std::string timing{};
   };
 
   explicit MessageAssembler(

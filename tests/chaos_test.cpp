@@ -933,7 +933,7 @@ TEST(Chaos, IdleFrameConnectionGetsTimeoutFrameThenClose) {
     }
     ASSERT_EQ(frames.size(), 1u);
     EXPECT_EQ(frames[0].header.request_id, 0u);
-    EXPECT_NE(frames[0].header.flags & kFrameError, 0u);
+    EXPECT_NE(frames[0].header.flags & kFrameError, 0);
     const ServiceError error = parse_error_payload(frames[0].payload);
     EXPECT_EQ(error.code, ErrorCode::kTimeout) << frames[0].payload;
     EXPECT_TRUE(error.retryable);

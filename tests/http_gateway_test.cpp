@@ -20,8 +20,10 @@
 #include "circuit/parser.hpp"
 #include "http/json.hpp"
 #include "http_test_client.hpp"
+#include "net/client.hpp"
 #include "net/server.hpp"
 #include "sampler/sample_writer.hpp"
+#include "service/request.hpp"
 
 namespace symphase {
 namespace {
@@ -40,6 +42,18 @@ std::string direct_output(const std::string& circuit_text,
 }
 
 constexpr const char* kBellCircuit = "H 0\nCNOT 0 1\nM 0 1\n";
+
+/// The value of `series` (family name plus labels) in a /metrics page.
+std::uint64_t sample_value(const std::string& text,
+                           const std::string& series) {
+  const std::size_t pos = text.find("\n" + series + " ");
+  EXPECT_NE(pos, std::string::npos) << series << " missing:\n" << text;
+  if (pos == std::string::npos) {
+    return 0;
+  }
+  const std::size_t start = pos + series.size() + 2;
+  return std::stoull(text.substr(start, text.find('\n', start) - start));
+}
 
 TEST(HttpGateway, HealthzAndStatsServeJson) {
   GatewayHarness harness;
@@ -243,16 +257,6 @@ TEST(HttpGateway, MetricsAgreeWithServiceStats) {
             std::string::npos);
   const std::string& text = response.body;
 
-  const auto metric_value = [&text](const std::string& name) {
-    const std::size_t pos = text.find("\n" + name + " ");
-    EXPECT_NE(pos, std::string::npos) << name << " missing:\n" << text;
-    if (pos == std::string::npos) {
-      return std::uint64_t{0};
-    }
-    const std::size_t start = pos + name.size() + 2;
-    return static_cast<std::uint64_t>(
-        std::stoull(text.substr(start, text.find('\n', start) - start)));
-  };
   // Every ServiceStats value against the series that exports it.
   const std::pair<std::string, std::uint64_t> series[] = {
       {"symphase_cache_hits_total", stats.hits},
@@ -286,7 +290,7 @@ TEST(HttpGateway, MetricsAgreeWithServiceStats) {
       {"symphase_served_total{priority=\"low\"}", stats.served_low},
   };
   for (const auto& [name, value] : series) {
-    EXPECT_EQ(metric_value(name), value) << name;
+    EXPECT_EQ(sample_value(text, name), value) << name;
   }
   EXPECT_NE(text.find("http_request_duration_seconds_bucket"),
             std::string::npos);
@@ -302,6 +306,57 @@ TEST(HttpGateway, MetricsAgreeWithServiceStats) {
   // The registry view and the HTTP view are the same text.
   const std::string scraped = harness.server().gateway()->metrics().scrape();
   EXPECT_NE(scraped.find("symphase_cache_hits_total"), std::string::npos);
+}
+
+TEST(HttpGateway, StageHistogramsCountEveryRequestOnBothTransports) {
+  // K requests over HTTP and M over the frame protocol: every stage
+  // histogram observes all K + M, and each transport's request
+  // histogram only its own.
+  constexpr std::uint64_t kHttpRequests = 3;
+  constexpr std::uint64_t kFrameRequests = 2;
+  GatewayHarness harness;
+  HttpClient client(harness.http_port());
+  for (std::uint64_t i = 0; i < kHttpRequests; ++i) {
+    client.send_request(
+        "POST", "/v1/sample",
+        R"({"circuit":"H 0\nCNOT 0 1\nM 0 1\n","shots":32,"seed":9})");
+    EXPECT_EQ(client.read_response().status, 200);
+  }
+  ServiceClient frames("127.0.0.1:" +
+                       std::to_string(harness.server().port()));
+  for (std::uint64_t id = 1; id <= kFrameRequests; ++id) {
+    frames.submit(id, SampleRequest::sample(kBellCircuit, 32));
+    EXPECT_FALSE(frames.await(id).error);
+  }
+  // Timings are observed after the final frame and `completed`; the
+  // shots-in-flight release comes after both.
+  ServiceStats stats = harness.server().service().stats();
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  while (stats.completed < kHttpRequests + kFrameRequests ||
+         stats.shots_in_flight != 0) {
+    ASSERT_LT(std::chrono::steady_clock::now(), deadline)
+        << stats.to_line();
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    stats = harness.server().service().stats();
+  }
+
+  client.send_request("GET", "/metrics");
+  const HttpResponse response = client.read_response();
+  ASSERT_EQ(response.status, 200);
+  const std::string& text = response.body;
+  for (const char* stage : {"queue", "compile", "execute", "emit"}) {
+    EXPECT_EQ(sample_value(text, "symphase_stage_duration_seconds_count{"
+                                 "stage=\"" + std::string(stage) + "\"}"),
+              kHttpRequests + kFrameRequests)
+        << stage;
+  }
+  const std::string requests = "symphase_request_duration_seconds_count";
+  EXPECT_EQ(sample_value(text, requests + "{transport=\"http\"}"),
+            kHttpRequests);
+  EXPECT_EQ(sample_value(text, requests + "{transport=\"frame\"}"),
+            kFrameRequests);
+  EXPECT_EQ(sample_value(text, requests + "{transport=\"local\"}"), 0u);
 }
 
 TEST(HttpGateway, MetricFamiliesKeepTheirNamesHelpAndTypes) {

@@ -7,12 +7,15 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <future>
 #include <memory>
 #include <mutex>
 #include <optional>
+#include <regex>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "api/session.hpp"
@@ -471,6 +474,115 @@ TEST(SamplingService, ClearSessionsRetiresCompilesIntoStats) {
   service.submit(2, SampleRequest::sample(kCircuitA, 50), collector.fn());
   service.drain();
   EXPECT_EQ(service.stats().compiles, 2u);
+}
+
+TEST(SamplingService, CompileOfASessionEvictedMidCompileIsCounted) {
+  // Request A compiles a d13 surface code, which takes tens of ms.
+  // Request B, on a small circuit, waits in the fault hook until A has
+  // missed the one-slot cache, so B's own miss evicts A's session while
+  // A is still compiling it. Both compiles count.
+  SurfaceCodeOptions sc;
+  sc.distance = 13;
+  sc.rounds = 13;
+  sc.data_depolarization = 0.001;
+  sc.measurement_flip_probability = 0.001;
+  const std::string circuit_a = surface_code_memory(sc).to_text();
+  SamplingService* self = nullptr;
+  SamplingService service(
+      {.num_workers = 2,
+       .session_cache_capacity = 1,
+       .fault_hook = [&self](std::uint64_t, const SampleRequest& request) {
+         if (request.circuit_text != kCircuitB) {
+           return;
+         }
+         const auto deadline =
+             std::chrono::steady_clock::now() + std::chrono::seconds(30);
+         while (self->stats().misses < 1 &&
+                std::chrono::steady_clock::now() < deadline) {
+           std::this_thread::sleep_for(std::chrono::microseconds(100));
+         }
+       }});
+  self = &service;
+  FrameCollector collector;
+  service.submit(1, SampleRequest::detect(circuit_a, 10), collector.fn());
+  service.submit(2, SampleRequest::sample(kCircuitB, 10), collector.fn());
+  service.drain();
+  EXPECT_FALSE(collector.message_for(1).error);
+  EXPECT_FALSE(collector.message_for(2).error);
+  const ServiceStats stats = service.stats();
+  EXPECT_EQ(stats.misses, 2u) << stats.to_line();
+  EXPECT_EQ(stats.evictions, 1u) << stats.to_line();
+  EXPECT_EQ(stats.compiles, 2u) << stats.to_line();
+  EXPECT_EQ(stats.completed, 2u) << stats.to_line();
+}
+
+TEST(SamplingService, SlowRequestLineLayoutIsPinned) {
+  // Every request sleeps 2 ms in the fault hook, past the 1 ms
+  // threshold, so each logs one slow_request line. The byte layout was
+  // recorded from the build before stages were declared in one table;
+  // only the durations are masked.
+  std::mutex mutex;
+  std::vector<std::string> lines;
+  {
+    SamplingService service(
+        {.num_workers = 1,
+         .watchdog_log =
+             [&](std::string_view line) {
+               const std::lock_guard<std::mutex> lock(mutex);
+               lines.emplace_back(line);
+             },
+         .fault_hook =
+             [](std::uint64_t, const SampleRequest&) {
+               std::this_thread::sleep_for(std::chrono::milliseconds(2));
+             },
+         .slow_request_ms = 1});
+    FrameCollector collector;
+    service.submit(7, SampleRequest::sample(kCircuitA, 50), collector.fn());
+    service.drain();
+    service.submit(8, SampleRequest::sample("NOT_A_GATE 0\n", 50),
+                   collector.fn());
+    service.drain();
+  }
+  const std::regex duration("[0-9]+\\.[0-9]{3}");
+  ASSERT_EQ(lines.size(), 2u);
+  EXPECT_EQ(std::regex_replace(lines[0], duration, "#.###"),
+            "{\"event\":\"slow_request\",\"id\":7,\"ticket\":1,"
+            "\"transport\":\"local\",\"ok\":true,\"queue_ms\":#.###,"
+            "\"compile_ms\":#.###,\"execute_ms\":#.###,\"emit_ms\":#.###,"
+            "\"total_ms\":#.###}")
+      << lines[0];
+  EXPECT_EQ(std::regex_replace(lines[1], duration, "#.###"),
+            "{\"event\":\"slow_request\",\"id\":8,\"ticket\":2,"
+            "\"transport\":\"local\",\"ok\":false,\"queue_ms\":#.###,"
+            "\"compile_ms\":#.###,\"execute_ms\":#.###,\"emit_ms\":#.###,"
+            "\"total_ms\":#.###}")
+      << lines[1];
+}
+
+TEST(SamplingService, EmitterThrowingOnTheFinalFrameFailsTheRequest) {
+  // The error frame that follows a failed success final frame is
+  // numbered one past it, and the request counts as failed.
+  SamplingService service({.num_workers = 1});
+  std::mutex mutex;
+  std::vector<FrameHeader> headers;
+  const FrameFn emit = [&](const FrameHeader& header, std::string_view) {
+    {
+      const std::lock_guard<std::mutex> lock(mutex);
+      headers.push_back(header);
+    }
+    if (header.flags == kFrameLast) {
+      throw std::runtime_error("client went away");
+    }
+  };
+  service.submit(1, SampleRequest::sample(kCircuitA, 50), emit);
+  service.drain();
+  ASSERT_EQ(headers.size(), 3u);  // data, final (throws), error
+  EXPECT_EQ(headers[1].flags, kFrameLast);
+  EXPECT_EQ(headers[2].flags, kFrameLast | kFrameError);
+  EXPECT_EQ(headers[2].chunk_index, headers[1].chunk_index + 1);
+  const ServiceStats stats = service.stats();
+  EXPECT_EQ(stats.failed, 1u) << stats.to_line();
+  EXPECT_EQ(stats.completed, 0u) << stats.to_line();
 }
 
 TEST(ServiceStats, LineAndJsonBytesArePinned) {

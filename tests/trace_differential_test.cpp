@@ -130,7 +130,7 @@ std::map<std::uint64_t, std::string> run_matrix(
         {.num_workers = 2, .max_frame_payload = 512});
     for (std::size_t i = 0; i < requests.size(); ++i) {
       service.submit(i + 1, requests[i], collector.fn(), /*client_id=*/0,
-                     /*rejection=*/nullptr, /*transport=*/"frame");
+                     /*rejection=*/nullptr, RequestTransport::kFrame);
     }
     service.drain();
   }
@@ -264,7 +264,7 @@ TEST_F(TraceDifferentialTest, FrameTimingSummaryPartitionsEndToEnd) {
   {
     SamplingService service({.num_workers = 1});
     service.submit(1, request, collector.fn(), /*client_id=*/0,
-                   /*rejection=*/nullptr, /*transport=*/"frame");
+                   /*rejection=*/nullptr, RequestTransport::kFrame);
     service.drain();
   }
   const std::vector<Frame> frames = collector.frames();

@@ -2,7 +2,8 @@
 // enable gating, ring wraparound accounting, untorn records under
 // concurrent writers (run under TSan in CI), and the Chrome
 // trace-event JSON rendering parsed back through the repo's own JSON
-// parser; plus the compile bracket's build_sampler span.
+// parser; plus the compile bracket's build_sampler span and the error
+// code on a request's aborted instant.
 
 #include "common/trace.hpp"
 
@@ -10,6 +11,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <future>
 #include <set>
 #include <string>
 #include <thread>
@@ -18,6 +20,7 @@
 #include "api/session.hpp"
 #include "circuit/surface_code.hpp"
 #include "http/json.hpp"
+#include "service/service.hpp"
 
 namespace symphase {
 namespace {
@@ -241,6 +244,47 @@ TEST_F(TraceTest, DetectionPrepareBuildsOnlyTheDetectionSampler) {
   const JsonValue second = parse_json(trace::drain_json());
   EXPECT_EQ(sampler_builds(first), std::vector<std::uint64_t>{1});
   EXPECT_TRUE(sampler_builds(second).empty());
+}
+
+TEST_F(TraceTest, AbortedInstantCarriesTheErrorCode) {
+  // One worker, held in the fault hook by request 1, so request 2 is
+  // still queued when it is cancelled: its aborted instant carries the
+  // `cancelled` code in aux, and request 1's done instant carries 0.
+  std::promise<void> release;
+  const std::shared_future<void> released = release.get_future().share();
+  const FrameFn discard = [](const FrameHeader&, std::string_view) {};
+  trace::set_enabled(true);
+  {
+    SamplingService service(
+        {.num_workers = 1,
+         .fault_hook = [released](std::uint64_t, const SampleRequest&) {
+           released.wait();
+         }});
+    service.submit(1, SampleRequest::sample("X 0\nM 0\n", 10), discard);
+    const std::uint64_t ticket =
+        service.submit(2, SampleRequest::sample("X 0\nM 0\n", 10), discard);
+    EXPECT_TRUE(service.cancel(ticket));
+    release.set_value();
+    service.drain();
+  }
+  trace::set_enabled(false);
+  const JsonValue doc = parse_json(trace::drain_json());
+  std::vector<std::uint64_t> done;
+  std::vector<std::uint64_t> aborted;
+  for (const JsonValue& event : doc.find("traceEvents")->as_array()) {
+    const std::string& name = event.find("name")->as_string();
+    const JsonValue* args = event.find("args");
+    if (name == "done") {
+      EXPECT_EQ(args->find("id")->as_u64(), 1u);
+      done.push_back(args->find("aux")->as_u64());
+    } else if (name == "aborted") {
+      EXPECT_EQ(args->find("id")->as_u64(), 2u);
+      aborted.push_back(args->find("aux")->as_u64());
+    }
+  }
+  EXPECT_EQ(done, std::vector<std::uint64_t>{0});
+  EXPECT_EQ(aborted, std::vector<std::uint64_t>{static_cast<std::uint64_t>(
+                         ErrorCode::kCancelled)});
 }
 
 }  // namespace

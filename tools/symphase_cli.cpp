@@ -70,12 +70,12 @@ using namespace symphase;
       "  symphase sample  CIRCUIT [--shots N] [--seed S] [--threads N]\n"
       "                   [--format 01|hex|b8|ptb64] [--backend symphase|frames]\n"
       "                   [--connect HOST:PORT [--priority high|normal|low]\n"
-      "                   [--deadline-ms N] [--repeat N] [--pipeline W]\n"
+      "                   [--deadline-ms N] [--repeat N]\n"
       "                   [--retries N] [--retry-backoff-ms N] [--timeout-ms N]]\n"
       "  symphase detect  CIRCUIT [--shots N] [--seed S] [--threads N]\n"
       "                   [--format 01|hex|b8|ptb64|dets] [--backend symphase|frames]\n"
       "                   [--connect HOST:PORT [--priority high|normal|low]\n"
-      "                   [--deadline-ms N] [--repeat N] [--pipeline W]\n"
+      "                   [--deadline-ms N] [--repeat N]\n"
       "                   [--retries N] [--retry-backoff-ms N] [--timeout-ms N]]\n"
       "  symphase analyze CIRCUIT [--max-expr K]\n"
       "  symphase dem     CIRCUIT\n"
@@ -271,8 +271,8 @@ SampleTask task_from_options(SampleTarget target, Options& opt) {
 /// error, checked before the local run's finish() would call them
 /// unknown.
 void reject_remote_only_flags(const Options& opt) {
-  for (const char* flag : {"priority", "deadline-ms", "repeat", "pipeline",
-                           "retries", "retry-backoff-ms", "timeout-ms"}) {
+  for (const char* flag : {"priority", "deadline-ms", "repeat", "retries",
+                           "retry-backoff-ms", "timeout-ms"}) {
     if (opt.has(flag)) {
       usage(std::string("--") + flag + " requires --connect HOST:PORT");
     }
@@ -314,10 +314,6 @@ int run_remote(const std::string& address, const std::string& path,
   request.deadline_ms = opt.get_u64("deadline-ms", 0);
   const std::uint64_t repeat =
       std::max<std::uint64_t>(1, opt.get_u64("repeat", 1));
-  const std::uint64_t pipeline = opt.get_u64("pipeline", 0);
-  if (pipeline > 0 && repeat <= 1) {
-    usage("--pipeline W requires --repeat N");
-  }
   RetryPolicy policy;
   policy.max_retries = opt.get_u64("retries", 0);
   policy.initial_backoff_ms =
@@ -344,49 +340,6 @@ int run_remote(const std::string& address, const std::string& path,
       return 3;
     }
     request.digest = client->register_circuit(circuit_text);
-    if (pipeline > 0) {
-      // Pipelined latency mode: keep up to `pipeline` requests
-      // outstanding on the one connection (each with its own seed, like
-      // distinct clients would send), awaiting completions in submit
-      // order. This measures server-side throughput under concurrent
-      // same-circuit load instead of single-stream round-trip latency.
-      const std::uint64_t window = std::min(pipeline, repeat);
-      std::vector<std::chrono::steady_clock::time_point> started(repeat + 1);
-      const auto wall_start = std::chrono::steady_clock::now();
-      std::uint64_t next_submit = 1;
-      const auto submit_next = [&] {
-        request.task.seed = task.seed + next_submit;
-        started[next_submit] = std::chrono::steady_clock::now();
-        client->submit(next_submit, request);
-        ++next_submit;
-      };
-      while (next_submit <= window) {
-        submit_next();
-      }
-      for (std::uint64_t i = 1; i <= repeat; ++i) {
-        const MessageAssembler::Message reply = client->await(i);
-        const auto elapsed = std::chrono::steady_clock::now() - started[i];
-        if (reply.error) {
-          std::cerr << "error: " << reply.error_text << '\n';
-          return 4;
-        }
-        std::printf(
-            "req_ms=%.3f bytes=%zu\n",
-            std::chrono::duration<double, std::milli>(elapsed).count(),
-            reply.payload.size());
-        if (next_submit <= repeat) {
-          submit_next();
-        }
-      }
-      const double wall_ms = std::chrono::duration<double, std::milli>(
-                                 std::chrono::steady_clock::now() - wall_start)
-                                 .count();
-      std::printf("pipeline_requests=%llu wall_ms=%.3f rps=%.1f\n",
-                  static_cast<unsigned long long>(repeat), wall_ms,
-                  wall_ms > 0.0 ? 1000.0 * static_cast<double>(repeat) / wall_ms
-                                : 0.0);
-      return 0;
-    }
     for (std::uint64_t i = 1; i <= repeat; ++i) {
       const auto start = std::chrono::steady_clock::now();
       client->submit(i, request);
@@ -506,22 +459,30 @@ int cmd_dem(const std::string& path, Options& opt) {
 
 /// Reads the service keys both serve transports share (pool, queue,
 /// caches, frame cap, admission, watchdog limits) and turns tracing on
-/// for --trace or --trace-out, whose path lands in `trace_out`.
+/// for --trace or --trace-out, whose path lands in `trace_out`. An
+/// absent key keeps ServiceOptions' default.
 ServiceOptions read_service_options(Options& opt, std::string& trace_out) {
   ServiceOptions service;
-  service.num_workers = std::max<std::uint64_t>(1, opt.get_u64("workers", 2));
-  service.queue_capacity =
-      std::max<std::uint64_t>(1, opt.get_u64("queue", 64));
-  service.session_cache_capacity =
-      std::max<std::uint64_t>(1, opt.get_u64("cache", 8));
+  AdmissionOptions& admission = service.admission;
+  service.num_workers = std::max<std::uint64_t>(
+      1, opt.get_u64("workers", service.num_workers));
+  service.queue_capacity = std::max<std::uint64_t>(
+      1, opt.get_u64("queue", service.queue_capacity));
+  service.session_cache_capacity = std::max<std::uint64_t>(
+      1, opt.get_u64("cache", service.session_cache_capacity));
   service.max_frame_payload = std::clamp<std::uint64_t>(
-      opt.get_u64("max-frame", 1u << 20), 1, 0xffffffffu);
-  service.admission.client_shots_per_second = opt.get_u64("rate-shots", 0);
-  service.admission.client_burst_shots = opt.get_u64("burst-shots", 0);
-  service.admission.max_shots_in_flight = opt.get_u64("max-shots", 0);
-  service.exec_timeout_ms = opt.get_u64("exec-timeout-ms", 0);
-  service.stall_warn_ms = opt.get_u64("stall-warn-ms", 0);
-  service.slow_request_ms = opt.get_u64("slow-request-ms", 0);
+      opt.get_u64("max-frame", service.max_frame_payload), 1, 0xffffffffu);
+  admission.client_shots_per_second =
+      opt.get_u64("rate-shots", admission.client_shots_per_second);
+  admission.client_burst_shots =
+      opt.get_u64("burst-shots", admission.client_burst_shots);
+  admission.max_shots_in_flight =
+      opt.get_u64("max-shots", admission.max_shots_in_flight);
+  service.exec_timeout_ms =
+      opt.get_u64("exec-timeout-ms", service.exec_timeout_ms);
+  service.stall_warn_ms = opt.get_u64("stall-warn-ms", service.stall_warn_ms);
+  service.slow_request_ms =
+      opt.get_u64("slow-request-ms", service.slow_request_ms);
   trace_out = opt.get_string("trace-out", "");
   if (opt.get_flag("trace") || !trace_out.empty()) {
     trace::set_enabled(true);
@@ -620,9 +581,10 @@ int cmd_serve_listen(const std::string& address, Options& opt) {
   options.listen = address;
   std::string trace_out;
   options.service = read_service_options(opt, trace_out);
-  options.idle_timeout_ms = opt.get_u64("idle-timeout-ms", 0);
-  options.max_connections =
-      std::max<std::uint64_t>(1, opt.get_u64("max-clients", 64));
+  options.idle_timeout_ms =
+      opt.get_u64("idle-timeout-ms", options.idle_timeout_ms);
+  options.max_connections = std::max<std::uint64_t>(
+      1, opt.get_u64("max-clients", options.max_connections));
   const std::string port_file = opt.get_string("port-file", "");
   options.http_listen = opt.get_string("http", "");
   options.http.log_json = opt.get_flag("log-json");
