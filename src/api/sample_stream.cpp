@@ -1,6 +1,7 @@
 #include "api/sample_stream.hpp"
 
 #include <algorithm>
+#include <exception>
 #include <vector>
 
 #include "common/check.hpp"
@@ -21,6 +22,17 @@ void select_rows(const BitMatrix& full, std::span<const std::size_t> selection,
   }
 }
 
+/// The calling thread's block sets: `kept` from its last run, `returned`
+/// by the run in progress (a session run holds its scratch around the
+/// engine's blocks), and how many ShardBlocks are alive on the thread.
+struct ThreadBlocks {
+  std::vector<std::vector<BitMatrix>> kept;
+  std::vector<std::vector<BitMatrix>> returned;
+  std::size_t depth = 0;
+};
+
+thread_local ThreadBlocks t_blocks;
+
 }  // namespace
 
 std::size_t stream_fill_slots(const StreamSpec& spec) {
@@ -29,13 +41,40 @@ std::size_t stream_fill_slots(const StreamSpec& spec) {
       std::max<std::size_t>(num_sample_shards(spec.num_shots), 1));
 }
 
-std::vector<BitMatrix> make_shard_blocks(std::size_t count, std::size_t rows) {
-  std::vector<BitMatrix> blocks;
-  blocks.reserve(count);
-  for (std::size_t i = 0; i < count; ++i) {
-    blocks.emplace_back(rows, kSampleShardBits);
+ShardBlocks::ShardBlocks(std::size_t count, std::size_t rows)
+    : uncaught_(std::uncaught_exceptions()) {
+  ThreadBlocks& t = t_blocks;
+  const auto hit = std::find_if(
+      t.kept.begin(), t.kept.end(), [&](const std::vector<BitMatrix>& set) {
+        return set.size() == count && set[0].rows() == rows;
+      });
+  if (hit != t.kept.end()) {
+    blocks_ = std::move(*hit);
+    t.kept.erase(hit);
+  } else if (count > 0) {
+    // Free what this run cannot reuse before allocating.
+    t.kept.clear();
+    blocks_.reserve(count);
+    for (std::size_t i = 0; i < count; ++i) {
+      blocks_.emplace_back(rows, kSampleShardBits);
+    }
   }
-  return blocks;
+  // Counted last: a constructor that throws runs no destructor.
+  ++t.depth;
+}
+
+ShardBlocks::~ShardBlocks() {
+  ThreadBlocks& t = t_blocks;
+  if (std::uncaught_exceptions() > uncaught_) {
+    t.kept.clear();
+    t.returned.clear();
+  } else if (!blocks_.empty()) {
+    t.returned.push_back(std::move(blocks_));
+  }
+  if (--t.depth == 0) {
+    t.kept = std::move(t.returned);
+    t.returned.clear();
+  }
 }
 
 void stream_sample_blocks(const StreamSpec& spec, const ShardBlockFn& fill,
@@ -76,14 +115,9 @@ void stream_sample_blocks(const StreamSpec& spec, const ShardBlockFn& fill,
   // happens at the window boundary.
   const std::size_t window = stream_fill_slots(spec);
 
-  std::vector<BitMatrix> blocks;
-  std::vector<BitMatrix> filtered;
-  if (num_shards > 0) {
-    blocks = make_shard_blocks(window, rows);
-    if (!selection.empty()) {
-      filtered = make_shard_blocks(window, selection.size());
-    }
-  }
+  ShardBlocks blocks(num_shards > 0 ? window : 0, rows);
+  ShardBlocks filtered(num_shards > 0 && !selection.empty() ? window : 0,
+                       selection.size());
 
   const auto check_cancel = [&] {
     if (spec.cancel != nullptr &&

@@ -70,7 +70,7 @@ struct StreamSpec {
 
 /// Fills `block` with the contents of the producer's global shard
 /// `shard`. Blocks are bits_per_shot x kSampleShardBits and may hold
-/// stale data from a previous shard; producers overwrite at least
+/// stale data from a previous shard or run; producers overwrite at least
 /// the shard's valid words. Called concurrently from worker threads —
 /// one distinct block each. `slot` is the index of the preallocated
 /// block being filled, always < stream_fill_slots() for the run: a
@@ -92,8 +92,27 @@ void stream_sample_blocks(const StreamSpec& spec, const ShardBlockFn& fill,
 /// max(num_shards, 1)). Size per-slot producer scratch with this.
 std::size_t stream_fill_slots(const StreamSpec& spec);
 
-/// `count` zeroed rows x kSampleShardBits blocks, each built in place:
-/// the engine's per-slot blocks and producers' per-slot scratch.
-std::vector<BitMatrix> make_shard_blocks(std::size_t count, std::size_t rows);
+/// `count` blocks of rows x kSampleShardBits that one run borrows from
+/// the calling thread: the engine's per-slot blocks and producers'
+/// per-slot scratch. When the run returns normally its blocks stay with
+/// the thread, and the thread's next run of the same geometry takes them
+/// back instead of allocating (glibc keeps freed multi-MB blocks, so
+/// allocating per run grew a long-lived process's heap). A thread keeps
+/// at most what its last run held: a set that finds no kept set of its
+/// geometry frees them all before it allocates, and a run that throws
+/// keeps nothing. Blocks come zeroed or holding an earlier run's bits.
+class ShardBlocks {
+ public:
+  ShardBlocks(std::size_t count, std::size_t rows);
+  ~ShardBlocks();
+  ShardBlocks(const ShardBlocks&) = delete;
+  ShardBlocks& operator=(const ShardBlocks&) = delete;
+
+  BitMatrix& operator[](std::size_t slot) { return blocks_[slot]; }
+
+ private:
+  std::vector<BitMatrix> blocks_;
+  int uncaught_;
+};
 
 }  // namespace symphase

@@ -159,11 +159,10 @@ void SimulatorSession::run(const SampleTask& task, SampleSink& sink,
   // word-wise per row, so folding one shard block reproduces exactly
   // that word range of FrameSimulator::sample_detection_events. The
   // measurement scratch is hoisted out of the fill and keyed by engine
-  // slot — one allocation per concurrent fill for the whole run, not
-  // one per shard.
+  // slot: one block per concurrent fill, kept for the thread's next run
+  // like the engine's own blocks.
   const FrameSimulator& fs = frames();
-  std::vector<BitMatrix> scratch =
-      make_shard_blocks(stream_fill_slots(spec), fs.num_measurements());
+  ShardBlocks scratch(stream_fill_slots(spec), fs.num_measurements());
   stream_sample_blocks(
       spec,
       [&](std::size_t slot, std::size_t shard, BitMatrix& block) {

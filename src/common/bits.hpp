@@ -60,6 +60,46 @@ inline int popcount(Word w) { return std::popcount(w); }
 /// Parity (sum mod 2) of all bits in a word.
 inline bool parity(Word w) { return std::popcount(w) & 1; }
 
+/// Calls f(i) for every set bit i in [begin, end) of a packed span, in
+/// increasing order.
+template <typename F>
+void for_each_set_bit(const Word* words, std::size_t begin, std::size_t end,
+                      F&& f) {
+  if (begin >= end) {
+    return;
+  }
+  const std::size_t last = word_index(end - 1);
+  for (std::size_t w = word_index(begin); w <= last; ++w) {
+    Word bits = words[w];
+    if (w == word_index(begin)) {
+      bits &= ~Word{0} << bit_offset(begin);
+    }
+    if (w == last) {
+      bits &= tail_mask(end);
+    }
+    for (; bits != 0; bits &= bits - 1) {
+      f(w * kWordBits + static_cast<std::size_t>(std::countr_zero(bits)));
+    }
+  }
+}
+
+/// Lowest set bit in [begin, end) of a packed span, or `end` if none.
+inline std::size_t first_set_bit(const Word* words, std::size_t begin,
+                                 std::size_t end) {
+  for (std::size_t w = word_index(begin); w * kWordBits < end; ++w) {
+    Word bits = words[w];
+    if (w == word_index(begin)) {
+      bits &= ~Word{0} << bit_offset(begin);
+    }
+    if (bits != 0) {
+      const std::size_t i =
+          w * kWordBits + static_cast<std::size_t>(std::countr_zero(bits));
+      return i < end ? i : end;
+    }
+  }
+  return end;
+}
+
 constexpr std::size_t ceil_div(std::size_t a, std::size_t b) {
   return (a + b - 1) / b;
 }

@@ -76,6 +76,8 @@ class Span {
         start_ns_(name_ ? now_ns() : 0) {}
   Span(const Span&) = delete;
   Span& operator=(const Span&) = delete;
+  /// For sites that learn their `aux` while the span runs.
+  void set_aux(std::uint64_t aux) { aux_ = aux; }
   ~Span() {
     if (name_ != nullptr) {
       span(name_, start_ns_, now_ns(), id_, ticket_, aux_);

@@ -69,7 +69,11 @@ CompiledSampler CompiledSampler::compile(const Circuit& circuit) {
   CompiledSampler result;
   {
     // Scoped: the tableau is freed before the detectors are combined.
+    // The span's aux is the pass's phase tile-column count.
+    trace::Span pass_span("init_pass");
     DefaultSymPhaseCompiler compiler(circuit);
+    pass_span.set_aux(ceil_div(compiler.symbols().num_symbols(),
+                               BlockedTableau::kTileBits));
     result.symbols_ = std::make_unique<SymbolTable>(compiler.take_symbols());
     result.expressions_ = compiler.take_expressions();
   }

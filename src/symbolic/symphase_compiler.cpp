@@ -37,7 +37,8 @@ std::size_t SymPhaseCompiler<Layout>::phase_capacity_for(
 template <typename Layout>
 SymPhaseCompiler<Layout>::SymPhaseCompiler(const Circuit& circuit)
     : tableau_(std::max<std::size_t>(circuit.num_qubits(), 1),
-               phase_capacity_for(circuit)) {
+               phase_capacity_for(circuit)),
+      column_(words_for_bits(2 * tableau_.num_qubits())) {
   expressions_.reserve(circuit.num_measurements());
   for (const Instruction& inst : circuit.instructions()) {
     apply_instruction(inst);
@@ -239,31 +240,27 @@ MeasurementExpression SymPhaseCompiler<Layout>::measure(std::uint32_t a) {
   tableau_.prepare_row_mode();
   const std::size_t n = tableau_.num_qubits();
   const TableauShape& shape = tableau_.shape();
+  // Row ops below change only their destination row, never an X bit a
+  // later step of this measurement reads, so one mask serves them all.
+  tableau_.x_column(a, column_.data());
 
   // Pivot: first stabilizer anticommuting with Z_a.
-  std::size_t pivot = static_cast<std::size_t>(-1);
-  for (std::size_t i = 0; i < n; ++i) {
-    if (tableau_.x_bit(shape.stab_row(i), a)) {
-      pivot = shape.stab_row(i);
-      break;
-    }
-  }
-
-  if (pivot != static_cast<std::size_t>(-1)) {
+  const std::size_t pivot = first_set_bit(column_.data(), n, 2 * n);
+  if (pivot < 2 * n) {
     // Random outcome: A-G collapse, then a fresh coin symbol becomes both
     // the new row's phase and the recorded expression. Destabilizer rows
     // take X/Z-only ops: no outcome reads a destabilizer phase.
     const std::size_t paired_destab = pivot - n;
-    for (std::size_t i = 0; i < 2 * n; ++i) {
-      if (i == pivot || i == paired_destab || !tableau_.x_bit(i, a)) {
-        continue;
+    for_each_set_bit(column_.data(), 0, 2 * n, [&](std::size_t i) {
+      if (i == pivot || i == paired_destab) {
+        return;
       }
       if (i < n) {
         tableau_.row_mult_xz(i, pivot);
       } else {
         tableau_.row_mult(i, pivot);
       }
-    }
+    });
     tableau_.row_copy_xz(paired_destab, pivot);
     tableau_.row_set_plus_z(pivot, a);
     const std::uint32_t s = symbols_.add_coin();
@@ -277,32 +274,10 @@ MeasurementExpression SymPhaseCompiler<Layout>::measure(std::uint32_t a) {
   // outcome expression.
   const std::size_t scratch = shape.scratch_row();
   tableau_.row_clear(scratch);
-  for (std::size_t i = 0; i < n; ++i) {
-    if (tableau_.x_bit(shape.destab_row(i), a)) {
-      tableau_.row_mult(scratch, shape.stab_row(i));
-    }
-  }
-  return {read_scratch_expression(), false};
-}
-
-template <typename Layout>
-std::vector<std::uint32_t> SymPhaseCompiler<Layout>::read_scratch_expression() {
-  const std::size_t pwords = tableau_.phase_words_used();
-  if (phase_buffer_.size() < pwords) {
-    phase_buffer_.resize(pwords);
-  }
-  tableau_.row_phase_read(tableau_.shape().scratch_row(),
-                          phase_buffer_.data());
-  std::vector<std::uint32_t> support;
-  for (std::size_t w = 0; w < pwords; ++w) {
-    Word bits = phase_buffer_[w];
-    while (bits != 0) {
-      const auto k = static_cast<std::size_t>(std::countr_zero(bits));
-      bits &= bits - 1;
-      support.push_back(static_cast<std::uint32_t>(w * kWordBits + k));
-    }
-  }
-  return support;
+  for_each_set_bit(column_.data(), 0, n, [&](std::size_t i) {
+    tableau_.row_mult(scratch, shape.stab_row(i));
+  });
+  return {tableau_.row_phase_support(scratch), false};
 }
 
 template <typename Layout>
@@ -312,13 +287,12 @@ void SymPhaseCompiler<Layout>::conditional_x_in_row_mode(
     return;
   }
   const std::size_t n = tableau_.num_qubits();
-  for (std::size_t i = n; i < 2 * n; ++i) {
-    if (tableau_.z_bit(i, a)) {
-      for (const std::uint32_t col : expr) {
-        tableau_.row_phase_xor_bit(i, col);
-      }
+  tableau_.z_column(a, column_.data());
+  for_each_set_bit(column_.data(), n, 2 * n, [&](std::size_t i) {
+    for (const std::uint32_t col : expr) {
+      tableau_.row_phase_xor_bit(i, col);
     }
-  }
+  });
 }
 
 template <typename Layout>
@@ -328,13 +302,12 @@ void SymPhaseCompiler<Layout>::conditional_z_in_row_mode(
     return;
   }
   const std::size_t n = tableau_.num_qubits();
-  for (std::size_t i = n; i < 2 * n; ++i) {
-    if (tableau_.x_bit(i, a)) {
-      for (const std::uint32_t col : expr) {
-        tableau_.row_phase_xor_bit(i, col);
-      }
+  tableau_.x_column(a, column_.data());
+  for_each_set_bit(column_.data(), n, 2 * n, [&](std::size_t i) {
+    for (const std::uint32_t col : expr) {
+      tableau_.row_phase_xor_bit(i, col);
     }
-  }
+  });
 }
 
 template class SymPhaseCompiler<RowMajorTableau>;

@@ -30,7 +30,6 @@
 #include <vector>
 
 #include "circuit/circuit.hpp"
-#include "common/aligned.hpp"
 #include "symbolic/symbol_table.hpp"
 #include "tableau/blocked_tableau.hpp"
 #include "tableau/col_major_tableau.hpp"
@@ -105,12 +104,11 @@ class SymPhaseCompiler {
   /// asserting SymbolTable ids stay aligned with phase-column indices.
   void mint_symbol_columns(std::uint32_t first, std::uint32_t count);
 
-  std::vector<std::uint32_t> read_scratch_expression();
-
   SymbolTable symbols_;
   Layout tableau_;
+  /// One X or Z column of the generator rows (x_column / z_column).
+  std::vector<Word> column_;
   std::vector<MeasurementExpression> expressions_;
-  AlignedWordVec phase_buffer_;
 };
 
 // Explicitly instantiated for the three layouts (see symphase_compiler.cpp).

@@ -16,14 +16,30 @@ constexpr std::size_t kLine = BlockedTableau::kTileWordsPerLine;
 // full logical column (or row) segment as one WideWord per tile-row.
 static_assert(kLine == WideWord::kWords);
 
+/// The constant column s_0 is bit 0 of its tile-column's lines.
+alignas(64) constexpr Word kConstantBit[kLine] = {1};
+
+/// Stores `value` to `line` and sets `bit` of `mask` to whether it is
+/// nonzero, without a branch.
+inline void store_tracked(WideWord value, Word* line, Word* mask,
+                          std::size_t bit) {
+  value.store(line);
+  Word& word = mask[word_index(bit)];
+  word = (word & ~bit_mask(bit)) |
+         (Word{value.nonzero()} << bit_offset(bit));
+}
+
 }  // namespace
 
 BlockedTableau::BlockedTableau(std::size_t n, std::size_t phase_capacity)
     : shape_(n, /*col_align=*/kTileBits, phase_capacity),
       tile_rows_(ceil_div(shape_.num_rows(), kTileBits)),
       tile_cols_(shape_.num_cols() / kTileBits),
+      phase_tiles_(tile_cols_ - phase_tile_base()),
+      occupancy_words_(words_for_bits(phase_tiles_)),
       col_oriented_(tile_cols_, 0),
-      tiles_(tile_rows_ * tile_cols_ * kTileWords, 0) {
+      tiles_(tile_rows_ * tile_cols_ * kTileWords, 0),
+      occupancy_(shape_.num_rows() * occupancy_words_, 0) {
   // Fresh tiles are all-zero, hence orientation-invariant; start
   // row-oriented and write the identity generators through row lines:
   // row-oriented bit (r, c) is bit (c % 512) of the row line.
@@ -46,14 +62,22 @@ std::size_t BlockedTableau::allocate_phase_column() {
 
 void BlockedTableau::set_orientation(std::size_t tc, bool column_oriented) {
   SYMPHASE_ASSERT(col_oriented_[tc] != (column_oriented ? 1 : 0));
-  if (tc >= phase_tile_base()) {
-    flush_phase_log();
-  }
   for (std::size_t tr = 0; tr < tile_rows_; ++tr) {
     transpose_tile512_inplace(tile(tr, tc));
   }
   col_oriented_[tc] = column_oriented ? 1 : 0;
   col_oriented_count_ += column_oriented ? 1 : std::size_t(-1);
+  if (!column_oriented && tc >= phase_tile_base()) {
+    rescan_occupancy(tc);
+  }
+}
+
+void BlockedTableau::rescan_occupancy(std::size_t tc) {
+  const std::size_t k = tc - phase_tile_base();
+  for (std::size_t r = 0; r < shape_.num_rows(); ++r) {
+    Word* line = row_line(r, tc);
+    store_tracked(WideWord::load(line), line, occupancy(r), k);
+  }
 }
 
 void BlockedTableau::prepare_row_mode() {
@@ -305,6 +329,32 @@ bool BlockedTableau::z_bit(std::size_t row, std::size_t q) const {
   return bit_at(row, z_col(q));
 }
 
+void BlockedTableau::column_bits(std::size_t col, Word* out) const {
+  const std::size_t rows = 2 * shape_.n;
+  const std::size_t tc = col / kTileBits;
+  const std::size_t bit = col % kTileBits;
+  for (std::size_t tr = 0; tr * kTileBits < rows; ++tr) {
+    const std::size_t count = std::min(kTileBits, rows - tr * kTileBits);
+    Word* dst = out + tr * kLine;
+    if (col_oriented_[tc]) {
+      wide::copy_words(dst, tile(tr, tc) + bit * kLine, words_for_bits(count));
+    } else {
+      gather_bit_column(tile(tr, tc) + word_index(bit), kLine,
+                        bit_offset(bit), count, dst);
+    }
+  }
+  // A column line also carries the scratch row.
+  out[word_index(rows - 1)] &= tail_mask(rows);
+}
+
+void BlockedTableau::x_column(std::size_t q, Word* out) const {
+  column_bits(x_col(q), out);
+}
+
+void BlockedTableau::z_column(std::size_t q, Word* out) const {
+  column_bits(z_col(q), out);
+}
+
 void BlockedTableau::row_mult(std::size_t dst, std::size_t src) {
   SYMPHASE_ASSERT(all_rows_ready());
   SYMPHASE_ASSERT(dst != src);
@@ -318,8 +368,23 @@ void BlockedTableau::row_mult(std::size_t dst, std::size_t src) {
   }
   const int exponent = tally.i_exponent_mod4();
   SYMPHASE_ASSERT(exponent % 2 == 0);
-  phase_row_op(exponent == 2 ? PhaseOp::kXorFlipConstant : PhaseOp::kXor, dst,
-               src);
+
+  // The constant column's tile-column is always visited, with an i^2
+  // product's sign flip XORed in register; then the source's other
+  // occupied tile-columns.
+  const std::size_t base = phase_tile_base();
+  const WideWord sign = WideWord::splat(static_cast<Word>(exponent >> 1)) &
+                        WideWord::load(kConstantBit);
+  Word* dst_occupancy = occupancy(dst);
+  const auto xor_line = [&](std::size_t k, WideWord extra) {
+    Word* line = row_line(dst, base + k);
+    store_tracked(WideWord::load(line) ^
+                      WideWord::load(row_line(src, base + k)) ^ extra,
+                  line, dst_occupancy, k);
+  };
+  xor_line(0, sign);
+  for_each_set_bit(occupancy(src), 1, phase_tiles_,
+                   [&](std::size_t k) { xor_line(k, WideWord::zero()); });
 }
 
 void BlockedTableau::row_mult_xz(std::size_t dst, std::size_t src) {
@@ -335,7 +400,16 @@ void BlockedTableau::row_copy(std::size_t dst, std::size_t src) {
     return;
   }
   row_copy_xz(dst, src);
-  phase_row_op(PhaseOp::kCopy, dst, src);
+  // Lines under a clear bit are zero, so copying the constant column's
+  // line and every line either row occupies copies the whole phase.
+  const std::size_t base = phase_tile_base();
+  const auto copy_line = [&](std::size_t k) {
+    WideWord::load(row_line(src, base + k)).store(row_line(dst, base + k));
+  };
+  copy_line(0);
+  for_each_set_bit(occupancy(dst), 1, phase_tiles_, copy_line);
+  for_each_set_bit(occupancy(src), 1, phase_tiles_, copy_line);
+  std::copy_n(occupancy(src), occupancy_words_, occupancy(dst));
 }
 
 void BlockedTableau::row_copy_xz(std::size_t dst, std::size_t src) {
@@ -350,7 +424,13 @@ void BlockedTableau::row_clear(std::size_t row) {
   for (std::size_t tc = 0; tc < phase_tile_base(); ++tc) {
     wide::clear_words(row_line(row, tc), kLine);
   }
-  phase_row_op(PhaseOp::kClear, row, row);
+  const std::size_t base = phase_tile_base();
+  const auto clear_line = [&](std::size_t k) {
+    WideWord::zero().store(row_line(row, base + k));
+  };
+  clear_line(0);
+  for_each_set_bit(occupancy(row), 1, phase_tiles_, clear_line);
+  std::fill_n(occupancy(row), occupancy_words_, Word{0});
 }
 
 void BlockedTableau::row_set_plus_z(std::size_t row, std::size_t q) {
@@ -359,86 +439,20 @@ void BlockedTableau::row_set_plus_z(std::size_t row, std::size_t q) {
   set_bit(line, z_col(q) % kTileBits, true);
 }
 
-void BlockedTableau::phase_row_op(PhaseOp op, std::size_t dst,
-                                  std::size_t src) {
-  phase_log_.push_back({row_offset(dst), row_offset(src), op});
-  if (phase_log_.size() + phase_flips_.size() >= kPhaseLogCap) {
-    flush_phase_log();
-  }
-}
-
-void BlockedTableau::apply_phase_op(Word* tile_col,
-                                    const PhaseLogEntry& entry,
-                                    bool constant_tile) {
-  Word* dst = tile_col + entry.dst;
-  const Word* src = tile_col + entry.src;
-  switch (entry.op) {
-    case PhaseOp::kXor:
-      (WideWord::load(dst) ^ WideWord::load(src)).store(dst);
-      break;
-    case PhaseOp::kXorFlipConstant:
-      (WideWord::load(dst) ^ WideWord::load(src)).store(dst);
-      if (constant_tile) {
-        dst[0] ^= Word{1};
-      }
-      break;
-    case PhaseOp::kCopy:
-      WideWord::load(src).store(dst);
-      break;
-    case PhaseOp::kClear:
-      WideWord::zero().store(dst);
-      break;
-  }
-}
-
-void BlockedTableau::flush_phase_log() const {
-  if (phase_log_.empty()) {
-    return;
-  }
-  // Flips at one position commute, so (tile-column, position) order is
-  // all the replay needs.
-  std::sort(phase_flips_.begin(), phase_flips_.end(),
-            [](const PhaseFlip& a, const PhaseFlip& b) {
-              return a.tile_col != b.tile_col ? a.tile_col < b.tile_col
-                                              : a.seq < b.seq;
-            });
-  const std::size_t base = phase_tile_base();
-  const std::size_t live = live_tile_cols();
-  auto flip = phase_flips_.begin();
-  for (std::size_t tc = base; tc < live; ++tc) {
-    Word* tile_col = tiles_.data() + tc * kTileWords;
-    const bool constant_tile = tc == base;
-    std::size_t next = 0;
-    const auto replay_until = [&](std::size_t end) {
-      for (; next < end; ++next) {
-        apply_phase_op(tile_col, phase_log_[next], constant_tile);
-      }
-    };
-    for (; flip != phase_flips_.end() && flip->tile_col == tc; ++flip) {
-      replay_until(flip->seq);
-      flip_bit(tile_col + flip->line, flip->bit);
-    }
-    replay_until(phase_log_.size());
-  }
-  SYMPHASE_ASSERT(flip == phase_flips_.end());
-  phase_log_.clear();
-  phase_flips_.clear();
-}
-
-void BlockedTableau::row_phase_read(std::size_t row, Word* out) const {
+std::vector<std::uint32_t> BlockedTableau::row_phase_support(
+    std::size_t row) const {
   SYMPHASE_ASSERT(all_rows_ready());
-  flush_phase_log();
-  const std::size_t pwords = phase_words_used();
-  std::size_t written = 0;
-  for (std::size_t tc = phase_tile_base(); written < pwords; ++tc) {
-    const Word* line = row_line(row, tc);
-    for (std::size_t w = 0; w < kLine && written < pwords; ++w) {
-      out[written++] = line[w];
-    }
-  }
-  if (phase_used_ % kWordBits != 0) {
-    out[pwords - 1] &= tail_mask(phase_used_);
-  }
+  std::vector<std::uint32_t> support;
+  for_each_set_bit(occupancy(row), 0, phase_tiles_, [&](std::size_t k) {
+    const std::size_t first = k * kTileBits;
+    SYMPHASE_ASSERT(first < phase_used_);
+    for_each_set_bit(row_line(row, phase_tile_base() + k), 0,
+                     std::min(kTileBits, phase_used_ - first),
+                     [&](std::size_t b) {
+                       support.push_back(static_cast<std::uint32_t>(first + b));
+                     });
+  });
+  return support;
 }
 
 void BlockedTableau::row_phase_xor_bit(std::size_t row,
@@ -446,22 +460,14 @@ void BlockedTableau::row_phase_xor_bit(std::size_t row,
   SYMPHASE_ASSERT(phase_col_index < phase_used_);
   const std::size_t c = phase_col(phase_col_index);
   const std::size_t tc = c / kTileBits;
-  SYMPHASE_ASSERT(!col_oriented_[tc]);
-  if (phase_log_.empty()) {
-    flip_bit(row_line(row, tc), c % kTileBits);
-    return;
-  }
-  phase_flips_.push_back(
-      {phase_log_.size(), tc, row_offset(row), c % kTileBits});
-  if (phase_log_.size() + phase_flips_.size() >= kPhaseLogCap) {
-    flush_phase_log();
-  }
+  flip_bit(row_line(row, tc), c % kTileBits);
+  const std::size_t k = tc - phase_tile_base();
+  occupancy(row)[word_index(k)] |= bit_mask(k);
 }
 
 bool BlockedTableau::row_phase_bit(std::size_t row,
                                    std::size_t phase_col_index) const {
   SYMPHASE_ASSERT(phase_col_index < phase_used_);
-  flush_phase_log();
   return bit_at(row, phase_col(phase_col_index));
 }
 

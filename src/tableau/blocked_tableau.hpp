@@ -22,16 +22,16 @@
 /// All-zero tiles are orientation-invariant, so lazy phase-column growth
 /// composes safely with the orientation machinery.
 ///
-/// Row operations apply their X/Z part at once but only log their phase
-/// part (xor, xor plus a constant-bit flip, copy, clear, or a single-bit
-/// flip). The log is replayed one phase tile-column at a time, so a
-/// measurement burst's row ops run while that tile-column is
-/// cache-resident instead of each op streaming its rows' whole phase
-/// prefix. It is flushed before any phase bit is read, before a phase
-/// tile changes orientation, and when it reaches kPhaseLogCap entries.
-///
-/// Reading a phase replays the log, so even the const readers write to
-/// the tableau: a BlockedTableau is not for concurrent use.
+/// Each row carries an occupancy mask, one bit per phase tile-column, set
+/// wherever the row's line there may be nonzero (a clear bit means an
+/// all-zero line). Row ops keep the bits exact from the result lines they
+/// hold in register, row_phase_xor_bit sets one, and a phase tile-column's
+/// bits are rescanned for every row when it returns to row orientation,
+/// the only state in which column ops can have written it. Row ops apply
+/// their phase part at once on the tile-columns their source (for a copy
+/// or clear, also their destination) occupies, always visiting the
+/// constant column's tile-column; phase reads visit only occupied
+/// tile-columns. A stabilizer row's phase support sits in a few of them.
 
 #include <cstdint>
 #include <span>
@@ -55,7 +55,6 @@ class BlockedTableau {
   std::size_t num_qubits() const { return shape_.n; }
 
   std::size_t phase_used() const { return phase_used_; }
-  std::size_t phase_words_used() const { return words_for_bits(phase_used_); }
   std::size_t allocate_phase_column();
 
   /// Lazy: gates flip the tile-columns they touch on demand.
@@ -84,6 +83,10 @@ class BlockedTableau {
   // --- Row operations (measurements; require prepare_row_mode) ---------
   bool x_bit(std::size_t row, std::size_t q) const;
   bool z_bit(std::size_t row, std::size_t q) const;
+  /// Generator-row masks of qubit q's X (Z) column, in either
+  /// orientation (see RowMajorTableau).
+  void x_column(std::size_t q, Word* out) const;
+  void z_column(std::size_t q, Word* out) const;
   void row_mult(std::size_t dst, std::size_t src);
   void row_copy(std::size_t dst, std::size_t src);
   /// X/Z-only row_mult / row_copy (see RowMajorTableau).
@@ -91,32 +94,11 @@ class BlockedTableau {
   void row_copy_xz(std::size_t dst, std::size_t src);
   void row_set_plus_z(std::size_t row, std::size_t q);
   void row_clear(std::size_t row);
-  void row_phase_read(std::size_t row, Word* out) const;
+  std::vector<std::uint32_t> row_phase_support(std::size_t row) const;
   void row_phase_xor_bit(std::size_t row, std::size_t phase_col);
   bool row_phase_bit(std::size_t row, std::size_t phase_col) const;
 
  private:
-  /// Most pending entries (row ops plus bit flips) the phase log holds
-  /// before it is replayed. A burst of k random collapses logs up to k·n
-  /// row ops, so without a cap a circuit could buy memory with them.
-  static constexpr std::size_t kPhaseLogCap = 4096;
-
-  enum class PhaseOp : std::uint8_t { kXor, kXorFlipConstant, kCopy, kClear };
-  /// Phase part of one row op. dst/src are row_offset()s: add a
-  /// tile-column's base to reach the row's 8-word line in it.
-  struct PhaseLogEntry {
-    std::size_t dst;
-    std::size_t src;
-    PhaseOp op;
-  };
-  /// A bit flip logged after the first `seq` entries, on one tile-column.
-  struct PhaseFlip {
-    std::size_t seq;
-    std::size_t tile_col;
-    std::size_t line;  // row_offset() of the row
-    std::size_t bit;   // bit within the line
-  };
-
   std::size_t x_col(std::size_t q) const { return q; }
   std::size_t z_col(std::size_t q) const { return shape_.z_col_base() + q; }
   std::size_t phase_col(std::size_t b) const {
@@ -159,19 +141,17 @@ class BlockedTableau {
   std::size_t phase_tile_base() const {
     return shape_.phase_col_base() / kTileBits;
   }
-  /// Offset of row r's line from the start of its tile-column's first tile.
-  std::size_t row_offset(std::size_t r) const {
-    return (r / kTileBits) * tile_cols_ * kTileWords +
-           (r % kTileBits) * kTileWordsPerLine;
-  }
 
-  /// Logs the phase part of a row op; replays the log at kPhaseLogCap.
-  void phase_row_op(PhaseOp op, std::size_t dst, std::size_t src);
-  static void apply_phase_op(Word* tile_col, const PhaseLogEntry& entry,
-                             bool constant_tile);
-  /// Replays and empties the phase log. Every phase tile is row-oriented
-  /// while entries are pending.
-  void flush_phase_log() const;
+  /// Row r's occupancy mask: bit k covers phase tile-column k (tile-column
+  /// phase_tile_base() + k).
+  Word* occupancy(std::size_t r) {
+    return occupancy_.data() + r * occupancy_words_;
+  }
+  const Word* occupancy(std::size_t r) const {
+    return occupancy_.data() + r * occupancy_words_;
+  }
+  /// Recomputes every row's bit for phase tile-column tc (row-oriented).
+  void rescan_occupancy(std::size_t tc);
 
   void set_orientation(std::size_t tc, bool column_oriented);
   void ensure_col_oriented(std::size_t logical_col) {
@@ -184,17 +164,18 @@ class BlockedTableau {
   bool all_rows_ready() const { return col_oriented_count_ == 0; }
 
   bool bit_at(std::size_t row, std::size_t col) const;
+  void column_bits(std::size_t col, Word* out) const;
 
   TableauShape shape_;
   std::size_t phase_used_ = 1;
   std::size_t tile_rows_ = 0;
   std::size_t tile_cols_ = 0;
+  std::size_t phase_tiles_ = 0;
+  std::size_t occupancy_words_ = 0;
   std::size_t col_oriented_count_ = 0;
   std::vector<std::uint8_t> col_oriented_;  // per tile-column
-  // Mutable because the const phase readers replay the log first.
-  mutable AlignedWordVec tiles_;
-  mutable std::vector<PhaseLogEntry> phase_log_;
-  mutable std::vector<PhaseFlip> phase_flips_;
+  AlignedWordVec tiles_;
+  std::vector<Word> occupancy_;  // num_rows() x occupancy_words_
 };
 
 }  // namespace symphase

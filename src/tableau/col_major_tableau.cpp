@@ -212,6 +212,25 @@ bool ColMajorTableau::z_bit(std::size_t row, std::size_t q) const {
   return column_mode_ ? cols_.get(z_col(q), row) : rows_.get(row, z_col(q));
 }
 
+void ColMajorTableau::column_bits(std::size_t c, Word* out) const {
+  if (!column_mode_) {
+    dense_rows::column_bits(rows_, shape_, c, out);
+    return;
+  }
+  // A column array also carries the scratch row.
+  const std::size_t rows = 2 * shape_.n;
+  wide::copy_words(out, col(c), words_for_bits(rows));
+  out[word_index(rows - 1)] &= tail_mask(rows);
+}
+
+void ColMajorTableau::x_column(std::size_t q, Word* out) const {
+  column_bits(x_col(q), out);
+}
+
+void ColMajorTableau::z_column(std::size_t q, Word* out) const {
+  column_bits(z_col(q), out);
+}
+
 void ColMajorTableau::row_mult(std::size_t dst, std::size_t src) {
   SYMPHASE_ASSERT(!column_mode_);
   dense_rows::row_mult(rows_, shape_, phase_words_used(), dst, src);
@@ -242,9 +261,10 @@ void ColMajorTableau::row_clear(std::size_t row) {
   rows_.clear_row(row);
 }
 
-void ColMajorTableau::row_phase_read(std::size_t row, Word* out) const {
+std::vector<std::uint32_t> ColMajorTableau::row_phase_support(
+    std::size_t row) const {
   SYMPHASE_ASSERT(!column_mode_);
-  dense_rows::row_phase_read(rows_, shape_, phase_used_, row, out);
+  return dense_rows::row_phase_support(rows_, shape_, phase_used_, row);
 }
 
 void ColMajorTableau::row_phase_xor_bit(std::size_t row,

@@ -19,6 +19,7 @@
 
 #include <cstdint>
 #include <span>
+#include <vector>
 
 #include "bitvec/bit_matrix.hpp"
 #include "tableau/shape.hpp"
@@ -63,6 +64,10 @@ class ColMajorTableau {
   // --- Row-mode operations -------------------------------------------
   bool x_bit(std::size_t row, std::size_t q) const;
   bool z_bit(std::size_t row, std::size_t q) const;
+  /// Generator-row masks of qubit q's X (Z) column, in either mode (see
+  /// RowMajorTableau).
+  void x_column(std::size_t q, Word* out) const;
+  void z_column(std::size_t q, Word* out) const;
   void row_mult(std::size_t dst, std::size_t src);
   void row_copy(std::size_t dst, std::size_t src);
   /// X/Z-only row_mult / row_copy (see RowMajorTableau).
@@ -70,7 +75,7 @@ class ColMajorTableau {
   void row_copy_xz(std::size_t dst, std::size_t src);
   void row_set_plus_z(std::size_t row, std::size_t q);
   void row_clear(std::size_t row);
-  void row_phase_read(std::size_t row, Word* out) const;
+  std::vector<std::uint32_t> row_phase_support(std::size_t row) const;
   void row_phase_xor_bit(std::size_t row, std::size_t phase_col);
   bool row_phase_bit(std::size_t row, std::size_t phase_col) const;
 
@@ -91,6 +96,7 @@ class ColMajorTableau {
 
   Word* col(std::size_t c) { return cols_.row(c); }
   const Word* col(std::size_t c) const { return cols_.row(c); }
+  void column_bits(std::size_t c, Word* out) const;
 
   TableauShape shape_;
   std::size_t phase_used_ = 1;

@@ -7,6 +7,9 @@
 /// materializes the same image in row mode. Both delegate their row-mode
 /// operations here so the A-G semantics live in exactly one place.
 
+#include <cstdint>
+#include <vector>
+
 #include "bitvec/bit_matrix.hpp"
 #include "tableau/row_kernels.hpp"
 #include "tableau/shape.hpp"
@@ -63,15 +66,25 @@ inline void row_set_plus_z(BitMatrix& bits, const TableauShape& shape,
   bits.set(row, shape.z_col_base() + q, true);
 }
 
-inline void row_phase_read(const BitMatrix& bits, const TableauShape& shape,
-                           std::size_t phase_used, std::size_t row,
-                           Word* out) {
-  const Word* r = bits.row(row) + shape.phase_col_base() / kWordBits;
-  const std::size_t pwords = words_for_bits(phase_used);
-  wide::copy_words(out, r, pwords);
-  if (phase_used % kWordBits != 0) {
-    out[pwords - 1] &= tail_mask(phase_used);
-  }
+/// Sorted phase columns set in `row`.
+inline std::vector<std::uint32_t> row_phase_support(const BitMatrix& bits,
+                                                    const TableauShape& shape,
+                                                    std::size_t phase_used,
+                                                    std::size_t row) {
+  std::vector<std::uint32_t> support;
+  for_each_set_bit(bits.row(row) + shape.phase_col_base() / kWordBits, 0,
+                   phase_used, [&](std::size_t c) {
+                     support.push_back(static_cast<std::uint32_t>(c));
+                   });
+  return support;
+}
+
+/// Bit `col` of the 2n generator rows as a row mask (the layouts'
+/// x_column / z_column).
+inline void column_bits(const BitMatrix& bits, const TableauShape& shape,
+                        std::size_t col, Word* out) {
+  gather_bit_column(bits.row(0) + word_index(col), bits.words_per_row(),
+                    bit_offset(col), 2 * shape.n, out);
 }
 
 }  // namespace symphase::dense_rows

@@ -10,6 +10,7 @@
 /// it on its own storage. All kernels run at WideWord (512-bit lane)
 /// width with scalar tails.
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 
@@ -78,6 +79,23 @@ inline void rowsum_xor_accumulate(Word* dst_x, Word* dst_z, const Word* src_x,
     tally.accumulate(dst_x[i], dst_z[i], src_x[i], src_z[i]);
     dst_x[i] ^= src_x[i];
     dst_z[i] ^= src_z[i];
+  }
+}
+
+/// Packs bit `shift` of `count` words spaced `stride` words apart (one
+/// per row of a row-oriented image) into a row mask: bit k of `out` is
+/// bit `shift` of first[k * stride]. Writes words_for_bits(count) words.
+inline void gather_bit_column(const Word* first, std::size_t stride,
+                              std::size_t shift, std::size_t count,
+                              Word* out) {
+  for (std::size_t w = 0; w * kWordBits < count; ++w) {
+    const Word* p = first + w * kWordBits * stride;
+    const std::size_t rows = std::min(kWordBits, count - w * kWordBits);
+    Word mask = 0;
+    for (std::size_t k = 0; k < rows; ++k) {
+      mask |= ((p[k * stride] >> shift) & 1) << k;
+    }
+    out[w] = mask;
   }
 }
 

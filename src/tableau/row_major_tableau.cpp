@@ -253,6 +253,14 @@ bool RowMajorTableau::z_bit(std::size_t row, std::size_t q) const {
   return bits_.get(row, z_col(q));
 }
 
+void RowMajorTableau::x_column(std::size_t q, Word* out) const {
+  dense_rows::column_bits(bits_, shape_, x_col(q), out);
+}
+
+void RowMajorTableau::z_column(std::size_t q, Word* out) const {
+  dense_rows::column_bits(bits_, shape_, z_col(q), out);
+}
+
 void RowMajorTableau::row_mult(std::size_t dst, std::size_t src) {
   dense_rows::row_mult(bits_, shape_, phase_words_used(), dst, src);
 }
@@ -275,8 +283,9 @@ void RowMajorTableau::row_set_plus_z(std::size_t row, std::size_t q) {
   dense_rows::row_set_plus_z(bits_, shape_, row, q);
 }
 
-void RowMajorTableau::row_phase_read(std::size_t row, Word* out) const {
-  dense_rows::row_phase_read(bits_, shape_, phase_used_, row, out);
+std::vector<std::uint32_t> RowMajorTableau::row_phase_support(
+    std::size_t row) const {
+  return dense_rows::row_phase_support(bits_, shape_, phase_used_, row);
 }
 
 void RowMajorTableau::row_phase_xor_bit(std::size_t row,

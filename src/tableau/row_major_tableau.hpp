@@ -15,6 +15,7 @@
 
 #include <cstdint>
 #include <span>
+#include <vector>
 
 #include "bitvec/bit_matrix.hpp"
 #include "tableau/shape.hpp"
@@ -67,6 +68,10 @@ class RowMajorTableau {
   // --- Row-mode operations (measurements) ---------------------------
   bool x_bit(std::size_t row, std::size_t q) const;
   bool z_bit(std::size_t row, std::size_t q) const;
+  /// Qubit q's X (Z) bits of the 2n generator rows as one row mask: bit r
+  /// of `out` is x_bit(r, q). `out` holds words_for_bits(2n) words.
+  void x_column(std::size_t q, Word* out) const;
+  void z_column(std::size_t q, Word* out) const;
 
   /// row(dst) := row(dst) · row(src) with exact phase tracking. The
   /// accumulated i exponent must be even (commuting-product invariant).
@@ -81,7 +86,8 @@ class RowMajorTableau {
   /// row := identity with zero phase.
   void row_clear(std::size_t row);
 
-  void row_phase_read(std::size_t row, Word* out) const;
+  /// Sorted phase columns set in `row`.
+  std::vector<std::uint32_t> row_phase_support(std::size_t row) const;
   void row_phase_xor_bit(std::size_t row, std::size_t phase_col);
   bool row_phase_bit(std::size_t row, std::size_t phase_col) const;
 

@@ -346,6 +346,71 @@ TEST(StreamingSession, FrameDetectionMatchesMaterializedEvents) {
   }
 }
 
+TEST(StreamingSession, ShardBlocksKeptForTheThreadsNextRunOnly) {
+  // A run that returns normally leaves its blocks to the thread, and the
+  // next run of the same geometry gets them back, bits and all.
+  { ShardBlocks run(2, 3); run[1].set(2, 5, true); }
+  {
+    ShardBlocks run(2, 3);
+    EXPECT_TRUE(run[1].get(2, 5));
+  }
+  // A set of another geometry frees them before it allocates.
+  { ShardBlocks other(1, 4); }
+  {
+    ShardBlocks run(2, 3);
+    EXPECT_FALSE(run[1].get(2, 5));
+  }
+  // Nested sets of one run (a session's scratch around the engine's
+  // blocks) are all kept.
+  {
+    ShardBlocks scratch(1, 4);
+    ShardBlocks run(2, 3);
+    scratch[0].set(3, 1, true);
+    run[1].set(2, 5, true);
+  }
+  {
+    ShardBlocks scratch(1, 4);
+    ShardBlocks run(2, 3);
+    EXPECT_TRUE(scratch[0].get(3, 1));
+    EXPECT_TRUE(run[1].get(2, 5));
+  }
+  // A run that throws keeps nothing.
+  EXPECT_THROW(
+      {
+        ShardBlocks run(2, 3);
+        throw TaskCancelled();
+      },
+      TaskCancelled);
+  {
+    ShardBlocks run(2, 3);
+    EXPECT_FALSE(run[1].get(2, 5));
+  }
+}
+
+TEST(StreamingSession, KeptBlocksLeaveOutputUnchanged) {
+  // Runs on one thread reuse its blocks, stale bits included: a ragged
+  // sub-shard run after a full one, and frame-backend detection runs that
+  // also reuse their scratch, read the same as on a fresh thread.
+  const SimulatorSession session(noisy_surface_circuit());
+  const auto frames_detect = [](std::size_t shots, std::uint64_t seed) {
+    return SampleTask::detection_events(shots)
+        .with_seed(seed)
+        .with_threads(1)
+        .with_backend(SampleBackend::kFrameSimulator);
+  };
+  const std::vector<SampleTask> tasks = {
+      SampleTask::measurements(kShots).with_seed(3).with_threads(1),
+      SampleTask::measurements(100).with_seed(4).with_threads(1),
+      frames_detect(kShots, 5),
+      frames_detect(100, 6),
+  };
+  for (const SampleTask& task : tasks) {
+    BitMatrix fresh;
+    std::thread([&] { fresh = session.run_to_matrix(task); }).join();
+    EXPECT_EQ(session.run_to_matrix(task), fresh);
+  }
+}
+
 /// Whether `block` holds shard `shard` of the `shots`-shot `reference`.
 bool block_matches(const BitMatrix& block, const BitMatrix& reference,
                    std::size_t shard, std::size_t shots) {

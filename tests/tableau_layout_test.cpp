@@ -242,10 +242,10 @@ TYPED_TEST(TableauLayoutTest, XzRowOpsLeavePhasesAlone) {
   EXPECT_FALSE(t.row_phase_bit(d1, s1));
 }
 
-TYPED_TEST(TableauLayoutTest, RowPhaseReadMatchesBits) {
-  TypeParam t(2, 200);
-  std::vector<std::uint32_t> set_cols = {1, 63, 64, 65, 130, 199};
-  for (std::uint32_t c = 1; c < 200; ++c) {
+TYPED_TEST(TableauLayoutTest, RowPhaseSupportMatchesBits) {
+  TypeParam t(2, 1200);
+  std::vector<std::uint32_t> set_cols = {1, 63, 64, 65, 130, 199, 1100};
+  for (std::uint32_t c = 1; c < 1200; ++c) {
     t.allocate_phase_column();
   }
   t.prepare_row_mode();
@@ -253,13 +253,59 @@ TYPED_TEST(TableauLayoutTest, RowPhaseReadMatchesBits) {
   for (const std::uint32_t c : set_cols) {
     t.row_phase_xor_bit(row, c);
   }
-  std::vector<Word> buffer(t.phase_words_used());
-  t.row_phase_read(row, buffer.data());
-  for (std::uint32_t c = 0; c < 200; ++c) {
-    const bool expected =
-        std::find(set_cols.begin(), set_cols.end(), c) != set_cols.end();
-    EXPECT_EQ(get_bit(buffer.data(), c), expected) << c;
+  EXPECT_EQ(t.row_phase_support(row), set_cols);
+  // Flipping a bit back leaves an empty line; it reads as empty.
+  t.row_phase_xor_bit(row, 1100);
+  set_cols.pop_back();
+  EXPECT_EQ(t.row_phase_support(row), set_cols);
+}
+
+// x_column / z_column against x_bit / z_bit on both sides of the 512-row
+// tile boundary (n = 300 gives 600 generator rows), in row and column
+// mode.
+TYPED_TEST(TableauLayoutTest, ColumnMasksMatchBits) {
+  constexpr std::size_t kQubits = 300;
+  TypeParam t(kQubits, 1);
+  Rng rng(11);
+  // The scratch row is not a generator: its bits stay out of the masks.
+  t.prepare_row_mode();
+  t.row_copy(t.shape().scratch_row(), t.shape().stab_row(0));
+  t.prepare_column_mode();
+  for (int k = 0; k < 2000; ++k) {
+    const auto a = static_cast<std::size_t>(rng.next_below(kQubits));
+    const auto b = static_cast<std::size_t>(rng.next_below(kQubits));
+    switch (rng.next_below(3)) {
+      case 0:
+        t.gate_h(a);
+        break;
+      case 1:
+        t.gate_s(a);
+        break;
+      default:
+        if (a != b) {
+          t.gate_cnot(a, b);
+        }
+        break;
+    }
   }
+  std::vector<Word> mask(words_for_bits(2 * kQubits));
+  const auto check = [&](const char* mode) {
+    for (std::size_t q = 0; q < kQubits; ++q) {
+      t.x_column(q, mask.data());
+      for (std::size_t r = 0; r < 2 * kQubits; ++r) {
+        ASSERT_EQ(get_bit(mask.data(), r), t.x_bit(r, q))
+            << mode << " x row " << r << " qubit " << q;
+      }
+      t.z_column(q, mask.data());
+      for (std::size_t r = 0; r < 2 * kQubits; ++r) {
+        ASSERT_EQ(get_bit(mask.data(), r), t.z_bit(r, q))
+            << mode << " z row " << r << " qubit " << q;
+      }
+    }
+  };
+  check("column mode");
+  t.prepare_row_mode();
+  check("row mode");
 }
 
 TYPED_TEST(TableauLayoutTest, LazyPhaseGrowthAcrossModeSwitches) {
@@ -285,18 +331,20 @@ TYPED_TEST(TableauLayoutTest, LazyPhaseGrowthAcrossModeSwitches) {
 }
 
 // Cross-layout equivalence under a long random operation sequence. The
-// row-major and column-major layouts apply every op at once, so they are
-// the oracle for the blocked layout, which logs the phase part of row
-// ops. The phase region grows from one to three 512-column tile-columns
-// mid-run; row bursts mix every row op with bit flips and phase reads;
-// and one last burst is longer than the blocked layout's phase-log cap.
+// dense row-major and column-major layouts are the oracle for the
+// blocked layout, whose row ops visit only the phase tile-columns a
+// row's occupancy mask marks. The phase region grows from one to three
+// 512-column tile-columns mid-run, so faults write tile-columns whose
+// masks were rescanned when they last returned to row orientation; row
+// bursts mix every row op with bit flips and phase reads; and one last
+// long burst runs row ops only.
 TEST(TableauLayoutEquivalence, RandomOperationFuzz) {
   constexpr std::size_t kQubits = 37;
   constexpr std::size_t kRows = 2 * kQubits + 1;
   constexpr std::size_t kScratch = 2 * kQubits;
   constexpr std::size_t kPhaseCols = 1200;
   constexpr int kSteps = 1200;
-  constexpr int kLongBurst = 10000;  // more row ops than the log cap
+  constexpr int kLongBurst = 10000;
   RowMajorTableau a(kQubits, kPhaseCols);
   ColMajorTableau b(kQubits, kPhaseCols);
   BlockedTableau c(kQubits, kPhaseCols);
@@ -354,14 +402,9 @@ TEST(TableauLayoutEquivalence, RandomOperationFuzz) {
         break;
       }
       default: {
-        std::vector<Word> ra(a.phase_words_used());
-        std::vector<Word> rb(ra.size());
-        std::vector<Word> rc(ra.size());
-        a.row_phase_read(dst, ra.data());
-        b.row_phase_read(dst, rb.data());
-        c.row_phase_read(dst, rc.data());
-        EXPECT_EQ(ra, rb);
-        EXPECT_EQ(ra, rc);
+        const std::vector<std::uint32_t> support = a.row_phase_support(dst);
+        EXPECT_EQ(support, b.row_phase_support(dst));
+        EXPECT_EQ(support, c.row_phase_support(dst));
         const std::uint32_t col = random_col();
         EXPECT_EQ(a.row_phase_bit(dst, col), c.row_phase_bit(dst, col));
         break;
@@ -474,6 +517,109 @@ TEST(TableauLayoutEquivalence, RandomOperationFuzz) {
   const Snapshot sa = snapshot(a);
   ASSERT_EQ(sa, snapshot(b)) << "col_major diverged after the long burst";
   ASSERT_EQ(sa, snapshot(c)) << "blocked diverged after the long burst";
+}
+
+// More than 64 phase tile-columns, so each row's occupancy mask spans two
+// words, and n = 300, so rows span two 512-row tile-rows. Faults land in
+// tile-columns whose masks were rescanned when they last returned to row
+// orientation, and row products cancel rows back to an all-zero phase
+// before later products refill them. The dense layouts are the oracle.
+TEST(TableauLayoutEquivalence, WidePhaseRegionOccupancy) {
+  constexpr std::size_t kQubits = 300;
+  constexpr std::size_t kPhaseCols = 70 * BlockedTableau::kTileBits;
+  constexpr std::size_t kScratch = 2 * kQubits;
+  RowMajorTableau a(kQubits, kPhaseCols);
+  ColMajorTableau b(kQubits, kPhaseCols);
+  BlockedTableau c(kQubits, kPhaseCols);
+  const auto apply_all = [&](auto&& fn) {
+    fn(a);
+    fn(b);
+    fn(c);
+  };
+  for (std::size_t k = 1; k < kPhaseCols; ++k) {
+    apply_all([](auto& t) { t.allocate_phase_column(); });
+  }
+  Rng rng(77);
+  const auto qubit = [&] {
+    return static_cast<std::size_t>(rng.next_below(kQubits));
+  };
+  const auto stab = [&] { return kQubits + qubit(); };
+  std::vector<Word> ma(words_for_bits(2 * kQubits));
+  std::vector<Word> mc(ma.size());
+  const auto check = [&](int round) {
+    for (std::size_t r = 0; r <= kScratch; ++r) {
+      const std::vector<std::uint32_t> support = a.row_phase_support(r);
+      ASSERT_EQ(support, b.row_phase_support(r))
+          << "col_major row " << r << " round " << round;
+      ASSERT_EQ(support, c.row_phase_support(r))
+          << "blocked row " << r << " round " << round;
+    }
+    for (std::size_t q = 0; q < kQubits; ++q) {
+      a.x_column(q, ma.data());
+      c.x_column(q, mc.data());
+      ASSERT_EQ(ma, mc) << "x column " << q << " round " << round;
+      a.z_column(q, ma.data());
+      c.z_column(q, mc.data());
+      ASSERT_EQ(ma, mc) << "z column " << q << " round " << round;
+    }
+  };
+
+  for (int round = 0; round < 8; ++round) {
+    apply_all([](auto& t) { t.prepare_column_mode(); });
+    for (int k = 0; k < 150; ++k) {
+      const std::size_t q1 = qubit();
+      const std::size_t q2 = (q1 + 1 + qubit() % (kQubits - 1)) % kQubits;
+      // Early rounds use the low tile-columns so later rounds fault into
+      // tile-columns that have already been rescanned.
+      const std::size_t span = round < 2 ? 4 * BlockedTableau::kTileBits
+                                         : kPhaseCols;
+      const std::uint32_t cols[2] = {
+          static_cast<std::uint32_t>(rng.next_below(span)),
+          static_cast<std::uint32_t>(rng.next_below(span))};
+      switch (rng.next_below(4)) {
+        case 0:
+          apply_all([&](auto& t) { t.gate_h(q1); });
+          break;
+        case 1:
+          apply_all([&](auto& t) { t.gate_cnot(q1, q2); });
+          break;
+        case 2:
+          apply_all([&](auto& t) { t.phase_xor_cols_where_z(q1, cols); });
+          break;
+        default:
+          apply_all([&](auto& t) { t.phase_xor_cols_where_x(q1, cols); });
+          break;
+      }
+    }
+    apply_all([](auto& t) { t.prepare_row_mode(); });
+    for (int k = 0; k < 60; ++k) {
+      const std::size_t i = stab();
+      const std::size_t j = stab();
+      if (i == j) {
+        continue;
+      }
+      switch (rng.next_below(3)) {
+        case 0:
+          // A product applied twice cancels: the lines it filled are
+          // zero again.
+          apply_all([&](auto& t) { t.row_mult(i, j); });
+          apply_all([&](auto& t) { t.row_mult(i, j); });
+          break;
+        case 1:
+          // A row times itself is +I: scratch ends all-zero.
+          apply_all([&](auto& t) {
+            t.row_copy(kScratch, i);
+            t.row_mult(kScratch, i);
+          });
+          ASSERT_TRUE(c.row_phase_support(kScratch).empty());
+          break;
+        default:
+          apply_all([&](auto& t) { t.row_mult(i, j); });
+          break;
+      }
+    }
+    check(round);
+  }
 }
 
 }  // namespace

@@ -2,8 +2,9 @@
 // enable gating, ring wraparound accounting, untorn records under
 // concurrent writers (run under TSan in CI), and the Chrome
 // trace-event JSON rendering parsed back through the repo's own JSON
-// parser; plus the compile bracket's build_sampler span and the error
-// code on a request's aborted instant.
+// parser; plus the compile bracket's build_sampler span, the init_pass
+// span inside each compile, and the error code on a request's aborted
+// instant.
 
 #include "common/trace.hpp"
 
@@ -244,6 +245,69 @@ TEST_F(TraceTest, DetectionPrepareBuildsOnlyTheDetectionSampler) {
   const JsonValue second = parse_json(trace::drain_json());
   EXPECT_EQ(sampler_builds(first), std::vector<std::uint64_t>{1});
   EXPECT_TRUE(sampler_builds(second).empty());
+}
+
+/// One complete span of a drained trace document.
+struct SpanEvent {
+  double start_us;
+  double end_us;
+  std::uint64_t tid;
+  std::uint64_t aux;
+};
+
+/// Every span named `name` in a drained trace document.
+std::vector<SpanEvent> spans_named(const JsonValue& doc,
+                                   const std::string& name) {
+  std::vector<SpanEvent> spans;
+  for (const JsonValue& event : doc.find("traceEvents")->as_array()) {
+    if (event.find("name")->as_string() == name) {
+      const double start = event.find("ts")->as_number();
+      spans.push_back({start, start + event.find("dur")->as_number(),
+                       event.find("tid")->as_u64(),
+                       event.find("args")->find("aux")->as_u64()});
+    }
+  }
+  return spans;
+}
+
+TEST_F(TraceTest, EachCompiledBuildHoldsOneInitPass) {
+  // The Initialization pass is its own span inside the compile, so a slow
+  // compile splits into the pass and the detector combining: exactly one
+  // init_pass inside each build_compiled, on its thread, with the pass's
+  // phase tile-column count in aux. A second prepare is a cache hit and
+  // records neither.
+  SurfaceCodeOptions sc;
+  sc.distance = 3;
+  sc.rounds = 2;
+  sc.data_depolarization = 0.01;
+  sc.measurement_flip_probability = 0.01;
+  const Circuit circuit = surface_code_memory(sc);
+  const std::uint64_t tiles = ceil_div(
+      CompiledSampler::compile(circuit).num_symbols(),
+      BlockedTableau::kTileBits);
+  trace::set_enabled(true);
+  for (int k = 0; k < 2; ++k) {
+    const SimulatorSession session(circuit);
+    session.prepare(SampleTask::measurements(10));
+    session.prepare(SampleTask::detection_events(10));
+  }
+  trace::set_enabled(false);
+  const JsonValue doc = parse_json(trace::drain_json());
+  const std::vector<SpanEvent> builds = spans_named(doc, "build_compiled");
+  const std::vector<SpanEvent> passes = spans_named(doc, "init_pass");
+  ASSERT_EQ(builds.size(), 2u);
+  EXPECT_EQ(passes.size(), builds.size());
+  for (const SpanEvent& build : builds) {
+    std::size_t inside = 0;
+    for (const SpanEvent& pass : passes) {
+      inside += pass.tid == build.tid && pass.start_us >= build.start_us &&
+                pass.end_us <= build.end_us;
+    }
+    EXPECT_EQ(inside, 1u);
+  }
+  for (const SpanEvent& pass : passes) {
+    EXPECT_EQ(pass.aux, tiles);
+  }
 }
 
 TEST_F(TraceTest, AbortedInstantCarriesTheErrorCode) {
