@@ -13,6 +13,7 @@
 
 #include "circuit/generators.hpp"
 #include "symbolic/symphase_compiler.hpp"
+#include "tableau/clifford_gates.hpp"
 #include "tableau/stabilizer_simulator.hpp"
 
 namespace {
@@ -28,11 +29,11 @@ void BM_GateLayer(benchmark::State& state) {
   for (auto _ : state) {
     // One "layer": H + S on every qubit, CNOT chain.
     for (std::size_t i = 0; i < n; ++i) {
-      t.gate_h(i);
-      t.gate_s(i);
+      apply_unitary(t, GateType::H, i);
+      apply_unitary(t, GateType::S, i);
     }
     for (std::size_t i = 0; i + 1 < n; i += 2) {
-      t.gate_cnot(i, i + 1);
+      apply_unitary(t, GateType::CNOT, i, i + 1);
     }
     benchmark::DoNotOptimize(q += t.x_bit(0, 0));
   }
@@ -50,8 +51,8 @@ void BM_GateMeasureAlternation(benchmark::State& state) {
   Layout t(n, 1);
   for (auto _ : state) {
     t.prepare_column_mode();
-    t.gate_h(0);
-    t.gate_cnot(0, n / 2);
+    apply_unitary(t, GateType::H, 0);
+    apply_unitary(t, GateType::CNOT, 0, n / 2);
     t.prepare_row_mode();
     benchmark::DoNotOptimize(t.x_bit(0, 0));
   }

@@ -2,6 +2,8 @@
 
 #include <sstream>
 
+#include "tableau/row_kernels.hpp"
+
 namespace symphase {
 
 PauliString PauliString::from_string(std::string_view text) {
@@ -69,28 +71,13 @@ bool PauliString::commutes_with(const PauliString& other) const {
 
 int pauli_mul_i_exponent(const PauliString& lhs, const PauliString& rhs) {
   SYMPHASE_CHECK(lhs.num_qubits() == rhs.num_qubits());
-  // Each tensor factor contributes i^g with g in {0, +1, -1}; the total is
-  // (#(+1) − #(−1)) mod 4. The +1/−1 positions are word-parallel masks.
-  long long plus = 0;
-  long long minus = 0;
-  const Word* x1 = lhs.x_bits().words();
-  const Word* z1 = lhs.z_bits().words();
-  const Word* x2 = rhs.x_bits().words();
-  const Word* z2 = rhs.z_bits().words();
+  // The tableau rowsum's exponent rule, word by word.
+  PhaseTally tally;
   for (std::size_t w = 0; w < lhs.x_bits().word_count(); ++w) {
-    const Word a = x1[w];
-    const Word b = z1[w];
-    const Word c = x2[w];
-    const Word d = z2[w];
-    // g = +1 for (Y,Z), (X,Y), (Z,X); g = −1 for (Y,X), (X,Z), (Z,Y).
-    const Word plus_mask =
-        (a & b & ~c & d) | (a & ~b & c & d) | (~a & b & c & ~d);
-    const Word minus_mask =
-        (a & b & c & ~d) | (a & ~b & ~c & d) | (~a & b & c & d);
-    plus += popcount(plus_mask);
-    minus += popcount(minus_mask);
+    tally.accumulate(lhs.x_bits().words()[w], lhs.z_bits().words()[w],
+                     rhs.x_bits().words()[w], rhs.z_bits().words()[w]);
   }
-  return static_cast<int>((((plus - minus) % 4) + 4) % 4);
+  return tally.i_exponent_mod4();
 }
 
 PauliString& PauliString::operator*=(const PauliString& rhs) {

@@ -4,9 +4,38 @@
 
 #include "common/parallel.hpp"
 #include "common/simd_word.hpp"
+#include "tableau/clifford_gates.hpp"
 #include "tableau/stabilizer_simulator.hpp"
 
 namespace symphase {
+
+namespace {
+
+/// A shard's frame rows as a gate layout (see clifford_gates.hpp): each
+/// step hands a rule one WideWord of the X and Z frame rows it names.
+/// Frames carry no sign, so the sign lane is dead and X, Y and Z leave
+/// the frames as they are. Steps run over the padded row stride; the
+/// padding words are never read out.
+struct FrameRows {
+  BitMatrix& x;
+  BitMatrix& z;
+
+  std::size_t num_qubits() const { return x.rows(); }
+
+  template <typename Rule>
+  void apply_gate(std::size_t a, std::size_t b) {
+    Word* const rows[clifford::kLanes] = {x.row(a), z.row(a), x.row(b),
+                                          z.row(b), nullptr};
+    const std::size_t words = x.words_per_row();
+    for (std::size_t w = 0; w < words; w += WideWord::kWords) {
+      clifford::step<Rule, clifford::kAllLanes & ~clifford::kSign>(
+          [&](std::size_t k) { return WideWord::load(rows[k] + w); },
+          [&](std::size_t k, WideWord v) { v.store(rows[k] + w); });
+    }
+  }
+};
+
+}  // namespace
 
 Circuit circuit_without_noise(const Circuit& circuit) {
   Circuit clean(circuit.num_qubits());
@@ -48,6 +77,7 @@ void FrameSimulator::sample_shard(BitMatrix& out, std::size_t word0,
   const std::size_t n = std::max<std::size_t>(circuit_.num_qubits(), 1);
   BitMatrix xf(n, words * kWordBits);
   BitMatrix zf(n, words * kWordBits);
+  FrameRows frames{xf, zf};
   std::vector<Word> scratch(words);
   // One batched event fill covers up to kNoiseUnitBatch targets (pairs
   // for DEPOLARIZE2) of a noise instruction at a time: unit u of the
@@ -120,59 +150,9 @@ void FrameSimulator::sample_shard(BitMatrix& out, std::size_t word0,
        ++inst_index) {
     const Instruction& inst = instructions[inst_index];
     switch (inst.type) {
-      case GateType::I:
       case GateType::TICK:
       case GateType::DETECTOR:
       case GateType::OBSERVABLE_INCLUDE:
-        break;
-      // Pauli gates commute trivially through the frame (they are part
-      // of the reference dynamics, not a frame change).
-      case GateType::X:
-      case GateType::Y:
-      case GateType::Z:
-        break;
-      case GateType::H:
-        for (const std::uint32_t q : inst.targets) {
-          wide::swap_words(xf.row(q), zf.row(q), words);
-        }
-        break;
-      case GateType::S:
-      case GateType::S_DAG:
-        // Frames ignore signs: X -> ±Y means z ^= x.
-        for (const std::uint32_t q : inst.targets) {
-          wide::xor_words(zf.row(q), xf.row(q), words);
-        }
-        break;
-      case GateType::SQRT_X:
-      case GateType::SQRT_X_DAG:
-      case GateType::H_YZ:
-        for (const std::uint32_t q : inst.targets) {
-          wide::xor_words(xf.row(q), zf.row(q), words);
-        }
-        break;
-      case GateType::CNOT:
-        for (std::size_t i = 0; i < inst.targets.size(); i += 2) {
-          wide::xor_words(xf.row(inst.targets[i + 1]),
-                          xf.row(inst.targets[i]), words);
-          wide::xor_words(zf.row(inst.targets[i]),
-                          zf.row(inst.targets[i + 1]), words);
-        }
-        break;
-      case GateType::CZ:
-        for (std::size_t i = 0; i < inst.targets.size(); i += 2) {
-          Word* za = zf.row(inst.targets[i]);
-          Word* zb = zf.row(inst.targets[i + 1]);
-          const Word* xa = xf.row(inst.targets[i]);
-          const Word* xb = xf.row(inst.targets[i + 1]);
-          wide::xor_words(za, xb, words);
-          wide::xor_words(zb, xa, words);
-        }
-        break;
-      case GateType::SWAP:
-        for (std::size_t i = 0; i < inst.targets.size(); i += 2) {
-          xf.swap_rows(inst.targets[i], inst.targets[i + 1]);
-          zf.swap_rows(inst.targets[i], inst.targets[i + 1]);
-        }
         break;
       case GateType::M:
         for (const std::uint32_t q : inst.targets) {
@@ -273,6 +253,10 @@ void FrameSimulator::sample_shard(BitMatrix& out, std::size_t word0,
             }
           }
         }
+        break;
+      default:
+        // The unitary gates.
+        apply_unitary(frames, inst.type, inst.targets);
         break;
     }
   }

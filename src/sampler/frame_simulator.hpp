@@ -15,7 +15,10 @@
 /// Frame semantics: X-frame bits flip Z-measurement outcomes; after a
 /// measurement or reset the Z-frame of the touched qubit is randomized
 /// (measurement collapse makes the relative phase a fresh gauge), which
-/// matters if the qubit later re-enters coherent dynamics.
+/// matters if the qubit later re-enters coherent dynamics. A unitary gate
+/// conjugates the frames by the same rule the tableau layouts apply
+/// (tableau/clifford_gates.hpp), with the sign lane dead: frames carry no
+/// sign, so X, Y and Z leave them unchanged.
 ///
 /// Sampling is shot-sharded: the shot axis is cut into fixed-size,
 /// word-aligned shards (kShardWords words = kShardWords*64 shots each),

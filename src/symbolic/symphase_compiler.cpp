@@ -1,7 +1,6 @@
 #include "symbolic/symphase_compiler.hpp"
 
-#include "tableau/col_major_tableau.hpp"
-#include "tableau/row_major_tableau.hpp"
+#include "tableau/clifford_gates.hpp"
 
 namespace symphase {
 
@@ -61,14 +60,8 @@ void SymPhaseCompiler<Layout>::apply_instruction(const Instruction& inst) {
   const GateInfo& info = gate_info(inst.type);
   switch (info.kind) {
     case GateKind::kUnitary1:
-      for (const std::uint32_t q : inst.targets) {
-        apply_unitary(inst.type, q, 0);
-      }
-      break;
     case GateKind::kUnitary2:
-      for (std::size_t i = 0; i < inst.targets.size(); i += 2) {
-        apply_unitary(inst.type, inst.targets[i], inst.targets[i + 1]);
-      }
+      apply_unitary(tableau_, inst.type, inst.targets);
       break;
     case GateKind::kMeasure:
       for (const std::uint32_t q : inst.targets) {
@@ -125,54 +118,6 @@ void SymPhaseCompiler<Layout>::apply_controlled(GateType type,
   }
   if (type == GateType::COND_Z || type == GateType::COND_Y) {
     conditional_z_in_row_mode(qubit, expr);
-  }
-}
-
-template <typename Layout>
-void SymPhaseCompiler<Layout>::apply_unitary(GateType type, std::uint32_t a,
-                                             std::uint32_t b) {
-  tableau_.prepare_column_mode();
-  switch (type) {
-    case GateType::I:
-      break;
-    case GateType::X:
-      tableau_.gate_x(a);
-      break;
-    case GateType::Y:
-      tableau_.gate_y(a);
-      break;
-    case GateType::Z:
-      tableau_.gate_z(a);
-      break;
-    case GateType::H:
-      tableau_.gate_h(a);
-      break;
-    case GateType::S:
-      tableau_.gate_s(a);
-      break;
-    case GateType::S_DAG:
-      tableau_.gate_s_dag(a);
-      break;
-    case GateType::SQRT_X:
-      tableau_.gate_sqrt_x(a);
-      break;
-    case GateType::SQRT_X_DAG:
-      tableau_.gate_sqrt_x_dag(a);
-      break;
-    case GateType::H_YZ:
-      tableau_.gate_h_yz(a);
-      break;
-    case GateType::CNOT:
-      tableau_.gate_cnot(a, b);
-      break;
-    case GateType::CZ:
-      tableau_.gate_cz(a, b);
-      break;
-    case GateType::SWAP:
-      tableau_.gate_swap(a, b);
-      break;
-    default:
-      SYMPHASE_CHECK_MSG(false, "not a unitary gate: " << gate_name(type));
   }
 }
 

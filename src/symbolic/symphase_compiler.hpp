@@ -82,7 +82,6 @@ class SymPhaseCompiler {
   static std::size_t phase_capacity_for(const Circuit& circuit);
 
   void apply_instruction(const Instruction& inst);
-  void apply_unitary(GateType type, std::uint32_t a, std::uint32_t b);
   void apply_noise1(GateType type, std::uint32_t q, double p);
   void apply_noise2(double p, std::uint32_t a, std::uint32_t b);
 

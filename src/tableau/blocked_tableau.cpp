@@ -12,10 +12,6 @@ namespace {
 
 constexpr std::size_t kLine = BlockedTableau::kTileWordsPerLine;
 
-// Every tile line is exactly one SIMD lane: the gate kernels below load a
-// full logical column (or row) segment as one WideWord per tile-row.
-static_assert(kLine == WideWord::kWords);
-
 /// The constant column s_0 is bit 0 of its tile-column's lines.
 alignas(64) constexpr Word kConstantBit[kLine] = {1};
 
@@ -91,188 +87,6 @@ void BlockedTableau::prepare_row_mode() {
     }
   }
   SYMPHASE_ASSERT(all_rows_ready());
-}
-
-// Gate kernels: each logical column is kLine contiguous words per
-// tile-row once its tile-column is column-oriented. Padding rows (beyond
-// 2n+1) hold zeros and transform to zeros.
-
-void BlockedTableau::gate_h(std::size_t a) {
-  SYMPHASE_CHECK(a < shape_.n);
-  ensure_col_oriented(x_col(a));
-  ensure_col_oriented(z_col(a));
-  ensure_col_oriented(phase_col(0));
-  for (std::size_t tr = 0; tr < tile_rows_; ++tr) {
-    Word* xp = col_line(tr, x_col(a));
-    Word* zp = col_line(tr, z_col(a));
-    Word* rp = col_line(tr, phase_col(0));
-    const WideWord x = WideWord::load(xp);
-    const WideWord z = WideWord::load(zp);
-    (WideWord::load(rp) ^ (x & z)).store(rp);
-    z.store(xp);
-    x.store(zp);
-  }
-}
-
-void BlockedTableau::gate_s(std::size_t a) {
-  SYMPHASE_CHECK(a < shape_.n);
-  ensure_col_oriented(x_col(a));
-  ensure_col_oriented(z_col(a));
-  ensure_col_oriented(phase_col(0));
-  for (std::size_t tr = 0; tr < tile_rows_; ++tr) {
-    Word* xp = col_line(tr, x_col(a));
-    Word* zp = col_line(tr, z_col(a));
-    Word* rp = col_line(tr, phase_col(0));
-    const WideWord x = WideWord::load(xp);
-    const WideWord z = WideWord::load(zp);
-    (WideWord::load(rp) ^ (x & z)).store(rp);
-    (z ^ x).store(zp);
-  }
-}
-
-void BlockedTableau::gate_s_dag(std::size_t a) {
-  SYMPHASE_CHECK(a < shape_.n);
-  ensure_col_oriented(x_col(a));
-  ensure_col_oriented(z_col(a));
-  ensure_col_oriented(phase_col(0));
-  for (std::size_t tr = 0; tr < tile_rows_; ++tr) {
-    Word* xp = col_line(tr, x_col(a));
-    Word* zp = col_line(tr, z_col(a));
-    Word* rp = col_line(tr, phase_col(0));
-    const WideWord x = WideWord::load(xp);
-    const WideWord z = WideWord::load(zp);
-    (WideWord::load(rp) ^ andnot(z, x)).store(rp);
-    (z ^ x).store(zp);
-  }
-}
-
-void BlockedTableau::gate_sqrt_x(std::size_t a) {
-  SYMPHASE_CHECK(a < shape_.n);
-  ensure_col_oriented(x_col(a));
-  ensure_col_oriented(z_col(a));
-  ensure_col_oriented(phase_col(0));
-  for (std::size_t tr = 0; tr < tile_rows_; ++tr) {
-    Word* xp = col_line(tr, x_col(a));
-    Word* zp = col_line(tr, z_col(a));
-    Word* rp = col_line(tr, phase_col(0));
-    const WideWord x = WideWord::load(xp);
-    const WideWord z = WideWord::load(zp);
-    (WideWord::load(rp) ^ andnot(x, z)).store(rp);
-    (x ^ z).store(xp);
-  }
-}
-
-void BlockedTableau::gate_sqrt_x_dag(std::size_t a) {
-  SYMPHASE_CHECK(a < shape_.n);
-  ensure_col_oriented(x_col(a));
-  ensure_col_oriented(z_col(a));
-  ensure_col_oriented(phase_col(0));
-  for (std::size_t tr = 0; tr < tile_rows_; ++tr) {
-    Word* xp = col_line(tr, x_col(a));
-    Word* zp = col_line(tr, z_col(a));
-    Word* rp = col_line(tr, phase_col(0));
-    const WideWord x = WideWord::load(xp);
-    const WideWord z = WideWord::load(zp);
-    (WideWord::load(rp) ^ (x & z)).store(rp);
-    (x ^ z).store(xp);
-  }
-}
-
-void BlockedTableau::gate_h_yz(std::size_t a) {
-  SYMPHASE_CHECK(a < shape_.n);
-  ensure_col_oriented(x_col(a));
-  ensure_col_oriented(z_col(a));
-  ensure_col_oriented(phase_col(0));
-  for (std::size_t tr = 0; tr < tile_rows_; ++tr) {
-    Word* xp = col_line(tr, x_col(a));
-    Word* zp = col_line(tr, z_col(a));
-    Word* rp = col_line(tr, phase_col(0));
-    const WideWord x = WideWord::load(xp);
-    const WideWord z = WideWord::load(zp);
-    (WideWord::load(rp) ^ andnot(z, x)).store(rp);
-    (x ^ z).store(xp);
-  }
-}
-
-void BlockedTableau::gate_x(std::size_t a) {
-  const std::uint32_t cols[1] = {0};
-  phase_xor_cols_where_z(a, cols);
-}
-
-void BlockedTableau::gate_z(std::size_t a) {
-  const std::uint32_t cols[1] = {0};
-  phase_xor_cols_where_x(a, cols);
-}
-
-void BlockedTableau::gate_y(std::size_t a) {
-  SYMPHASE_CHECK(a < shape_.n);
-  ensure_col_oriented(x_col(a));
-  ensure_col_oriented(z_col(a));
-  ensure_col_oriented(phase_col(0));
-  for (std::size_t tr = 0; tr < tile_rows_; ++tr) {
-    const WideWord x = WideWord::load(col_line(tr, x_col(a)));
-    const WideWord z = WideWord::load(col_line(tr, z_col(a)));
-    Word* rp = col_line(tr, phase_col(0));
-    (WideWord::load(rp) ^ x ^ z).store(rp);
-  }
-}
-
-void BlockedTableau::gate_cnot(std::size_t c, std::size_t t) {
-  SYMPHASE_CHECK(c < shape_.n && t < shape_.n && c != t);
-  ensure_col_oriented(x_col(c));
-  ensure_col_oriented(z_col(c));
-  ensure_col_oriented(x_col(t));
-  ensure_col_oriented(z_col(t));
-  ensure_col_oriented(phase_col(0));
-  for (std::size_t tr = 0; tr < tile_rows_; ++tr) {
-    Word* xcp = col_line(tr, x_col(c));
-    Word* zcp = col_line(tr, z_col(c));
-    Word* xtp = col_line(tr, x_col(t));
-    Word* ztp = col_line(tr, z_col(t));
-    Word* rp = col_line(tr, phase_col(0));
-    const WideWord xc = WideWord::load(xcp);
-    const WideWord zc = WideWord::load(zcp);
-    const WideWord xt = WideWord::load(xtp);
-    const WideWord zt = WideWord::load(ztp);
-    (WideWord::load(rp) ^ andnot(xt ^ zc, xc & zt)).store(rp);
-    (xt ^ xc).store(xtp);
-    (zc ^ zt).store(zcp);
-  }
-}
-
-void BlockedTableau::gate_cz(std::size_t a, std::size_t b) {
-  SYMPHASE_CHECK(a < shape_.n && b < shape_.n && a != b);
-  ensure_col_oriented(x_col(a));
-  ensure_col_oriented(z_col(a));
-  ensure_col_oriented(x_col(b));
-  ensure_col_oriented(z_col(b));
-  ensure_col_oriented(phase_col(0));
-  for (std::size_t tr = 0; tr < tile_rows_; ++tr) {
-    Word* xap = col_line(tr, x_col(a));
-    Word* zap = col_line(tr, z_col(a));
-    Word* xbp = col_line(tr, x_col(b));
-    Word* zbp = col_line(tr, z_col(b));
-    Word* rp = col_line(tr, phase_col(0));
-    const WideWord xa = WideWord::load(xap);
-    const WideWord za = WideWord::load(zap);
-    const WideWord xb = WideWord::load(xbp);
-    const WideWord zb = WideWord::load(zbp);
-    (WideWord::load(rp) ^ (xa & xb & (za ^ zb))).store(rp);
-    (za ^ xb).store(zap);
-    (zb ^ xa).store(zbp);
-  }
-}
-
-void BlockedTableau::gate_swap(std::size_t a, std::size_t b) {
-  SYMPHASE_CHECK(a < shape_.n && b < shape_.n && a != b);
-  ensure_col_oriented(x_col(a));
-  ensure_col_oriented(z_col(a));
-  ensure_col_oriented(x_col(b));
-  ensure_col_oriented(z_col(b));
-  for (std::size_t tr = 0; tr < tile_rows_; ++tr) {
-    wide::swap_words(col_line(tr, x_col(a)), col_line(tr, x_col(b)), kLine);
-    wide::swap_words(col_line(tr, z_col(a)), col_line(tr, z_col(b)), kLine);
-  }
 }
 
 void BlockedTableau::phase_xor_cols_where_z(

@@ -12,12 +12,15 @@
 ///   - row-oriented: a logical row is 8 contiguous words per tile-column
 ///     — measurements stream rows.
 /// Orientation flips are *local* 512×512 in-place bit transposes
-/// (Fig. 2c) and lazy: a gate touches at most three tile-columns (X_a,
-/// Z_a, constant phase) and flips only those; a measurement burst flips
-/// back whatever the preceding gate burst touched. Phase tile-columns
-/// outside the active frontier are never transposed at all — this is
-/// what makes the layout cheaper than the Stim-style whole-matrix
-/// transposition when the symbolic phase region grows large.
+/// (Fig. 2c) and lazy: a gate flips only the tile-columns of the lanes its
+/// rule in clifford_gates.hpp names (X_a, Z_a, those of b, the constant
+/// phase column; X flips only Z_a's and the constant column's, SWAP never
+/// the phase column's); a measurement burst flips back whatever the
+/// preceding gate burst touched. Phase tile-columns outside the active
+/// frontier are never transposed at all — this is what makes the layout
+/// cheaper than the Stim-style whole-matrix transposition when the
+/// symbolic phase region grows large. The layout owns only the gate
+/// traversal (`apply_gate`): one WideWord per tile-row and lane.
 ///
 /// All-zero tiles are orientation-invariant, so lazy phase-column growth
 /// composes safely with the orientation machinery.
@@ -38,6 +41,8 @@
 #include <vector>
 
 #include "common/aligned.hpp"
+#include "common/simd_word.hpp"
+#include "tableau/clifford_gates.hpp"
 #include "tableau/shape.hpp"
 
 namespace symphase {
@@ -46,10 +51,12 @@ class BlockedTableau {
  public:
   BlockedTableau(std::size_t n, std::size_t phase_capacity = 1);
 
-  static constexpr const char* layout_name() { return "blocked512"; }
   static constexpr std::size_t kTileBits = 512;
   static constexpr std::size_t kTileWordsPerLine = kTileBits / kWordBits;  // 8
   static constexpr std::size_t kTileWords = kTileBits * kTileWordsPerLine;
+  // Every tile line is exactly one SIMD lane: a gate loads one logical
+  // column segment per tile-row as one WideWord.
+  static_assert(kTileWordsPerLine == WideWord::kWords);
 
   const TableauShape& shape() const { return shape_; }
   std::size_t num_qubits() const { return shape_.n; }
@@ -63,18 +70,22 @@ class BlockedTableau {
   void prepare_row_mode();
 
   // --- Column operations (gates / faults) ------------------------------
-  void gate_h(std::size_t a);
-  void gate_s(std::size_t a);
-  void gate_s_dag(std::size_t a);
-  void gate_sqrt_x(std::size_t a);
-  void gate_sqrt_x_dag(std::size_t a);
-  void gate_h_yz(std::size_t a);
-  void gate_x(std::size_t a);
-  void gate_y(std::size_t a);
-  void gate_z(std::size_t a);
-  void gate_cnot(std::size_t c, std::size_t t);
-  void gate_cz(std::size_t a, std::size_t b);
-  void gate_swap(std::size_t a, std::size_t b);
+  /// Gate traversal (call it through apply_unitary): column-orients the
+  /// tile-columns of the lanes `Rule` names, then hands it one column line
+  /// per lane and tile-row. Padding rows (beyond 2n+1) hold zeros and
+  /// transform to zeros.
+  template <typename Rule>
+  void apply_gate(std::size_t a, std::size_t b) {
+    const std::size_t cols[clifford::kLanes] = {
+        x_col(a), z_col(a), x_col(b), z_col(b), phase_col(0)};
+    clifford::for_each_lane<Rule::kReads | Rule::kWrites>(
+        [&](std::size_t k) { ensure_col_oriented(cols[k]); });
+    for (std::size_t tr = 0; tr < tile_rows_; ++tr) {
+      clifford::step<Rule>(
+          [&](std::size_t k) { return WideWord::load(col_line(tr, cols[k])); },
+          [&](std::size_t k, WideWord v) { v.store(col_line(tr, cols[k])); });
+    }
+  }
   void phase_xor_cols_where_z(std::size_t a,
                               std::span<const std::uint32_t> phase_cols);
   void phase_xor_cols_where_x(std::size_t a,

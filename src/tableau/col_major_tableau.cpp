@@ -26,7 +26,6 @@ void ColMajorTableau::prepare_column_mode() {
     return;
   }
   transpose_region(rows_, shape_.num_rows(), live_cols(), cols_);
-  ++transpose_count_;
   column_mode_ = true;
 }
 
@@ -38,142 +37,7 @@ void ColMajorTableau::prepare_row_mode() {
     rows_ = BitMatrix(shape_.num_rows(), shape_.num_cols());
   }
   transpose_region(cols_, live_cols(), shape_.num_rows(), rows_);
-  ++transpose_count_;
   column_mode_ = false;
-}
-
-// Gate updates stream whole 2n-bit column arrays: the strength of this
-// layout. The scratch row's bit rides along harmlessly (it is cleared
-// before every use).
-
-void ColMajorTableau::gate_h(std::size_t a) {
-  SYMPHASE_ASSERT(column_mode_);
-  SYMPHASE_CHECK(a < shape_.n);
-  Word* x = col(x_col(a));
-  Word* z = col(z_col(a));
-  Word* r = col(phase_col(0));
-  for (std::size_t w = 0; w < col_words_; ++w) {
-    r[w] ^= x[w] & z[w];
-    std::swap(x[w], z[w]);
-  }
-}
-
-void ColMajorTableau::gate_s(std::size_t a) {
-  SYMPHASE_ASSERT(column_mode_);
-  SYMPHASE_CHECK(a < shape_.n);
-  Word* x = col(x_col(a));
-  Word* z = col(z_col(a));
-  Word* r = col(phase_col(0));
-  for (std::size_t w = 0; w < col_words_; ++w) {
-    r[w] ^= x[w] & z[w];
-    z[w] ^= x[w];
-  }
-}
-
-void ColMajorTableau::gate_s_dag(std::size_t a) {
-  SYMPHASE_ASSERT(column_mode_);
-  SYMPHASE_CHECK(a < shape_.n);
-  Word* x = col(x_col(a));
-  Word* z = col(z_col(a));
-  Word* r = col(phase_col(0));
-  for (std::size_t w = 0; w < col_words_; ++w) {
-    r[w] ^= x[w] & ~z[w];
-    z[w] ^= x[w];
-  }
-}
-
-void ColMajorTableau::gate_sqrt_x(std::size_t a) {
-  SYMPHASE_ASSERT(column_mode_);
-  SYMPHASE_CHECK(a < shape_.n);
-  Word* x = col(x_col(a));
-  Word* z = col(z_col(a));
-  Word* r = col(phase_col(0));
-  for (std::size_t w = 0; w < col_words_; ++w) {
-    r[w] ^= ~x[w] & z[w];
-    x[w] ^= z[w];
-  }
-}
-
-void ColMajorTableau::gate_sqrt_x_dag(std::size_t a) {
-  SYMPHASE_ASSERT(column_mode_);
-  SYMPHASE_CHECK(a < shape_.n);
-  Word* x = col(x_col(a));
-  Word* z = col(z_col(a));
-  Word* r = col(phase_col(0));
-  for (std::size_t w = 0; w < col_words_; ++w) {
-    r[w] ^= x[w] & z[w];
-    x[w] ^= z[w];
-  }
-}
-
-void ColMajorTableau::gate_h_yz(std::size_t a) {
-  SYMPHASE_ASSERT(column_mode_);
-  SYMPHASE_CHECK(a < shape_.n);
-  Word* x = col(x_col(a));
-  Word* z = col(z_col(a));
-  Word* r = col(phase_col(0));
-  for (std::size_t w = 0; w < col_words_; ++w) {
-    r[w] ^= x[w] & ~z[w];
-    x[w] ^= z[w];
-  }
-}
-
-void ColMajorTableau::gate_x(std::size_t a) {
-  const std::uint32_t cols[1] = {0};
-  phase_xor_cols_where_z(a, cols);
-}
-
-void ColMajorTableau::gate_z(std::size_t a) {
-  const std::uint32_t cols[1] = {0};
-  phase_xor_cols_where_x(a, cols);
-}
-
-void ColMajorTableau::gate_y(std::size_t a) {
-  SYMPHASE_ASSERT(column_mode_);
-  SYMPHASE_CHECK(a < shape_.n);
-  const Word* x = col(x_col(a));
-  const Word* z = col(z_col(a));
-  Word* r = col(phase_col(0));
-  for (std::size_t w = 0; w < col_words_; ++w) {
-    r[w] ^= x[w] ^ z[w];
-  }
-}
-
-void ColMajorTableau::gate_cnot(std::size_t c, std::size_t t) {
-  SYMPHASE_ASSERT(column_mode_);
-  SYMPHASE_CHECK(c < shape_.n && t < shape_.n && c != t);
-  Word* xc = col(x_col(c));
-  Word* zc = col(z_col(c));
-  Word* xt = col(x_col(t));
-  Word* zt = col(z_col(t));
-  Word* r = col(phase_col(0));
-  for (std::size_t w = 0; w < col_words_; ++w) {
-    r[w] ^= xc[w] & zt[w] & ~(xt[w] ^ zc[w]);
-    xt[w] ^= xc[w];
-    zc[w] ^= zt[w];
-  }
-}
-
-void ColMajorTableau::gate_cz(std::size_t a, std::size_t b) {
-  SYMPHASE_ASSERT(column_mode_);
-  SYMPHASE_CHECK(a < shape_.n && b < shape_.n && a != b);
-  Word* xa = col(x_col(a));
-  Word* za = col(z_col(a));
-  Word* xb = col(x_col(b));
-  Word* zb = col(z_col(b));
-  Word* r = col(phase_col(0));
-  for (std::size_t w = 0; w < col_words_; ++w) {
-    r[w] ^= xa[w] & xb[w] & (za[w] ^ zb[w]);
-    za[w] ^= xb[w];
-    zb[w] ^= xa[w];
-  }
-}
-
-void ColMajorTableau::gate_swap(std::size_t a, std::size_t b) {
-  SYMPHASE_ASSERT(column_mode_);
-  SYMPHASE_CHECK(a < shape_.n && b < shape_.n && a != b);
-  cols_.swap_rows(x_col(a), x_col(b));
-  cols_.swap_rows(z_col(a), z_col(b));
 }
 
 void ColMajorTableau::phase_xor_cols_where_z(

@@ -4,11 +4,11 @@
 /// Word-parallel kernels shared by the tableau layouts' row operations.
 ///
 /// Row multiplication (A-G "rowsum") needs the power of i picked up by
-/// the Pauli product. Each qubit contributes i^g with g in {0,+1,-1}; the
-/// kernel counts +1s and -1s via bit masks, exactly like
-/// pauli_mul_i_exponent but on raw word spans so every layout can call
-/// it on its own storage. All kernels run at WideWord (512-bit lane)
-/// width with scalar tails.
+/// the Pauli product. Each qubit contributes i^g with g in {0,+1,-1};
+/// PhaseTally counts +1s and -1s via bit masks on raw words, so every
+/// layout calls it on its own storage and pauli_mul_i_exponent on a
+/// PauliString's. All kernels run at WideWord (512-bit lane) width with
+/// scalar tails.
 
 #include <algorithm>
 #include <cstddef>

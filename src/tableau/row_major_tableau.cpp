@@ -21,200 +21,6 @@ std::size_t RowMajorTableau::allocate_phase_column() {
   return phase_used_++;
 }
 
-// Gates iterate the 2n generator rows and update the qubit-a bit pair and
-// the constant phase bit. One strided row visit per generator: the
-// deliberate cost profile of this layout.
-
-void RowMajorTableau::gate_h(std::size_t a) {
-  SYMPHASE_CHECK(a < shape_.n);
-  const std::size_t xc = x_col(a);
-  const std::size_t zc = z_col(a);
-  const std::size_t rc = phase_col(0);
-  for (std::size_t i = 0; i < 2 * shape_.n; ++i) {
-    Word* row = bits_.row(i);
-    const bool x = get_bit(row, xc);
-    const bool z = get_bit(row, zc);
-    if (x && z) {
-      flip_bit(row, rc);
-    }
-    if (x != z) {
-      set_bit(row, xc, z);
-      set_bit(row, zc, x);
-    }
-  }
-}
-
-void RowMajorTableau::gate_s(std::size_t a) {
-  SYMPHASE_CHECK(a < shape_.n);
-  const std::size_t xc = x_col(a);
-  const std::size_t zc = z_col(a);
-  const std::size_t rc = phase_col(0);
-  for (std::size_t i = 0; i < 2 * shape_.n; ++i) {
-    Word* row = bits_.row(i);
-    const bool x = get_bit(row, xc);
-    const bool z = get_bit(row, zc);
-    if (x && z) {
-      flip_bit(row, rc);
-    }
-    if (x) {
-      set_bit(row, zc, !z);
-    }
-  }
-}
-
-void RowMajorTableau::gate_s_dag(std::size_t a) {
-  SYMPHASE_CHECK(a < shape_.n);
-  const std::size_t xc = x_col(a);
-  const std::size_t zc = z_col(a);
-  const std::size_t rc = phase_col(0);
-  for (std::size_t i = 0; i < 2 * shape_.n; ++i) {
-    Word* row = bits_.row(i);
-    const bool x = get_bit(row, xc);
-    const bool z = get_bit(row, zc);
-    if (x && !z) {
-      flip_bit(row, rc);
-    }
-    if (x) {
-      set_bit(row, zc, !z);
-    }
-  }
-}
-
-void RowMajorTableau::gate_sqrt_x(std::size_t a) {
-  SYMPHASE_CHECK(a < shape_.n);
-  const std::size_t xc = x_col(a);
-  const std::size_t zc = z_col(a);
-  const std::size_t rc = phase_col(0);
-  for (std::size_t i = 0; i < 2 * shape_.n; ++i) {
-    Word* row = bits_.row(i);
-    const bool x = get_bit(row, xc);
-    const bool z = get_bit(row, zc);
-    if (!x && z) {
-      flip_bit(row, rc);
-    }
-    if (z) {
-      set_bit(row, xc, !x);
-    }
-  }
-}
-
-void RowMajorTableau::gate_sqrt_x_dag(std::size_t a) {
-  SYMPHASE_CHECK(a < shape_.n);
-  const std::size_t xc = x_col(a);
-  const std::size_t zc = z_col(a);
-  const std::size_t rc = phase_col(0);
-  for (std::size_t i = 0; i < 2 * shape_.n; ++i) {
-    Word* row = bits_.row(i);
-    const bool x = get_bit(row, xc);
-    const bool z = get_bit(row, zc);
-    if (x && z) {
-      flip_bit(row, rc);
-    }
-    if (z) {
-      set_bit(row, xc, !x);
-    }
-  }
-}
-
-void RowMajorTableau::gate_h_yz(std::size_t a) {
-  SYMPHASE_CHECK(a < shape_.n);
-  const std::size_t xc = x_col(a);
-  const std::size_t zc = z_col(a);
-  const std::size_t rc = phase_col(0);
-  for (std::size_t i = 0; i < 2 * shape_.n; ++i) {
-    Word* row = bits_.row(i);
-    const bool x = get_bit(row, xc);
-    const bool z = get_bit(row, zc);
-    if (x && !z) {
-      flip_bit(row, rc);
-    }
-    if (z) {
-      set_bit(row, xc, !x);
-    }
-  }
-}
-
-void RowMajorTableau::gate_x(std::size_t a) {
-  const std::uint32_t cols[1] = {0};
-  phase_xor_cols_where_z(a, cols);
-}
-
-void RowMajorTableau::gate_z(std::size_t a) {
-  const std::uint32_t cols[1] = {0};
-  phase_xor_cols_where_x(a, cols);
-}
-
-void RowMajorTableau::gate_y(std::size_t a) {
-  SYMPHASE_CHECK(a < shape_.n);
-  const std::size_t xc = x_col(a);
-  const std::size_t zc = z_col(a);
-  const std::size_t rc = phase_col(0);
-  for (std::size_t i = 0; i < 2 * shape_.n; ++i) {
-    Word* row = bits_.row(i);
-    if (get_bit(row, xc) != get_bit(row, zc)) {
-      flip_bit(row, rc);
-    }
-  }
-}
-
-void RowMajorTableau::gate_cnot(std::size_t c, std::size_t t) {
-  SYMPHASE_CHECK(c < shape_.n && t < shape_.n && c != t);
-  const std::size_t xcc = x_col(c);
-  const std::size_t zcc = z_col(c);
-  const std::size_t xct = x_col(t);
-  const std::size_t zct = z_col(t);
-  const std::size_t rc = phase_col(0);
-  for (std::size_t i = 0; i < 2 * shape_.n; ++i) {
-    Word* row = bits_.row(i);
-    const bool xc = get_bit(row, xcc);
-    const bool zc = get_bit(row, zcc);
-    const bool xt = get_bit(row, xct);
-    const bool zt = get_bit(row, zct);
-    if (xc && zt && (xt == zc)) {
-      flip_bit(row, rc);
-    }
-    set_bit(row, xct, xt != xc);
-    set_bit(row, zcc, zc != zt);
-  }
-}
-
-void RowMajorTableau::gate_cz(std::size_t a, std::size_t b) {
-  SYMPHASE_CHECK(a < shape_.n && b < shape_.n && a != b);
-  const std::size_t xca = x_col(a);
-  const std::size_t zca = z_col(a);
-  const std::size_t xcb = x_col(b);
-  const std::size_t zcb = z_col(b);
-  const std::size_t rc = phase_col(0);
-  for (std::size_t i = 0; i < 2 * shape_.n; ++i) {
-    Word* row = bits_.row(i);
-    const bool xa = get_bit(row, xca);
-    const bool za = get_bit(row, zca);
-    const bool xb = get_bit(row, xcb);
-    const bool zb = get_bit(row, zcb);
-    if (xa && xb && (za != zb)) {
-      flip_bit(row, rc);
-    }
-    set_bit(row, zca, za != xb);
-    set_bit(row, zcb, zb != xa);
-  }
-}
-
-void RowMajorTableau::gate_swap(std::size_t a, std::size_t b) {
-  SYMPHASE_CHECK(a < shape_.n && b < shape_.n && a != b);
-  const std::size_t cols[4] = {x_col(a), x_col(b), z_col(a), z_col(b)};
-  for (std::size_t i = 0; i < 2 * shape_.n; ++i) {
-    Word* row = bits_.row(i);
-    const bool xa = get_bit(row, cols[0]);
-    const bool xb = get_bit(row, cols[1]);
-    const bool za = get_bit(row, cols[2]);
-    const bool zb = get_bit(row, cols[3]);
-    set_bit(row, cols[0], xb);
-    set_bit(row, cols[1], xa);
-    set_bit(row, cols[2], zb);
-    set_bit(row, cols[3], za);
-  }
-}
-
 void RowMajorTableau::phase_xor_cols_where_z(
     std::size_t a, std::span<const std::uint32_t> phase_cols) {
   SYMPHASE_CHECK(a < shape_.n);

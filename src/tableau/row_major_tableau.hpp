@@ -9,15 +9,18 @@
 /// touch one bit per row across strided rows, which is exactly the
 /// weakness the paper's §4 attributes to this layout.
 ///
-/// All layouts expose the same duck-typed interface consumed by
-/// StabilizerSimulator<Layout> and SymPhaseCompiler<Layout>; see
-/// shape.hpp for the logical geometry.
+/// The three layouts share one set of members, which
+/// StabilizerSimulator<Layout> and SymPhaseCompiler<Layout> call: mode
+/// switches, fault ops, row ops and a gate traversal. The gates' rules
+/// live in clifford_gates.hpp; a layout owns only how `apply_gate` walks
+/// its memory. See shape.hpp for the logical geometry.
 
 #include <cstdint>
 #include <span>
 #include <vector>
 
 #include "bitvec/bit_matrix.hpp"
+#include "tableau/clifford_gates.hpp"
 #include "tableau/shape.hpp"
 
 namespace symphase {
@@ -28,8 +31,6 @@ class RowMajorTableau {
   /// i = +Z_i, all phases zero. `phase_capacity` counts phase columns
   /// including the constant column 0.
   RowMajorTableau(std::size_t n, std::size_t phase_capacity = 1);
-
-  static constexpr const char* layout_name() { return "row_major"; }
 
   const TableauShape& shape() const { return shape_; }
   std::size_t num_qubits() const { return shape_.n; }
@@ -44,18 +45,32 @@ class RowMajorTableau {
   void prepare_row_mode() {}
 
   // --- Column-mode operations (gates / faults) ----------------------
-  void gate_h(std::size_t a);
-  void gate_s(std::size_t a);
-  void gate_s_dag(std::size_t a);
-  void gate_sqrt_x(std::size_t a);
-  void gate_sqrt_x_dag(std::size_t a);
-  void gate_h_yz(std::size_t a);
-  void gate_x(std::size_t a);
-  void gate_y(std::size_t a);
-  void gate_z(std::size_t a);
-  void gate_cnot(std::size_t c, std::size_t t);
-  void gate_cz(std::size_t a, std::size_t b);
-  void gate_swap(std::size_t a, std::size_t b);
+  /// Gate traversal (call it through apply_unitary): hands `Rule` one bit
+  /// of each column it names, generator row by generator row. A rule only
+  /// XORs into the sign, so the sign lane goes in as zero and comes out as
+  /// the flip; each bit is written only where it changes, and the phase
+  /// band is touched only where the sign flips.
+  template <typename Rule>
+  void apply_gate(std::size_t a, std::size_t b) {
+    const std::size_t cols[clifford::kLanes] = {
+        x_col(a), z_col(a), x_col(b), z_col(b), phase_col(0)};
+    for (std::size_t i = 0; i < 2 * shape_.n; ++i) {
+      Word* row = bits_.row(i);
+      Word in[clifford::kLanes] = {};
+      clifford::step<Rule>(
+          [&](std::size_t k) {
+            if (k != clifford::kSignLane) {
+              in[k] = get_bit(row, cols[k]);
+            }
+            return in[k];
+          },
+          [&](std::size_t k, Word v) {
+            if (((v ^ in[k]) & 1) != 0) {
+              flip_bit(row, cols[k]);
+            }
+          });
+    }
+  }
 
   /// X^e fault at qubit a: rows with a Z component on `a` get the phase
   /// columns in `phase_cols` flipped (paper Init-P).

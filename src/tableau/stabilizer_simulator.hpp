@@ -7,7 +7,10 @@
 /// gates in O(n), computational-basis measurements in O(n²) via
 /// destabilizer bookkeeping. It is templated over the data layout
 /// (RowMajorTableau / ColMajorTableau / BlockedTableau) so the §4 layout
-/// study applies to the baseline algorithm as well as to SymPhase.
+/// study applies to the baseline algorithm as well as to SymPhase. Gates
+/// go through apply_unitary (clifford_gates.hpp), where each gate's rule
+/// is declared once; each layout owns only the traversal that applies a
+/// rule to its memory.
 ///
 /// Used directly as a reference simulator (it also powers the Pauli-frame
 /// baseline's noiseless reference run) and as the structural skeleton the
@@ -20,6 +23,7 @@
 #include "common/rng.hpp"
 #include "pauli/pauli_string.hpp"
 #include "tableau/blocked_tableau.hpp"
+#include "tableau/clifford_gates.hpp"
 
 namespace symphase {
 
@@ -43,51 +47,9 @@ class StabilizerSimulator {
   const std::vector<bool>& record() const { return record_; }
 
   // --- Unitary gates -------------------------------------------------
+  /// Applies a unitary gate through the layout's gate traversal.
   void apply_unitary(GateType type, std::uint32_t a, std::uint32_t b = 0) {
-    tableau_.prepare_column_mode();
-    switch (type) {
-      case GateType::I:
-        break;
-      case GateType::X:
-        tableau_.gate_x(a);
-        break;
-      case GateType::Y:
-        tableau_.gate_y(a);
-        break;
-      case GateType::Z:
-        tableau_.gate_z(a);
-        break;
-      case GateType::H:
-        tableau_.gate_h(a);
-        break;
-      case GateType::S:
-        tableau_.gate_s(a);
-        break;
-      case GateType::S_DAG:
-        tableau_.gate_s_dag(a);
-        break;
-      case GateType::SQRT_X:
-        tableau_.gate_sqrt_x(a);
-        break;
-      case GateType::SQRT_X_DAG:
-        tableau_.gate_sqrt_x_dag(a);
-        break;
-      case GateType::H_YZ:
-        tableau_.gate_h_yz(a);
-        break;
-      case GateType::CNOT:
-        tableau_.gate_cnot(a, b);
-        break;
-      case GateType::CZ:
-        tableau_.gate_cz(a, b);
-        break;
-      case GateType::SWAP:
-        tableau_.gate_swap(a, b);
-        break;
-      default:
-        SYMPHASE_CHECK_MSG(false, "apply_unitary: " << gate_name(type)
-                                                    << " is not unitary");
-    }
+    symphase::apply_unitary(tableau_, type, a, b);
   }
 
   // --- Measurement / reset --------------------------------------------
@@ -146,14 +108,8 @@ class StabilizerSimulator {
     const GateInfo& info = gate_info(inst.type);
     switch (info.kind) {
       case GateKind::kUnitary1:
-        for (const std::uint32_t q : inst.targets) {
-          apply_unitary(inst.type, q);
-        }
-        break;
       case GateKind::kUnitary2:
-        for (std::size_t i = 0; i < inst.targets.size(); i += 2) {
-          apply_unitary(inst.type, inst.targets[i], inst.targets[i + 1]);
-        }
+        symphase::apply_unitary(tableau_, inst.type, inst.targets);
         break;
       case GateKind::kMeasure:
         for (const std::uint32_t q : inst.targets) {

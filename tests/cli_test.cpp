@@ -268,6 +268,12 @@ TEST(Cli, OutputBytesPinned) {
       {"detect " + d5 + run + "01", "1b15785e72b5cd474afbc599c3a347a2"},
       {"detect " + d5 + run + "b8", "e69798679e58256a5a3a29ead04df5e0"},
       {"detect " + d5 + run + "dets", "d86e63140ac492ed4cb8d551f03fd5f6"},
+      // The frame backend, whose gates run the shared rules with the sign
+      // lane dead.
+      {"sample " + d3 + run + "b8 --backend frames",
+       "152ca7318a38283465d684eaa8066312"},
+      {"detect " + d5 + run + "dets --backend frames",
+       "38f8d5cb8472f86341602032b3a8d744"},
   };
   for (const auto& c : cases) {
     const CommandResult r =

@@ -8,6 +8,7 @@
 
 #include "circuit/generators.hpp"
 #include "statevector/state_vector.hpp"
+#include "tableau/col_major_tableau.hpp"
 #include "tableau/row_major_tableau.hpp"
 #include "tableau/stabilizer_simulator.hpp"
 
@@ -145,6 +146,14 @@ TEST(SimulatorOracle, LockstepFuzzRowMajorLayout) {
   for (int trial = 0; trial < 30; ++trial) {
     const Circuit c = random_fuzz_circuit(6, 50, 0.0, rng, false);
     run_lockstep<RowMajorTableau>(c, static_cast<std::uint64_t>(trial) + 100);
+  }
+}
+
+TEST(SimulatorOracle, LockstepFuzzColMajorLayout) {
+  Rng rng(505);
+  for (int trial = 0; trial < 30; ++trial) {
+    const Circuit c = random_fuzz_circuit(6, 50, 0.0, rng, false);
+    run_lockstep<ColMajorTableau>(c, static_cast<std::uint64_t>(trial) + 200);
   }
 }
 

@@ -6,6 +6,7 @@
 #include "common/rng.hpp"
 #include "symbolic/symphase_compiler.hpp"
 #include "tableau/blocked_tableau.hpp"
+#include "tableau/clifford_gates.hpp"
 #include "tableau/col_major_tableau.hpp"
 #include "tableau/row_major_tableau.hpp"
 #include "tableau/stabilizer_simulator.hpp"
@@ -64,9 +65,9 @@ TYPED_TEST(TableauLayoutTest, IdentityInitialization) {
 TYPED_TEST(TableauLayoutTest, ModeSwitchPreservesContent) {
   TypeParam t(67, 5);  // crosses one 64-bit word boundary
   t.prepare_column_mode();
-  t.gate_h(0);
-  t.gate_cnot(0, 66);
-  t.gate_s(33);
+  apply_unitary(t, GateType::H, 0);
+  apply_unitary(t, GateType::CNOT, 0, 66);
+  apply_unitary(t, GateType::S, 33);
   const Snapshot before = snapshot(t);
   t.prepare_row_mode();
   EXPECT_EQ(snapshot(t), before);
@@ -80,7 +81,7 @@ TYPED_TEST(TableauLayoutTest, ModeSwitchPreservesContent) {
 TYPED_TEST(TableauLayoutTest, HGateSwapsXAndZ) {
   TypeParam t(3, 1);
   t.prepare_column_mode();
-  t.gate_h(1);
+  apply_unitary(t, GateType::H, 1);
   // Destabilizer 1 was X_1 -> becomes Z_1; stabilizer 1 was Z_1 -> X_1.
   EXPECT_TRUE(t.z_bit(t.shape().destab_row(1), 1));
   EXPECT_FALSE(t.x_bit(t.shape().destab_row(1), 1));
@@ -95,15 +96,15 @@ TYPED_TEST(TableauLayoutTest, SOnYGivesPhaseFlip) {
   // S: Y -> -X. Build Y on stabilizer row via H then S (Z -> X -> Y).
   TypeParam t(1, 1);
   t.prepare_column_mode();
-  t.gate_h(0);  // stab: X
-  t.gate_s(0);  // stab: Y
-  t.gate_s(0);  // stab: S Y S† = -X
+  apply_unitary(t, GateType::H, 0);  // stab: X
+  apply_unitary(t, GateType::S, 0);  // stab: Y
+  apply_unitary(t, GateType::S, 0);  // stab: S Y S† = -X
   EXPECT_TRUE(t.x_bit(t.shape().stab_row(0), 0));
   EXPECT_FALSE(t.z_bit(t.shape().stab_row(0), 0));
   EXPECT_TRUE(t.row_phase_bit(t.shape().stab_row(0), 0));
   // Two more S return to +X... S(-X) = -Y, S(-Y) = X.
-  t.gate_s(0);
-  t.gate_s(0);
+  apply_unitary(t, GateType::S, 0);
+  apply_unitary(t, GateType::S, 0);
   EXPECT_FALSE(t.row_phase_bit(t.shape().stab_row(0), 0));
 }
 
@@ -111,14 +112,14 @@ TYPED_TEST(TableauLayoutTest, PauliGatesFlipPhases) {
   TypeParam t(2, 1);
   t.prepare_column_mode();
   // Stabilizer 0 is Z_0: X on qubit 0 anticommutes -> phase flip.
-  t.gate_x(0);
+  apply_unitary(t, GateType::X, 0);
   EXPECT_TRUE(t.row_phase_bit(t.shape().stab_row(0), 0));
   EXPECT_FALSE(t.row_phase_bit(t.shape().stab_row(1), 0));
   // Destabilizer 0 is X_0: Z on qubit 0 flips it.
-  t.gate_z(0);
+  apply_unitary(t, GateType::Z, 0);
   EXPECT_TRUE(t.row_phase_bit(t.shape().destab_row(0), 0));
   // Y on qubit 1 flips both X_1 destab and Z_1 stab.
-  t.gate_y(1);
+  apply_unitary(t, GateType::Y, 1);
   EXPECT_TRUE(t.row_phase_bit(t.shape().destab_row(1), 0));
   EXPECT_TRUE(t.row_phase_bit(t.shape().stab_row(1), 0));
 }
@@ -126,7 +127,7 @@ TYPED_TEST(TableauLayoutTest, PauliGatesFlipPhases) {
 TYPED_TEST(TableauLayoutTest, CnotPropagatesSupports) {
   TypeParam t(2, 1);
   t.prepare_column_mode();
-  t.gate_cnot(0, 1);
+  apply_unitary(t, GateType::CNOT, 0, 1);
   // X_0 -> X_0 X_1 (destab 0), Z_1 -> Z_0 Z_1 (stab 1).
   EXPECT_TRUE(t.x_bit(t.shape().destab_row(0), 0));
   EXPECT_TRUE(t.x_bit(t.shape().destab_row(0), 1));
@@ -191,9 +192,9 @@ TYPED_TEST(TableauLayoutTest, RowMultTracksImaginaryUnits) {
   // multiply: Y_1 appears in row via gates; verify X*Y-type product sign.
   TypeParam t(2, 1);
   t.prepare_column_mode();
-  t.gate_h(0);  // stab0: X_0
-  t.gate_h(1);
-  t.gate_s(1);  // stab1: Y_1
+  apply_unitary(t, GateType::H, 0);  // stab0: X_0
+  apply_unitary(t, GateType::H, 1);
+  apply_unitary(t, GateType::S, 1);  // stab1: Y_1
   t.prepare_row_mode();
   const std::size_t r0 = t.shape().stab_row(0);
   const std::size_t r1 = t.shape().stab_row(1);
@@ -276,14 +277,14 @@ TYPED_TEST(TableauLayoutTest, ColumnMasksMatchBits) {
     const auto b = static_cast<std::size_t>(rng.next_below(kQubits));
     switch (rng.next_below(3)) {
       case 0:
-        t.gate_h(a);
+        apply_unitary(t, GateType::H, a);
         break;
       case 1:
-        t.gate_s(a);
+        apply_unitary(t, GateType::S, a);
         break;
       default:
         if (a != b) {
-          t.gate_cnot(a, b);
+          apply_unitary(t, GateType::CNOT, a, b);
         }
         break;
     }
@@ -311,7 +312,7 @@ TYPED_TEST(TableauLayoutTest, ColumnMasksMatchBits) {
 TYPED_TEST(TableauLayoutTest, LazyPhaseGrowthAcrossModeSwitches) {
   TypeParam t(3, 2000);
   t.prepare_column_mode();
-  t.gate_h(0);
+  apply_unitary(t, GateType::H, 0);
   // Allocate a first batch, fault, then switch modes and grow further.
   const auto s1 = static_cast<std::uint32_t>(t.allocate_phase_column());
   const std::uint32_t cols1[1] = {s1};
@@ -330,14 +331,86 @@ TYPED_TEST(TableauLayoutTest, LazyPhaseGrowthAcrossModeSwitches) {
   EXPECT_FALSE(t.row_phase_bit(row, 1399));
 }
 
+/// A layout whose traversal checks the rule it is handed against the
+/// lanes the rule declares, over all 32 inputs at once (bit i of lane k
+/// is bit k of i).
+struct LaneProbe {
+  int rules = 0;
+
+  std::size_t num_qubits() const { return 2; }
+
+  template <typename Rule>
+  void apply_gate(std::size_t, std::size_t) {
+    ++rules;
+    constexpr Word kInputs = 0xffffffff;
+    Word in[clifford::kLanes];
+    for (std::size_t k = 0; k < clifford::kLanes; ++k) {
+      in[k] = 0;
+      for (std::size_t i = 0; i < 32; ++i) {
+        in[k] |= Word{(i >> k) & 1} << i;
+      }
+    }
+    Word out[clifford::kLanes];
+    std::copy_n(in, clifford::kLanes, out);
+    clifford::apply_to_lanes<Rule>(out);
+    // A rule writes only lanes it reads, and only XORs into the sign: its
+    // flip does not depend on the old sign.
+    EXPECT_EQ(Rule::kWrites & ~Rule::kReads, 0u);
+    const Word flip = out[clifford::kSignLane] ^ in[clifford::kSignLane];
+    EXPECT_EQ((flip ^ (flip >> 16)) & ~in[clifford::kSignLane] & kInputs, 0u);
+    for (std::size_t k = 0; k < clifford::kLanes; ++k) {
+      const unsigned lane = 1u << k;
+      // Some input changes a written lane; no input changes another.
+      EXPECT_EQ((Rule::kWrites & lane) != 0, ((out[k] ^ in[k]) & kInputs) != 0)
+          << "lane " << k;
+      // Flipping a read lane changes some written lane; flipping another
+      // changes none.
+      Word moved = 0;
+      for (std::size_t w = 0; w < clifford::kLanes; ++w) {
+        if ((Rule::kWrites & (1u << w)) != 0) {
+          moved |= (out[w] ^ (out[w] >> (std::size_t{1} << k))) & ~in[k];
+        }
+      }
+      EXPECT_EQ((Rule::kReads & lane) != 0, (moved & kInputs) != 0)
+          << "lane " << k;
+    }
+  }
+};
+
+// Each rule touches exactly the lanes it declares, so a traversal that
+// orients, loads and stores only those columns loses nothing: X orients
+// only Z_a and the constant column, SWAP never touches the phase column,
+// and S never stores X.
+TEST(CliffordGates, RulesTouchExactlyTheLanesTheyDeclare) {
+  LaneProbe probe;
+  for (int type = 0; type <= static_cast<int>(GateType::TICK); ++type) {
+    if (is_unitary(static_cast<GateType>(type))) {
+      SCOPED_TRACE(gate_name(static_cast<GateType>(type)));
+      apply_unitary(probe, static_cast<GateType>(type), 0, 1);
+    }
+  }
+  EXPECT_EQ(probe.rules, 13);
+  EXPECT_EQ(clifford::X::kReads | clifford::X::kWrites,
+            clifford::kZa | clifford::kSign);
+  EXPECT_EQ((clifford::SWAP::kReads | clifford::SWAP::kWrites) &
+                clifford::kSign,
+            0u);
+  EXPECT_EQ(clifford::S::kWrites & clifford::kXa, 0u);
+  EXPECT_THROW(apply_unitary(probe, GateType::M, 0), std::invalid_argument);
+  EXPECT_THROW(apply_unitary(probe, GateType::CNOT, 1, 1),
+               std::invalid_argument);
+  EXPECT_THROW(apply_unitary(probe, GateType::H, 2), std::invalid_argument);
+}
+
 // Cross-layout equivalence under a long random operation sequence. The
 // dense row-major and column-major layouts are the oracle for the
 // blocked layout, whose row ops visit only the phase tile-columns a
-// row's occupancy mask marks. The phase region grows from one to three
-// 512-column tile-columns mid-run, so faults write tile-columns whose
-// masks were rescanned when they last returned to row orientation; row
-// bursts mix every row op with bit flips and phase reads; and one last
-// long burst runs row ops only.
+// row's occupancy mask marks. Gates are drawn from every unitary gate
+// type, so each layout's traversal runs every rule. The phase region
+// grows from one to three 512-column tile-columns mid-run, so faults
+// write tile-columns whose masks were rescanned when they last returned
+// to row orientation; row bursts mix every row op with bit flips and
+// phase reads; and one last long burst runs row ops only.
 TEST(TableauLayoutEquivalence, RandomOperationFuzz) {
   constexpr std::size_t kQubits = 37;
   constexpr std::size_t kRows = 2 * kQubits + 1;
@@ -350,6 +423,13 @@ TEST(TableauLayoutEquivalence, RandomOperationFuzz) {
   BlockedTableau c(kQubits, kPhaseCols);
   Rng rng(2024);
   std::size_t allocated = 1;
+  std::vector<GateType> unitaries;
+  for (int type = 0; type <= static_cast<int>(GateType::TICK); ++type) {
+    if (is_unitary(static_cast<GateType>(type))) {
+      unitaries.push_back(static_cast<GateType>(type));
+    }
+  }
+  ASSERT_EQ(unitaries.size(), 13u);
 
   const auto apply_all = [&](auto&& fn) {
     fn(a);
@@ -421,47 +501,18 @@ TEST(TableauLayoutEquivalence, RandomOperationFuzz) {
     }
     switch (op) {
       case 0:
-        apply_all([&](auto& t) {
-          t.prepare_column_mode();
-          t.gate_h(q1);
-        });
-        break;
       case 1:
-        apply_all([&](auto& t) {
-          t.prepare_column_mode();
-          t.gate_s(q1);
-        });
-        break;
       case 2:
-        apply_all([&](auto& t) {
-          t.prepare_column_mode();
-          t.gate_cnot(q1, q2);
-        });
-        break;
       case 3:
-        apply_all([&](auto& t) {
-          t.prepare_column_mode();
-          t.gate_cz(q1, q2);
-        });
-        break;
       case 4:
-        apply_all([&](auto& t) {
-          t.prepare_column_mode();
-          t.gate_swap(q1, q2);
-        });
-        break;
       case 5:
-        apply_all([&](auto& t) {
-          t.prepare_column_mode();
-          t.gate_sqrt_x(q1);
-        });
+      case 6: {
+        // Any unitary gate, through the shared dispatch; a gate enters
+        // column mode on its own.
+        const GateType gate = unitaries[rng.next_below(unitaries.size())];
+        apply_all([&](auto& t) { apply_unitary(t, gate, q1, q2); });
         break;
-      case 6:
-        apply_all([&](auto& t) {
-          t.prepare_column_mode();
-          t.gate_x(q1);
-        });
-        break;
+      }
       case 7: {
         const std::size_t grow = std::min<std::size_t>(
             rng.next_below(64), kPhaseCols - allocated);
@@ -578,10 +629,11 @@ TEST(TableauLayoutEquivalence, WidePhaseRegionOccupancy) {
           static_cast<std::uint32_t>(rng.next_below(span))};
       switch (rng.next_below(4)) {
         case 0:
-          apply_all([&](auto& t) { t.gate_h(q1); });
+          apply_all([&](auto& t) { apply_unitary(t, GateType::H, q1); });
           break;
         case 1:
-          apply_all([&](auto& t) { t.gate_cnot(q1, q2); });
+          apply_all(
+              [&](auto& t) { apply_unitary(t, GateType::CNOT, q1, q2); });
           break;
         case 2:
           apply_all([&](auto& t) { t.phase_xor_cols_where_z(q1, cols); });
