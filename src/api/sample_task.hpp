@@ -19,11 +19,11 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <stdexcept>
-#include <string>
 #include <string_view>
 #include <utility>
 #include <vector>
+
+#include "common/enum_names.hpp"
 
 namespace symphase {
 
@@ -48,21 +48,17 @@ enum class SampleBackend {
   kFrameSimulator,
 };
 
-/// The backend's name on the CLI and the wire: "symphase" | "frames".
+/// The backends' names on the CLI and the wire.
+inline constexpr EnumNames<SampleBackend, 2> kBackendNames{
+    "backend", {"symphase", "frames"}};
+
 constexpr std::string_view backend_name(SampleBackend backend) {
-  return backend == SampleBackend::kSymPhase ? "symphase" : "frames";
+  return kBackendNames.name(backend);
 }
 
 /// Parses backend_name()'s names; throws std::invalid_argument.
 inline SampleBackend backend_from_name(std::string_view name) {
-  if (name == "symphase") {
-    return SampleBackend::kSymPhase;
-  }
-  if (name == "frames") {
-    return SampleBackend::kFrameSimulator;
-  }
-  throw std::invalid_argument("unknown backend '" + std::string(name) +
-                              "' (symphase|frames)");
+  return kBackendNames.from_name(name);
 }
 
 /// A value-type description of one sampling request.

@@ -10,34 +10,41 @@ namespace symphase {
 namespace {
 
 constexpr std::array<GateInfo, 27> kGateTable{{
-    {GateType::I, "I", GateKind::kUnitary1, false},
-    {GateType::X, "X", GateKind::kUnitary1, false},
-    {GateType::Y, "Y", GateKind::kUnitary1, false},
-    {GateType::Z, "Z", GateKind::kUnitary1, false},
-    {GateType::H, "H", GateKind::kUnitary1, false},
-    {GateType::S, "S", GateKind::kUnitary1, false},
-    {GateType::S_DAG, "S_DAG", GateKind::kUnitary1, false},
-    {GateType::SQRT_X, "SQRT_X", GateKind::kUnitary1, false},
-    {GateType::SQRT_X_DAG, "SQRT_X_DAG", GateKind::kUnitary1, false},
-    {GateType::H_YZ, "H_YZ", GateKind::kUnitary1, false},
-    {GateType::CNOT, "CNOT", GateKind::kUnitary2, false},
-    {GateType::CZ, "CZ", GateKind::kUnitary2, false},
-    {GateType::SWAP, "SWAP", GateKind::kUnitary2, false},
-    {GateType::M, "M", GateKind::kMeasure, false},
-    {GateType::MR, "MR", GateKind::kMeasure, false},
-    {GateType::R, "R", GateKind::kReset, false},
-    {GateType::X_ERROR, "X_ERROR", GateKind::kNoise1, true},
-    {GateType::Y_ERROR, "Y_ERROR", GateKind::kNoise1, true},
-    {GateType::Z_ERROR, "Z_ERROR", GateKind::kNoise1, true},
-    {GateType::DEPOLARIZE1, "DEPOLARIZE1", GateKind::kNoise1, true},
-    {GateType::DEPOLARIZE2, "DEPOLARIZE2", GateKind::kNoise2, true},
-    {GateType::COND_X, "COND_X", GateKind::kControlled, false},
-    {GateType::COND_Y, "COND_Y", GateKind::kControlled, false},
-    {GateType::COND_Z, "COND_Z", GateKind::kControlled, false},
-    {GateType::DETECTOR, "DETECTOR", GateKind::kDetector, false},
+    {GateType::I, "I", GateKind::kUnitary1, false, {}},
+    {GateType::X, "X", GateKind::kUnitary1, false, {}},
+    {GateType::Y, "Y", GateKind::kUnitary1, false, {}},
+    {GateType::Z, "Z", GateKind::kUnitary1, false, {}},
+    {GateType::H, "H", GateKind::kUnitary1, false, {}},
+    {GateType::S, "S", GateKind::kUnitary1, false, {}},
+    {GateType::S_DAG, "S_DAG", GateKind::kUnitary1, false, {}},
+    {GateType::SQRT_X, "SQRT_X", GateKind::kUnitary1, false, {}},
+    {GateType::SQRT_X_DAG, "SQRT_X_DAG", GateKind::kUnitary1, false, {}},
+    {GateType::H_YZ, "H_YZ", GateKind::kUnitary1, false, {}},
+    {GateType::CNOT, "CNOT", GateKind::kUnitary2, false, {}},
+    {GateType::CZ, "CZ", GateKind::kUnitary2, false, {}},
+    {GateType::SWAP, "SWAP", GateKind::kUnitary2, false, {}},
+    {GateType::M, "M", GateKind::kMeasure, false, {}},
+    {GateType::MR, "MR", GateKind::kMeasure, false, {}},
+    {GateType::R, "R", GateKind::kReset, false, {}},
+    // Y^s = X^s Z^s up to global phase: one symbol flips both.
+    {GateType::X_ERROR, "X_ERROR", GateKind::kNoise1, true, {1, {kFlipXa}}},
+    {GateType::Y_ERROR, "Y_ERROR", GateKind::kNoise1, true,
+     {1, {kFlipXa | kFlipZa}}},
+    {GateType::Z_ERROR, "Z_ERROR", GateKind::kNoise1, true, {1, {kFlipZa}}},
+    // X^{s1} Z^{s2}: the 3 non-identity patterns at p/3 each.
+    {GateType::DEPOLARIZE1, "DEPOLARIZE1", GateKind::kNoise1, true,
+     {2, {kFlipXa, kFlipZa}}},
+    // X^{s1} Z^{s2} (x) X^{s3} Z^{s4}: the 15 non-identity patterns at
+    // p/15 each.
+    {GateType::DEPOLARIZE2, "DEPOLARIZE2", GateKind::kNoise2, true,
+     {4, {kFlipXa, kFlipZa, kFlipXb, kFlipZb}}},
+    {GateType::COND_X, "COND_X", GateKind::kControlled, false, {}},
+    {GateType::COND_Y, "COND_Y", GateKind::kControlled, false, {}},
+    {GateType::COND_Z, "COND_Z", GateKind::kControlled, false, {}},
+    {GateType::DETECTOR, "DETECTOR", GateKind::kDetector, false, {}},
     {GateType::OBSERVABLE_INCLUDE, "OBSERVABLE_INCLUDE",
-     GateKind::kDetector, true},
-    {GateType::TICK, "TICK", GateKind::kAnnotation, false},
+     GateKind::kDetector, true, {}},
+    {GateType::TICK, "TICK", GateKind::kAnnotation, false, {}},
 }};
 
 const std::unordered_map<std::string_view, GateType>& name_map() {

@@ -9,6 +9,7 @@
 /// channels of §3.1 (X/Y/Z error, 1- and 2-qubit depolarization). Names
 /// follow Stim's text format so circuits are interchangeable.
 
+#include <array>
 #include <cstdint>
 #include <optional>
 #include <string>
@@ -71,6 +72,27 @@ enum class GateKind : std::uint8_t {
   kAnnotation, // TICK
 };
 
+/// The Pauli components a fault symbol flips, as bits over the target
+/// unit's lanes: X and Z of the first target (a), then of the second (b).
+/// Lane k is component k % 2 (0 = X, 1 = Z) of target k / 2, the lane
+/// order of tableau/clifford_gates.hpp.
+inline constexpr std::uint8_t kFlipXa = 1u << 0;
+inline constexpr std::uint8_t kFlipZa = 1u << 1;
+inline constexpr std::uint8_t kFlipXb = 1u << 2;
+inline constexpr std::uint8_t kFlipZb = 1u << 3;
+
+/// A noise channel's faults (paper §3.1): every target unit (a qubit, or a
+/// pair for a two-qubit channel) mints `symbols` fault symbols as one
+/// group, and symbol k flips the components `flips[k]` names. A
+/// one-symbol channel is a Bernoulli(p) site; a channel with more symbols
+/// draws, with probability p, a uniform non-identity pattern over them,
+/// and each of its symbols flips one component. Zero symbols: not a
+/// noise channel.
+struct FaultPattern {
+  std::uint8_t symbols = 0;
+  std::array<std::uint8_t, 4> flips{};
+};
+
 struct GateInfo {
   GateType type;
   std::string_view name;
@@ -78,6 +100,7 @@ struct GateInfo {
   /// Parenthesized numeric argument: a probability for noise channels,
   /// the observable index for OBSERVABLE_INCLUDE.
   bool takes_probability;
+  FaultPattern faults;
 };
 
 /// Static metadata for a gate type.

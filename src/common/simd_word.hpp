@@ -32,8 +32,13 @@ namespace symphase {
 
 #define SYMPHASE_WIDEWORD_BACKEND "avx512"
 
-/// 512-bit SIMD word, AVX-512 backend.
+/// 512-bit SIMD word, AVX-512 backend. `andnot`, the shifts and the
+/// popcount sum are written with GCC vector extensions: their intrinsics
+/// pass `_mm512_undefined_epi32()` as a merge source, which GCC 12 reports
+/// as -Wmaybe-uninitialized at every inlined call.
 struct WideWord {
+  using Lanes = std::uint64_t __attribute__((vector_size(64)));
+
   __m512i v;
 
   static constexpr std::size_t kWords = 8;
@@ -76,23 +81,26 @@ struct WideWord {
   }
 
   /// ~a & b in one instruction.
-  friend WideWord andnot(WideWord a, WideWord b) {
-    return {_mm512_andnot_si512(a.v, b.v)};
-  }
+  friend WideWord andnot(WideWord a, WideWord b) { return {~a.v & b.v}; }
 
-  /// Lanewise 64-bit add / shifts (the vectorized-PRNG building blocks).
+  /// Lanewise 64-bit add / shifts (the vectorized-PRNG building blocks);
+  /// shift counts are in [0, 63].
   friend WideWord operator+(WideWord a, WideWord b) {
     return {_mm512_add_epi64(a.v, b.v)};
   }
-  WideWord shl(int k) const { return {_mm512_slli_epi64(v, k)}; }
-  WideWord shr(int k) const { return {_mm512_srli_epi64(v, k)}; }
+  WideWord shl(int k) const { return {(__m512i)((Lanes)v << k)}; }
+  WideWord shr(int k) const { return {(__m512i)((Lanes)v >> k)}; }
 
   bool nonzero() const { return _mm512_test_epi64_mask(v, v) != 0; }
 
   std::uint64_t popcount() const {
 #if defined(__AVX512VPOPCNTDQ__)
-    return static_cast<std::uint64_t>(
-        _mm512_reduce_add_epi64(_mm512_popcnt_epi64(v)));
+    const auto c = (Lanes)_mm512_popcnt_epi64(v);
+    const auto c4 = __builtin_shufflevector(c, c, 0, 1, 2, 3) +
+                    __builtin_shufflevector(c, c, 4, 5, 6, 7);
+    const auto c2 = __builtin_shufflevector(c4, c4, 0, 1) +
+                    __builtin_shufflevector(c4, c4, 2, 3);
+    return c2[0] + c2[1];
 #else
     alignas(64) Word w[kWords];
     _mm512_store_si512(reinterpret_cast<void*>(w), v);

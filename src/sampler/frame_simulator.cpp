@@ -1,6 +1,7 @@
 #include "sampler/frame_simulator.hpp"
 
 #include <algorithm>
+#include <bit>
 
 #include "common/parallel.hpp"
 #include "common/simd_word.hpp"
@@ -65,10 +66,8 @@ FrameSimulator::FrameSimulator(const Circuit& circuit, std::uint64_t seed)
       continue;
     }
     noise_plans_[i] = BiasedBitPlan(inst.probability);
-    const std::size_t units = inst.type == GateType::DEPOLARIZE2
-                                  ? inst.targets.size() / 2
-                                  : inst.targets.size();
-    max_noise_units_ = std::max(max_noise_units_, units);
+    max_noise_units_ = std::max(max_noise_units_,
+                                inst.targets.size() / gate_arity(inst.type));
   }
 }
 
@@ -79,8 +78,8 @@ void FrameSimulator::sample_shard(BitMatrix& out, std::size_t word0,
   BitMatrix zf(n, words * kWordBits);
   FrameRows frames{xf, zf};
   std::vector<Word> scratch(words);
-  // One batched event fill covers up to kNoiseUnitBatch targets (pairs
-  // for DEPOLARIZE2) of a noise instruction at a time: unit u of the
+  // One batched event fill covers up to kNoiseUnitBatch units (targets,
+  // or pairs of a two-qubit channel) of a noise instruction: unit u of the
   // chunk owns words [u*words, (u+1)*words). The cap keeps the scratch
   // L2-resident no matter how wide a single instruction is.
   std::vector<Word> noise_scratch(
@@ -121,26 +120,43 @@ void FrameSimulator::sample_shard(BitMatrix& out, std::size_t word0,
     fill_random_words(rng, zf.row(q), words);
   };
 
-  // Batched Pauli error: one plan fill spans a whole chunk of targets
-  // (so sparse probabilities run a single geometric-skip pass across
-  // them), then each target's slice XORs into its frame rows.
-  const auto apply_pauli_errors = [&](const BiasedBitPlan& plan,
-                                      std::span<const std::uint32_t> qubits,
-                                      bool flip_x, bool flip_z) {
+  // A noise channel's faults (the gate table's pattern): one batched
+  // plan fill covers the events of a chunk of units (so sparse
+  // probabilities run a single geometric-skip pass across them), then
+  // each unit's slice goes into its frame rows. A one-symbol channel XORs
+  // its events into the rows its symbol flips; a channel with more
+  // symbols draws a uniform non-identity pattern per event over the rows
+  // its symbols flip, one row each (matching SymbolValueSampler).
+  const auto apply_faults = [&](const Instruction& inst,
+                                const BiasedBitPlan& plan) {
+    const FaultPattern& faults = gate_info(inst.type).faults;
+    const std::size_t arity = gate_arity(inst.type);
+    const std::size_t units = inst.targets.size() / arity;
     Word* events = noise_scratch.data();
-    for (std::size_t base = 0; base < qubits.size();
-         base += kNoiseUnitBatch) {
-      const std::size_t nt =
-          std::min(kNoiseUnitBatch, qubits.size() - base);
-      plan.fill(rng, events, nt * words);
-      for (std::size_t qi = 0; qi < nt; ++qi) {
-        Word* slice = events + qi * words;
-        if (flip_x) {
-          wide::xor_words(xf.row(qubits[base + qi]), slice, words);
+    for (std::size_t base = 0; base < units; base += kNoiseUnitBatch) {
+      const std::size_t nu = std::min(kNoiseUnitBatch, units - base);
+      plan.fill(rng, events, nu * words);
+      for (std::size_t u = 0; u < nu; ++u) {
+        const std::uint32_t* unit = &inst.targets[(base + u) * arity];
+        // Frame row of each lane (kFlipXa, kFlipZa, kFlipXb, kFlipZb).
+        const auto lane_row = [&](unsigned lane) {
+          return (lane % 2 == 0 ? xf : zf).row(unit[lane / 2]);
+        };
+        Word* slice = events + u * words;
+        if (faults.symbols == 1) {
+          for (unsigned lane = 0; lane < 2 * arity; ++lane) {
+            if (((faults.flips[0] >> lane) & 1) != 0) {
+              wide::xor_words(lane_row(lane), slice, words);
+            }
+          }
+          continue;
         }
-        if (flip_z) {
-          wide::xor_words(zf.row(qubits[base + qi]), slice, words);
+        Word* masks[4];
+        for (unsigned k = 0; k < faults.symbols; ++k) {
+          masks[k] = lane_row(std::countr_zero(faults.flips[k]));
         }
+        fill_pauli_patterns(rng, slice, words, faults.symbols, masks,
+                            inst.probability);
       }
     }
   };
@@ -149,19 +165,24 @@ void FrameSimulator::sample_shard(BitMatrix& out, std::size_t word0,
   for (std::size_t inst_index = 0; inst_index < instructions.size();
        ++inst_index) {
     const Instruction& inst = instructions[inst_index];
-    switch (inst.type) {
-      case GateType::TICK:
-      case GateType::DETECTOR:
-      case GateType::OBSERVABLE_INCLUDE:
+    switch (gate_info(inst.type).kind) {
+      case GateKind::kAnnotation:
+      case GateKind::kDetector:
         break;
-      case GateType::M:
+      case GateKind::kMeasure:
         for (const std::uint32_t q : inst.targets) {
           record_measurement(q);
+          if (inst.type == GateType::MR) {
+            reset_frames(q);
+          }
         }
         break;
-      case GateType::COND_X:
-      case GateType::COND_Y:
-      case GateType::COND_Z:
+      case GateKind::kReset:
+        for (const std::uint32_t q : inst.targets) {
+          reset_frames(q);
+        }
+        break;
+      case GateKind::kControlled:
         // The reference run already applied the Pauli conditioned on the
         // reference outcome; per shot, the applied power differs by the
         // recorded *frame* bit f = out_row ^ reference, so the frame of
@@ -188,74 +209,12 @@ void FrameSimulator::sample_shard(BitMatrix& out, std::size_t word0,
           }
         }
         break;
-      case GateType::MR:
-        for (const std::uint32_t q : inst.targets) {
-          record_measurement(q);
-          reset_frames(q);
-        }
+      case GateKind::kNoise1:
+      case GateKind::kNoise2:
+        apply_faults(inst, noise_plans_[inst_index]);
         break;
-      case GateType::R:
-        for (const std::uint32_t q : inst.targets) {
-          reset_frames(q);
-        }
-        break;
-      case GateType::X_ERROR:
-        apply_pauli_errors(noise_plans_[inst_index], inst.targets, true,
-                           false);
-        break;
-      case GateType::Z_ERROR:
-        apply_pauli_errors(noise_plans_[inst_index], inst.targets, false,
-                           true);
-        break;
-      case GateType::Y_ERROR:
-        apply_pauli_errors(noise_plans_[inst_index], inst.targets, true,
-                           true);
-        break;
-      case GateType::DEPOLARIZE1:
-        // Event bits per shot; on event, a uniform non-identity pattern
-        // over (X, Z) of the qubit (matches SymbolValueSampler's
-        // channels). Events for all targets come from one batched fill;
-        // the engine XORs the pattern masks straight into the frame rows
-        // (whole-word for dense blocks, per-event for sparse ones).
-        {
-          Word* events = noise_scratch.data();
-          for (std::size_t base = 0; base < inst.targets.size();
-               base += kNoiseUnitBatch) {
-            const std::size_t nt =
-                std::min(kNoiseUnitBatch, inst.targets.size() - base);
-            noise_plans_[inst_index].fill(rng, events, nt * words);
-            for (std::size_t qi = 0; qi < nt; ++qi) {
-              Word* masks[2] = {xf.row(inst.targets[base + qi]),
-                                zf.row(inst.targets[base + qi])};
-              fill_pauli_patterns(rng, events + qi * words, words, 2, masks,
-                                  inst.probability);
-            }
-          }
-        }
-        break;
-      case GateType::DEPOLARIZE2:
-        // Same, with a uniform non-identity pattern over
-        // (X_a, Z_a, X_b, Z_b) per event.
-        {
-          Word* events = noise_scratch.data();
-          const std::size_t pairs = inst.targets.size() / 2;
-          for (std::size_t base = 0; base < pairs;
-               base += kNoiseUnitBatch) {
-            const std::size_t np = std::min(kNoiseUnitBatch, pairs - base);
-            noise_plans_[inst_index].fill(rng, events, np * words);
-            for (std::size_t pi = 0; pi < np; ++pi) {
-              const std::uint32_t qa = inst.targets[2 * (base + pi)];
-              const std::uint32_t qb = inst.targets[2 * (base + pi) + 1];
-              Word* masks[4] = {xf.row(qa), zf.row(qa), xf.row(qb),
-                                zf.row(qb)};
-              fill_pauli_patterns(rng, events + pi * words, words, 4, masks,
-                                  inst.probability);
-            }
-          }
-        }
-        break;
-      default:
-        // The unitary gates.
+      case GateKind::kUnitary1:
+      case GateKind::kUnitary2:
         apply_unitary(frames, inst.type, inst.targets);
         break;
     }

@@ -95,7 +95,7 @@ class FrameSimulator {
   /// for non-noise instructions), so the strategy choice and log1p /
   /// binary-expansion setup happen once per circuit, not per shard call.
   std::vector<BiasedBitPlan> noise_plans_;
-  /// Cap on fill units (error targets, or pairs for DEPOLARIZE2) per
+  /// Cap on fill units (targets, or pairs for a two-qubit channel) per
   /// batched plan call: enough to amortize the engine's batch setup,
   /// small enough that the event scratch (64 x 128 words = 64 KiB)
   /// stays cache-resident however wide one instruction is.

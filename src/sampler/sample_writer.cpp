@@ -7,33 +7,12 @@
 #include <cstring>
 #include <istream>
 #include <limits>
-#include <stdexcept>
 #include <vector>
 
 #include "bitvec/transpose.hpp"
 #include "common/check.hpp"
 
 namespace symphase {
-
-SampleFormat sample_format_from_name(std::string_view name) {
-  if (name == "01") {
-    return SampleFormat::k01;
-  }
-  if (name == "hex") {
-    return SampleFormat::kHex;
-  }
-  if (name == "b8") {
-    return SampleFormat::kB8;
-  }
-  if (name == "ptb64") {
-    return SampleFormat::kPtb64;
-  }
-  if (name == "dets") {
-    return SampleFormat::kDets;
-  }
-  throw std::invalid_argument("unknown sample format '" + std::string(name) +
-                              "' (01|hex|b8|ptb64|dets)");
-}
 
 namespace {
 

@@ -43,14 +43,24 @@
 #include <string_view>
 
 #include "bitvec/bit_matrix.hpp"
+#include "common/enum_names.hpp"
 
 namespace symphase {
 
 enum class SampleFormat { k01, kHex, kB8, kPtb64, kDets };
 
+inline constexpr EnumNames<SampleFormat, 5> kSampleFormatNames{
+    "sample format", {"01", "hex", "b8", "ptb64", "dets"}};
+
+constexpr std::string_view sample_format_name(SampleFormat format) {
+  return kSampleFormatNames.name(format);
+}
+
 /// Parses "01", "hex", "b8", "ptb64", "dets"; throws
 /// std::invalid_argument on anything else.
-SampleFormat sample_format_from_name(std::string_view name);
+inline SampleFormat sample_format_from_name(std::string_view name) {
+  return kSampleFormatNames.from_name(name);
+}
 
 /// Appends shots [shot_begin, shot_end) of `samples` (measurement-major)
 /// to `out`, shot-major in `format`. `shot_begin` must be a multiple of

@@ -9,8 +9,8 @@ namespace symphase {
 
 namespace {
 
-// A sparse depolarizing group's events are drawn with one
-// PauliPatternDrawer, as fill_pauli_patterns does per noise block.
+// A sparse pattern group's events are drawn with one PauliPatternDrawer,
+// as fill_pauli_patterns does per noise block.
 static_assert(kSampleShardWords <= kNoiseBlockWords);
 
 constexpr std::uint32_t kNoRow = UINT32_MAX;
@@ -18,17 +18,18 @@ constexpr unsigned kMaxMembers = 4;
 
 // Cost model behind the scatter's path choice (docs/performance.md,
 // "Which path a group takes"), per word of shots. An event group flips
-// 64 · p · share · W output bits, where W is its Mᵀ weight (readers,
-// summed over its used members) and share is the chance that an event
-// flips a given member; a flip costs about kFlipWords word XORs. A
-// scratch row costs W word XORs plus a fixed overhead: clearing the row
-// (Bernoulli), or also filling the event row and scanning it for
-// patterns (depolarizing). Fitted on d9 surface codes.
+// 64 · q · W output bits, where W is its Mᵀ weight (readers, summed over
+// its used members) and q the chance that an event flips a given member
+// (the group's flip_probability()); a flip costs about kFlipWords word
+// XORs. A scratch row costs W word XORs plus a fixed overhead: clearing
+// the row (a one-member group), or also filling the event row and
+// scanning it for patterns (a group with a pattern). Fitted on d9
+// surface codes.
 constexpr double kFlipWords = 6;
-constexpr double kBernoulliOverheadWords = 1;
-constexpr double kDepolarizeOverheadWords = 20;
+constexpr double kSiteOverheadWords = 1;
+constexpr double kPatternOverheadWords = 20;
 
-/// Whether the scatter hands a random group's events to the output rows
+/// Whether the scatter hands a fault group's events to the output rows
 /// one bit at a time (an event group) rather than through a scratch row.
 /// `weight()` gives the group's W; it is only asked for when p is high
 /// enough for W to matter.
@@ -38,23 +39,17 @@ bool scatters_events(const SymbolGroup& group, const BiasedBitPlan& plan,
   if (plan.strategy() != BiasStrategy::kGeometric) {
     return false;
   }
-  const bool bernoulli = group.kind == SymbolGroupKind::kBernoulli;
-  // A depolarizing group's patterns must be drawn one event at a time.
-  if (!bernoulli && !sparse_pauli_patterns(group.probability)) {
+  const bool site = group.num_symbols == 1;
+  // A group's patterns must be drawn one event at a time.
+  if (!site && !sparse_pauli_patterns(group.probability)) {
     return false;
   }
-  // An event flips a given member in 2^(m-1) of the 2^m - 1 non-identity
-  // patterns over m members (all of them for a Bernoulli group, m = 1).
-  const unsigned m = group.num_symbols;
-  const double share = static_cast<double>(1u << (m - 1)) /
-                       static_cast<double>((1u << m) - 1);
   // Flip cost per reader, less the one word a scratch row XORs for it.
   const double excess =
-      kFlipWords * static_cast<double>(kWordBits) * group.probability *
-          share -
+      kFlipWords * static_cast<double>(kWordBits) *
+          group.flip_probability() -
       1;
-  const double overhead =
-      bernoulli ? kBernoulliOverheadWords : kDepolarizeOverheadWords;
+  const double overhead = site ? kSiteOverheadWords : kPatternOverheadWords;
   return excess <= 0 || static_cast<double>(weight()) * excess < overhead;
 }
 
@@ -82,7 +77,7 @@ class ScatterDeposit {
       : targets_(targets), out_(out), words_(words) {}
 
   Word* row(unsigned member, std::uint32_t /*b_row*/) {
-    // Depolarizing fills XOR pattern bits in, so rows start cleared.
+    // Pattern fills XOR their bits in, so rows start cleared.
     wide::clear_words(scratch_[member], words_);
     return scratch_[member];
   }
@@ -149,13 +144,11 @@ SymbolValueSampler::SymbolValueSampler(const SymbolTable& table,
     }
   }
   // Compile the per-group noise plans once (strategy choice + cached
-  // constants); only active random groups ever consult theirs.
+  // constants); only active fault groups ever consult theirs.
   group_plans_.resize(table_.groups().size());
   for (const std::uint32_t gi : active_groups_) {
     const SymbolGroup& group = table_.groups()[gi];
-    if (group.kind == SymbolGroupKind::kBernoulli ||
-        group.kind == SymbolGroupKind::kDepolarize1 ||
-        group.kind == SymbolGroupKind::kDepolarize2) {
+    if (group.kind == SymbolGroupKind::kFault) {
       group_plans_[gi] = BiasedBitPlan(group.probability);
     }
   }
@@ -165,9 +158,9 @@ template <typename Deposit>
 void SymbolValueSampler::walk_groups(std::size_t words, Rng& rng,
                                      Deposit& deposit) const {
   SYMPHASE_ASSERT(words <= kShardWords);
-  // Event-bit scratch shared by the depolarizing groups of this shard.
+  // Event-bit scratch shared by the pattern groups of this shard.
   alignas(64) Word events[kShardWords];
-  // Event positions of a sparse depolarizing group (scatter only).
+  // Event positions of a sparse pattern group (scatter only).
   std::vector<std::uint32_t> positions;
   for (const std::uint32_t gi : active_groups_) {
     const SymbolGroup& group = table_.groups()[gi];
@@ -188,7 +181,7 @@ void SymbolValueSampler::walk_groups(std::size_t words, Rng& rng,
       // generator advances identically.
       if (scatters_events(group, plan,
                           [&] { return deposit.weight(b_rows, members); })) {
-        if (group.kind == SymbolGroupKind::kBernoulli) {
+        if (members == 1) {
           plan.for_each_event(rng, words, [&](std::size_t bit) {
             deposit.flip(b_rows[0], bit);
           });
@@ -227,17 +220,17 @@ void SymbolValueSampler::walk_groups(std::size_t words, Rng& rng,
         SYMPHASE_ASSERT(rows[0] != nullptr);
         fill_random_words(rng, rows[0], words);
         break;
-      case SymbolGroupKind::kBernoulli:
-        SYMPHASE_ASSERT(rows[0] != nullptr);
-        plan.fill(rng, rows[0], words);
-        break;
-      case SymbolGroupKind::kDepolarize1:
-      case SymbolGroupKind::kDepolarize2:
-        // Joint sampling: an "event" Bernoulli(p) per shot; on event, a
-        // uniform non-identity pattern over the member bits. The engine
-        // deposits pattern bits straight into the (cleared) member
-        // rows; unused members still consume their pattern randomness
-        // but are not materialized.
+      case SymbolGroupKind::kFault:
+        // A one-member group's events are its bits. Otherwise, an event
+        // Bernoulli(p) per shot, and on an event a uniform non-identity
+        // pattern over the members: the engine deposits pattern bits
+        // straight into the (cleared) member rows; unused members still
+        // consume their pattern randomness but are not materialized.
+        if (members == 1) {
+          SYMPHASE_ASSERT(rows[0] != nullptr);
+          plan.fill(rng, rows[0], words);
+          break;
+        }
         plan.fill(rng, events, words);
         fill_pauli_patterns(rng, events, words, members, rows,
                             group.probability);
@@ -255,7 +248,7 @@ void SymbolValueSampler::generate_shard_block(std::size_t shard,
   SYMPHASE_CHECK(shard < num_sample_shards(num_samples));
   SYMPHASE_CHECK(block.rows() == num_rows());
   SYMPHASE_CHECK(block.words_per_row() >= e.words);
-  // The depolarize path only XORs fresh pattern bits in, so a reused
+  // The pattern path only XORs fresh pattern bits in, so a reused
   // scratch block starts cleared.
   block.clear_all();
   Rng rng = Rng(seed).stream(shard);

@@ -12,9 +12,8 @@
 /// Only symbols that actually appear in some measurement expression get
 /// a row: symbols that no expression reads cannot affect any outcome, so
 /// skipping them leaves the product M·B unchanged while keeping the work
-/// proportional to what is read. Correlated groups (depolarize) are
-/// sampled jointly; unused members of a used group are simply not
-/// materialized.
+/// proportional to what is read. A fault group's members are sampled
+/// jointly; unused members of a used group are simply not materialized.
 ///
 /// One walk over the symbol groups, in a fixed order with fixed draws,
 /// deposits the bits in one of two ways:

@@ -1,6 +1,5 @@
 #include "sampler/symphase_sampler.hpp"
 
-#include <bit>
 #include <initializer_list>
 
 namespace symphase {
@@ -64,43 +63,23 @@ void SymPhaseSampler::sample_shard_block(std::size_t shard,
 double outcome_probability(const SymbolTable& symbols,
                            const std::vector<std::uint32_t>& expr) {
   // E[(-1)^m] = prod over groups of E[(-1)^{parity of included members}];
-  // groups are mutually independent.
+  // groups are mutually independent, and whichever of a group's members
+  // the expression includes, their parity is odd with the group's
+  // flip_probability() (1/2 for a coin).
   double bias = 1.0;
   bool constant = false;
   std::size_t i = 0;
   while (i < expr.size()) {
     const SymbolGroup& group = symbols.group_of(expr[i]);
-    // Collect the membership mask of this group's symbols in the expr.
-    std::uint32_t mask = 0;
     while (i < expr.size() &&
            expr[i] < group.first_symbol + group.num_symbols) {
       SYMPHASE_ASSERT(expr[i] >= group.first_symbol);
-      mask |= 1u << (expr[i] - group.first_symbol);
       ++i;
     }
-    switch (group.kind) {
-      case SymbolGroupKind::kConstant:
-        constant = !constant;
-        break;
-      case SymbolGroupKind::kCoin:
-        bias *= 0.0;
-        break;
-      case SymbolGroupKind::kBernoulli:
-        bias *= 1.0 - 2.0 * group.probability;
-        break;
-      case SymbolGroupKind::kDepolarize1:
-      case SymbolGroupKind::kDepolarize2: {
-        const std::uint32_t members = group.num_symbols;
-        const std::uint32_t patterns = 1u << members;
-        const double p_each =
-            group.probability / static_cast<double>(patterns - 1);
-        double g_bias = 1.0 - group.probability;  // identity pattern
-        for (std::uint32_t pat = 1; pat < patterns; ++pat) {
-          g_bias += (std::popcount(pat & mask) % 2 == 0) ? p_each : -p_each;
-        }
-        bias *= g_bias;
-        break;
-      }
+    if (group.kind == SymbolGroupKind::kConstant) {
+      constant = !constant;
+    } else {
+      bias *= 1.0 - 2.0 * group.flip_probability();
     }
   }
   const double p_one = (1.0 - bias) / 2.0;

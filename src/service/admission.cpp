@@ -4,11 +4,19 @@
 #include <cmath>
 #include <sstream>
 
-#include "common/check.hpp"
-
 namespace symphase {
 
 namespace {
+
+/// Distinct client buckets tracked; least-recently-seen clients are
+/// evicted beyond this (an evicted client restarts with a full bucket —
+/// cheap, and hostile client-id churn cannot grow memory).
+constexpr std::size_t kMaxTrackedClients = 1024;
+
+/// Queue-depth fractions above which low/normal-priority submissions are
+/// shed. High priority only fails on a genuinely full queue.
+constexpr double kShedLowAbove = 0.50;
+constexpr double kShedNormalAbove = 0.75;
 
 /// Backoff hint for queue-pressure rejections: grows with how deep the
 /// queue is relative to capacity, so clients spread their retries
@@ -73,11 +81,6 @@ std::uint64_t TokenBucket::retry_after_ms(
 
 AdmissionController::AdmissionController(AdmissionOptions options)
     : options_(options) {
-  SYMPHASE_CHECK(options_.max_tracked_clients >= 1);
-  SYMPHASE_CHECK(options_.shed_low_above > 0.0 &&
-                 options_.shed_low_above <= 1.0);
-  SYMPHASE_CHECK(options_.shed_normal_above > 0.0 &&
-                 options_.shed_normal_above <= 1.0);
   if (options_.client_burst_shots == 0) {
     options_.client_burst_shots = options_.client_shots_per_second;
   }
@@ -96,7 +99,7 @@ TokenBucket& AdmissionController::bucket_for(std::uint64_t client_id,
       static_cast<double>(options_.client_shots_per_second),
       static_cast<double>(options_.client_burst_shots), now);
   entry.lru_position = lru_.begin();
-  while (clients_.size() > options_.max_tracked_clients) {
+  while (clients_.size() > kMaxTrackedClients) {
     clients_.erase(lru_.back());
     lru_.pop_back();
   }
@@ -111,10 +114,10 @@ std::size_t AdmissionController::depth_limit(
       fraction = 1.0;
       break;
     case RequestPriority::kNormal:
-      fraction = options_.shed_normal_above;
+      fraction = kShedNormalAbove;
       break;
     case RequestPriority::kLow:
-      fraction = options_.shed_low_above;
+      fraction = kShedLowAbove;
       break;
   }
   const auto limit = static_cast<std::size_t>(

@@ -18,8 +18,8 @@
 ///     Rejected: kQueueFull (it is an overload condition, not a
 ///     per-client one).
 ///  3. Priority-aware queue shedding — low-priority requests are
-///     rejected once the queue passes shed_low_above of capacity,
-///     normal past shed_normal_above, high only when genuinely full.
+///     rejected once the queue passes 50% of capacity, normal past 75%,
+///     high only when genuinely full.
 ///     Under pressure the server degrades by priority class instead of
 ///     failing everyone at once. Rejected: kQueueFull.
 ///
@@ -50,14 +50,6 @@ struct AdmissionOptions {
   /// (0 = unlimited). A request larger than the cap is only admitted
   /// when nothing else is in flight — it must be runnable somehow.
   std::uint64_t max_shots_in_flight = 0;
-  /// Distinct client buckets tracked; least-recently-seen clients are
-  /// evicted beyond this (an evicted client restarts with a full
-  /// bucket — cheap, and hostile client-id churn cannot grow memory).
-  std::size_t max_tracked_clients = 1024;
-  /// Queue-depth fractions above which low/normal-priority submissions
-  /// are shed. High priority only fails on a genuinely full queue.
-  double shed_low_above = 0.50;
-  double shed_normal_above = 0.75;
 };
 
 /// Token bucket denominated in shots. Refill is computed lazily from

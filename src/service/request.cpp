@@ -40,22 +40,6 @@ std::vector<std::size_t> parse_rows(std::string_view value) {
   return rows;
 }
 
-std::string_view format_name(SampleFormat format) {
-  switch (format) {
-    case SampleFormat::k01:
-      return "01";
-    case SampleFormat::kHex:
-      return "hex";
-    case SampleFormat::kB8:
-      return "b8";
-    case SampleFormat::kPtb64:
-      return "ptb64";
-    case SampleFormat::kDets:
-      return "dets";
-  }
-  return "01";
-}
-
 }  // namespace
 
 SampleRequest SampleRequest::sample(std::string circuit, std::size_t shots) {
@@ -231,7 +215,7 @@ std::string encode_request_payload(const SampleRequest& request) {
   if (request.verb == RequestVerb::kSample ||
       request.verb == RequestVerb::kDetect) {
     oss << " shots=" << request.task.shots << " seed=" << request.task.seed
-        << " format=" << format_name(request.format)
+        << " format=" << sample_format_name(request.format)
         << " backend=" << backend_name(request.task.backend);
     if (request.task.num_threads != 0) {
       oss << " threads=" << request.task.num_threads;

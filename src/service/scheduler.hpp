@@ -39,6 +39,7 @@
 #include <utility>
 
 #include "common/check.hpp"
+#include "common/enum_names.hpp"
 
 namespace symphase {
 
@@ -49,20 +50,17 @@ enum class RequestPriority : std::uint8_t { kHigh = 0, kNormal = 1, kLow = 2 };
 
 inline constexpr std::size_t kNumPriorities = 3;
 
+inline constexpr EnumNames<RequestPriority, kNumPriorities> kPriorityNames{
+    "priority", {"high", "normal", "low"}};
+
 constexpr std::string_view priority_name(RequestPriority priority) {
-  switch (priority) {
-    case RequestPriority::kHigh:
-      return "high";
-    case RequestPriority::kNormal:
-      return "normal";
-    case RequestPriority::kLow:
-      return "low";
-  }
-  return "normal";
+  return kPriorityNames.name(priority);
 }
 
 /// Parses "high" | "normal" | "low"; throws std::invalid_argument.
-RequestPriority priority_from_name(std::string_view name);
+inline RequestPriority priority_from_name(std::string_view name) {
+  return kPriorityNames.from_name(name);
+}
 
 /// The service's scheduling clock. steady_clock: deadlines are relative
 /// budgets ("finish within 50ms"), never wall-clock timestamps, so they

@@ -70,46 +70,31 @@ DetectorErrorModel build_error_model(
   model.num_observables = observable_expressions.size();
 
   for (const SymbolGroup& group : symbols.groups()) {
-    switch (group.kind) {
-      case SymbolGroupKind::kConstant:
-      case SymbolGroupKind::kCoin:
-        break;
-      case SymbolGroupKind::kBernoulli: {
-        const Symptoms& s = symbol_symptoms[group.first_symbol];
-        if (!s.empty() && group.probability > 0.0) {
-          model.mechanisms.push_back(
-              {group.probability, s.detectors, s.observables});
+    if (group.kind != SymbolGroupKind::kFault || group.probability <= 0.0) {
+      continue;
+    }
+    // One mechanism per symptom set of the group's non-identity patterns
+    // (a one-member group has the one pattern, at p), merging patterns
+    // with identical symptoms.
+    const std::uint32_t members = group.num_symbols;
+    const std::uint32_t patterns = 1u << members;
+    const double p_each =
+        group.probability / static_cast<double>(patterns - 1);
+    std::map<Symptoms, double> merged;
+    for (std::uint32_t pattern = 1; pattern < patterns; ++pattern) {
+      Symptoms s;
+      for (std::uint32_t m = 0; m < members; ++m) {
+        if ((pattern >> m) & 1) {
+          s = s ^ symbol_symptoms[group.first_symbol + m];
         }
-        break;
       }
-      case SymbolGroupKind::kDepolarize1:
-      case SymbolGroupKind::kDepolarize2: {
-        if (group.probability <= 0.0) {
-          break;
-        }
-        const std::uint32_t members = group.num_symbols;
-        const std::uint32_t patterns = 1u << members;
-        const double p_each =
-            group.probability / static_cast<double>(patterns - 1);
-        // Merge patterns with identical symptoms.
-        std::map<Symptoms, double> merged;
-        for (std::uint32_t pattern = 1; pattern < patterns; ++pattern) {
-          Symptoms s;
-          for (std::uint32_t m = 0; m < members; ++m) {
-            if ((pattern >> m) & 1) {
-              s = s ^ symbol_symptoms[group.first_symbol + m];
-            }
-          }
-          if (!s.empty()) {
-            merged[s] += p_each;
-          }
-        }
-        for (const auto& [symptoms, probability] : merged) {
-          model.mechanisms.push_back(
-              {probability, symptoms.detectors, symptoms.observables});
-        }
-        break;
+      if (!s.empty()) {
+        merged[s] += p_each;
       }
+    }
+    for (const auto& [symptoms, probability] : merged) {
+      model.mechanisms.push_back(
+          {probability, symptoms.detectors, symptoms.observables});
     }
   }
   return model;

@@ -5,15 +5,16 @@
 ///
 /// Phase symbolization makes the fault → measurement map explicit: every
 /// detector/observable expression lists exactly the fault symbols that
-/// flip it. Inverting that map per noise *group* (one Bernoulli site, or
-/// one correlated depolarize channel) yields the independent error
-/// mechanisms a matching/BP decoder consumes:
+/// flip it. Inverting that map per fault *group* (one noise-channel site;
+/// symbol_table.hpp) yields the independent error mechanisms a
+/// matching/BP decoder consumes:
 ///
 ///     error(0.002) D3 D7 L0
 ///
 /// — "with probability 0.002, detectors 3 and 7 fire and logical 0
-/// flips". Correlated channels contribute one mechanism per non-identity
-/// Pauli pattern, with symptoms equal to the XOR of the pattern's member
+/// flips". A group contributes one mechanism per non-identity pattern
+/// over its members (a one-member group, e.g. an X_ERROR site, has just
+/// the one, at p), with symptoms equal to the XOR of the pattern's member
 /// symbols' symptoms; patterns with identical symptoms are merged by
 /// summing probabilities (mod-2 on simultaneous occurrence is a second-
 /// order effect ignored here, as is standard for DEMs).

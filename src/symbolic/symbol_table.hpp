@@ -4,13 +4,15 @@
 /// Bit-symbols and their sampling distributions (paper §3.1).
 ///
 /// Phase symbolization introduces one F2 symbol per independent random
-/// bit in the circuit:
+/// bit in the circuit, in groups that are sampled independently:
 ///   - a fair coin per *random* computational-basis measurement,
-///   - one Bernoulli(p) bit per X/Y/Z_ERROR site,
-///   - correlated groups for depolarization: DEPOLARIZE1(p) is X^{s1}Z^{s2}
-///     with (s1 s2) ~ {00:1-p, 10:p/3, 01:p/3, 11:p/3}; DEPOLARIZE2(p) is
-///     X^{s1}Z^{s2} ⊗ X^{s3}Z^{s4} with the 15 non-identity patterns at
-///     p/15 each.
+///   - one fault group per noise-channel site: with probability p, a
+///     uniform non-identity pattern over its members, else all zero. The
+///     gate table (circuit/gate.hpp) gives each channel its member count
+///     and what each member flips: X/Y/Z_ERROR mint one member (a
+///     Bernoulli(p) bit, which draws no pattern), DEPOLARIZE1 two
+///     (X^{s1}Z^{s2}, the 3 patterns at p/3 each) and DEPOLARIZE2 four
+///     (X^{s1}Z^{s2} ⊗ X^{s3}Z^{s4}, the 15 patterns at p/15 each).
 /// Symbol 0 is the constant 1 (the paper's s_0) and always samples to 1.
 ///
 /// Symbol ids coincide with the phase-column indices of the symbolic
@@ -24,18 +26,24 @@
 namespace symphase {
 
 enum class SymbolGroupKind : std::uint8_t {
-  kConstant,     // symbol 0; always 1
-  kCoin,         // fair coin from a random measurement
-  kBernoulli,    // independent Bernoulli(p) fault bit
-  kDepolarize1,  // 2 correlated bits
-  kDepolarize2,  // 4 correlated bits
+  kConstant,  // symbol 0; always 1
+  kCoin,      // fair coin from a random measurement
+  kFault,     // p: a uniform non-identity pattern over the members
 };
 
 struct SymbolGroup {
   SymbolGroupKind kind = SymbolGroupKind::kConstant;
-  double probability = 0.0;       // channel parameter p (unused for coins)
+  double probability = 0.0;       // 1/2 for a coin, channel p for a fault
   std::uint32_t first_symbol = 0; // id of the group's first symbol
   std::uint32_t num_symbols = 1;
+
+  /// Probability that the XOR of any non-empty set of the group's members
+  /// reads 1: a set has odd overlap with 2^(m-1) of the 2^m - 1
+  /// non-identity patterns over m members (p itself for one member).
+  double flip_probability() const {
+    const auto half = static_cast<double>(1u << (num_symbols - 1));
+    return probability * half / (2 * half - 1);
+  }
 
   bool operator==(const SymbolGroup&) const = default;
 };
@@ -66,19 +74,11 @@ class SymbolTable {
     return add_group(SymbolGroupKind::kCoin, 0.5, 1);
   }
 
-  std::uint32_t add_bernoulli(double p) {
-    return add_group(SymbolGroupKind::kBernoulli, p, 1);
-  }
-
-  /// Returns the first of 2 consecutive symbols (X component, Z component).
-  std::uint32_t add_depolarize1(double p) {
-    return add_group(SymbolGroupKind::kDepolarize1, p, 2);
-  }
-
-  /// Returns the first of 4 consecutive symbols
-  /// (X_a, Z_a, X_b, Z_b components).
-  std::uint32_t add_depolarize2(double p) {
-    return add_group(SymbolGroupKind::kDepolarize2, p, 4);
+  /// A fault group of `members` consecutive symbols (1 to 4); returns the
+  /// first.
+  std::uint32_t add_fault(double p, std::uint32_t members) {
+    SYMPHASE_CHECK(members >= 1 && members <= 4);
+    return add_group(SymbolGroupKind::kFault, p, members);
   }
 
  private:

@@ -9,26 +9,12 @@ std::size_t SymPhaseCompiler<Layout>::phase_capacity_for(
     const Circuit& circuit) {
   std::size_t capacity = 1;  // constant column s_0
   for (const Instruction& inst : circuit.instructions()) {
-    switch (inst.type) {
-      case GateType::M:
-      case GateType::MR:
-      case GateType::R:
-        capacity += inst.targets.size();
-        break;
-      case GateType::X_ERROR:
-      case GateType::Y_ERROR:
-      case GateType::Z_ERROR:
-        capacity += inst.targets.size();
-        break;
-      case GateType::DEPOLARIZE1:
-        capacity += 2 * inst.targets.size();
-        break;
-      case GateType::DEPOLARIZE2:
-        capacity += 2 * inst.targets.size();  // 4 per pair = 2 per target
-        break;
-      default:
-        break;
+    const GateInfo& info = gate_info(inst.type);
+    if (info.kind == GateKind::kMeasure || info.kind == GateKind::kReset) {
+      capacity += inst.targets.size();
     }
+    capacity += inst.targets.size() / gate_arity(inst.type) *
+                info.faults.symbols;
   }
   return capacity;
 }
@@ -79,14 +65,8 @@ void SymPhaseCompiler<Layout>::apply_instruction(const Instruction& inst) {
       }
       break;
     case GateKind::kNoise1:
-      for (const std::uint32_t q : inst.targets) {
-        apply_noise1(inst.type, q, inst.probability);
-      }
-      break;
     case GateKind::kNoise2:
-      for (std::size_t i = 0; i < inst.targets.size(); i += 2) {
-        apply_noise2(inst.probability, inst.targets[i], inst.targets[i + 1]);
-      }
+      apply_faults(inst);
       break;
     case GateKind::kControlled:
       for (std::size_t i = 0; i < inst.targets.size(); i += 2) {
@@ -122,62 +102,33 @@ void SymPhaseCompiler<Layout>::apply_controlled(GateType type,
 }
 
 template <typename Layout>
-void SymPhaseCompiler<Layout>::apply_noise1(GateType type, std::uint32_t q,
-                                            double p) {
+void SymPhaseCompiler<Layout>::apply_faults(const Instruction& inst) {
+  // Init-P: each target unit mints one fault group, and a symbol that
+  // flips a component of a target flips the phase of the rows that
+  // anticommute with it there: X with the rows carrying Z, Z with the
+  // rows carrying X.
+  const FaultPattern& faults = gate_info(inst.type).faults;
+  const std::size_t arity = gate_arity(inst.type);
   tableau_.prepare_column_mode();
-  switch (type) {
-    case GateType::X_ERROR: {
-      const std::uint32_t s = symbols_.add_bernoulli(p);
-      mint_symbol_columns(s, 1);
-      const std::uint32_t cols[1] = {s};
-      tableau_.phase_xor_cols_where_z(q, cols);
-      break;
+  for (std::size_t i = 0; i < inst.targets.size(); i += arity) {
+    const std::uint32_t s =
+        symbols_.add_fault(inst.probability, faults.symbols);
+    mint_symbol_columns(s, faults.symbols);
+    for (std::uint32_t k = 0; k < faults.symbols; ++k) {
+      const std::uint32_t cols[1] = {s + k};
+      for (unsigned lane = 0; lane < 2 * arity; ++lane) {
+        if (((faults.flips[k] >> lane) & 1) == 0) {
+          continue;
+        }
+        const std::uint32_t q = inst.targets[i + lane / 2];
+        if (lane % 2 == 0) {
+          tableau_.phase_xor_cols_where_z(q, cols);
+        } else {
+          tableau_.phase_xor_cols_where_x(q, cols);
+        }
+      }
     }
-    case GateType::Z_ERROR: {
-      const std::uint32_t s = symbols_.add_bernoulli(p);
-      mint_symbol_columns(s, 1);
-      const std::uint32_t cols[1] = {s};
-      tableau_.phase_xor_cols_where_x(q, cols);
-      break;
-    }
-    case GateType::Y_ERROR: {
-      // Y^s = (up to global phase) X^s Z^s with a single shared symbol.
-      const std::uint32_t s = symbols_.add_bernoulli(p);
-      mint_symbol_columns(s, 1);
-      const std::uint32_t cols[1] = {s};
-      tableau_.phase_xor_cols_where_z(q, cols);
-      tableau_.phase_xor_cols_where_x(q, cols);
-      break;
-    }
-    case GateType::DEPOLARIZE1: {
-      // X^{s} Z^{s+1} with (s, s+1) jointly categorical (paper §3.1).
-      const std::uint32_t s = symbols_.add_depolarize1(p);
-      mint_symbol_columns(s, 2);
-      const std::uint32_t xcols[1] = {s};
-      const std::uint32_t zcols[1] = {s + 1};
-      tableau_.phase_xor_cols_where_z(q, xcols);
-      tableau_.phase_xor_cols_where_x(q, zcols);
-      break;
-    }
-    default:
-      SYMPHASE_CHECK_MSG(false, "not 1q noise: " << gate_name(type));
   }
-}
-
-template <typename Layout>
-void SymPhaseCompiler<Layout>::apply_noise2(double p, std::uint32_t a,
-                                            std::uint32_t b) {
-  tableau_.prepare_column_mode();
-  const std::uint32_t s = symbols_.add_depolarize2(p);
-  mint_symbol_columns(s, 4);
-  const std::uint32_t xa[1] = {s};
-  const std::uint32_t za[1] = {s + 1};
-  const std::uint32_t xb[1] = {s + 2};
-  const std::uint32_t zb[1] = {s + 3};
-  tableau_.phase_xor_cols_where_z(a, xa);
-  tableau_.phase_xor_cols_where_x(a, za);
-  tableau_.phase_xor_cols_where_z(b, xb);
-  tableau_.phase_xor_cols_where_x(b, zb);
 }
 
 template <typename Layout>

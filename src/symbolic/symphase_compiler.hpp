@@ -78,12 +78,12 @@ class SymPhaseCompiler {
 
  private:
   /// Upper bound on phase columns: 1 + every measurement/reset (each may
-  /// mint a coin) + every fault bit.
+  /// mint a coin) + every fault symbol.
   static std::size_t phase_capacity_for(const Circuit& circuit);
 
   void apply_instruction(const Instruction& inst);
-  void apply_noise1(GateType type, std::uint32_t q, double p);
-  void apply_noise2(double p, std::uint32_t a, std::uint32_t b);
+  /// Init-P for a noise channel: its gate-table fault pattern per unit.
+  void apply_faults(const Instruction& inst);
 
   /// Init-M for one qubit; returns the outcome expression.
   MeasurementExpression measure(std::uint32_t a);

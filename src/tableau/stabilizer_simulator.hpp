@@ -127,13 +127,13 @@ class StabilizerSimulator {
         break;
       case GateKind::kNoise1:
         for (const std::uint32_t q : inst.targets) {
-          apply_noise1(inst.type, q, inst.probability);
+          apply_channel1(inst.type, q, inst.probability);
         }
         break;
       case GateKind::kNoise2:
         for (std::size_t i = 0; i < inst.targets.size(); i += 2) {
-          apply_noise2(inst.probability, inst.targets[i],
-                       inst.targets[i + 1]);
+          apply_channel2(inst.probability, inst.targets[i],
+                         inst.targets[i + 1]);
         }
         break;
       case GateKind::kControlled:
@@ -229,7 +229,7 @@ class StabilizerSimulator {
     }
   }
 
-  void apply_noise1(GateType type, std::uint32_t q, double p) {
+  void apply_channel1(GateType type, std::uint32_t q, double p) {
     if (type == GateType::DEPOLARIZE1) {
       if (rng_.next_double() < p) {
         switch (rng_.next_below(3)) {
@@ -263,7 +263,7 @@ class StabilizerSimulator {
     }
   }
 
-  void apply_noise2(double p, std::uint32_t a, std::uint32_t b) {
+  void apply_channel2(double p, std::uint32_t a, std::uint32_t b) {
     if (rng_.next_double() >= p) {
       return;
     }

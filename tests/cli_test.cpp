@@ -219,6 +219,21 @@ TEST(Cli, ParseErrorReported) {
   EXPECT_NE(r.output.find("parse error"), std::string::npos);
 }
 
+TEST(Cli, CheckFailureNamesSourceRelativeToCheckout) {
+  // The message is the same whatever directory the binary was built in.
+  const std::string path =
+      write_temp_circuit("H 0\nM 0\nDETECTOR rec[-1]\n");
+  const CommandResult r = run_cli("sample " + path + " --shots 1");
+  EXPECT_EQ(r.exit_code, 1);
+  EXPECT_NE(r.output.find(
+                "(src/core/symphase.cpp:54): DETECTOR 0 is not deterministic"),
+            std::string::npos)
+      << r.output;
+  const std::string checkout =
+      std::filesystem::path(SYMPHASE_DATA_DIR).parent_path().string();
+  EXPECT_EQ(r.output.find(checkout), std::string::npos) << r.output;
+}
+
 TEST(Cli, FailedOutputWriteExitsOne) {
   // A full disk must not leave a truncated file behind a zero exit.
   if (!std::filesystem::exists("/dev/full")) {
@@ -247,6 +262,8 @@ TEST(Cli, OutputBytesPinned) {
   const std::string d3 =
       std::string(SYMPHASE_DATA_DIR) + "/surface_d3_r3_noisy.stim";
   const std::string d5 = temp_path("cli_surface_d5") + ".stim";
+  const std::string channels =
+      std::string(SYMPHASE_DATA_DIR) + "/noise_channels.stim";
   ASSERT_EQ(run_cli("gen surface --distance 5 --rounds 5 --p-data 0.01 "
                     "--p-meas 0.01 > " + d5)
                 .exit_code,
@@ -274,6 +291,16 @@ TEST(Cli, OutputBytesPinned) {
        "152ca7318a38283465d684eaa8066312"},
       {"detect " + d5 + run + "dets --backend frames",
        "38f8d5cb8472f86341602032b3a8d744"},
+      // Every noise channel on both backends, recorded with the binary
+      // from before the channels moved into the gate table.
+      {"sample " + channels + run + "b8",
+       "0b4ab839f0cd4d8fc24a6e3654a41de7"},
+      {"sample " + channels + run + "b8 --backend frames",
+       "66d0ccfcffb3d780e596b20c7f80835e"},
+      {"detect " + channels + run + "dets",
+       "043edffe0bf2cf6e3709d8bf65fa3285"},
+      {"detect " + channels + run + "dets --backend frames",
+       "37462d3fc4f6a81f34c4514c99c8b59b"},
   };
   for (const auto& c : cases) {
     const CommandResult r =

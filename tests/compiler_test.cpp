@@ -46,7 +46,7 @@ TYPED_TEST(CompilerTest, XErrorGivesSymbol) {
   const Circuit c = parse_circuit("X_ERROR(0.1) 0\nM 0");
   SymPhaseCompiler<TypeParam> compiler(c);
   EXPECT_EQ(compiler.expressions()[0].symbols, Expr{1});
-  EXPECT_EQ(compiler.symbols().group_of(1).kind, SymbolGroupKind::kBernoulli);
+  EXPECT_EQ(compiler.symbols().group_of(1).kind, SymbolGroupKind::kFault);
   EXPECT_DOUBLE_EQ(compiler.symbols().group_of(1).probability, 0.1);
 }
 
@@ -123,8 +123,8 @@ TYPED_TEST(CompilerTest, Depolarize1MakesTwoSymbols) {
   // Only the X component (symbol 1) flips a Z-basis measurement.
   EXPECT_EQ(compiler.expressions()[0].symbols, Expr{1});
   EXPECT_EQ(compiler.symbols().num_symbols(), 3u);
-  EXPECT_EQ(compiler.symbols().group_of(1).kind,
-            SymbolGroupKind::kDepolarize1);
+  EXPECT_EQ(compiler.symbols().group_of(1).kind, SymbolGroupKind::kFault);
+  EXPECT_EQ(compiler.symbols().group_of(1).num_symbols, 2u);
   EXPECT_EQ(compiler.symbols().group_of(2).first_symbol, 1u);
 }
 
@@ -304,6 +304,10 @@ TYPED_TEST(CompilerTest, ExpressionsMatchPinnedDigests) {
       {"conditional Paulis", conditional_pauli_circuit(),
        "509feea857dbc77652977eddf3db3b21"},
       {"ghz 513", ghz513_circuit(), "3256d6f1608fcb44369bfd9fa32d623e"},
+      {"every noise channel",
+       parse_circuit_file(std::string(SYMPHASE_DATA_DIR) +
+                          "/noise_channels.stim"),
+       "7afd9d0cbbddc90e68576404f59a0e4b"},
   };
   for (const auto& c : cases) {
     EXPECT_EQ(expressions_digest<TypeParam>(c.circuit), c.digest) << c.name;

@@ -15,7 +15,8 @@ const std::vector<std::string>& corpus_files() {
   static const std::vector<std::string> files = {
       "fig1.stim",          "teleport.stim",
       "repetition_d5_r3.stim", "steane_r2.stim",
-      "surface_d3_r3.stim", "surface_d3_r3_noisy.stim"};
+      "surface_d3_r3.stim", "surface_d3_r3_noisy.stim",
+      "noise_channels.stim"};
   return files;
 }
 

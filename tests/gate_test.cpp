@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <vector>
+
 namespace symphase {
 namespace {
 
@@ -64,6 +67,50 @@ TEST(GateInfo, ArityHelpers) {
   EXPECT_FALSE(is_noise(GateType::Y));
   EXPECT_TRUE(is_two_qubit(GateType::CZ));
   EXPECT_FALSE(is_two_qubit(GateType::S));
+}
+
+TEST(GateInfo, FaultPatternsAreWellFormed) {
+  // Only noise channels mint symbols: 1, 2 or 4 per unit. Each symbol
+  // flips a component of one of the unit's targets, and in a channel that
+  // draws patterns it flips exactly one (a pattern bit is one frame row).
+  for (std::size_t t = 0; t <= static_cast<std::size_t>(GateType::TICK);
+       ++t) {
+    const GateType type = static_cast<GateType>(t);
+    const FaultPattern& faults = gate_info(type).faults;
+    if (!is_noise(type)) {
+      EXPECT_EQ(faults.symbols, 0u) << gate_name(type);
+      continue;
+    }
+    EXPECT_TRUE(faults.symbols == 1 || faults.symbols == 2 ||
+                faults.symbols == 4)
+        << gate_name(type);
+    const unsigned lanes = (1u << (2 * gate_arity(type))) - 1;
+    for (std::size_t k = 0; k < faults.flips.size(); ++k) {
+      const unsigned flips = faults.flips[k];
+      if (k >= faults.symbols) {
+        EXPECT_EQ(flips, 0u) << gate_name(type) << " symbol " << k;
+        continue;
+      }
+      EXPECT_NE(flips, 0u) << gate_name(type) << " symbol " << k;
+      EXPECT_EQ(flips & ~lanes, 0u) << gate_name(type) << " symbol " << k;
+      if (faults.symbols > 1) {
+        EXPECT_EQ(std::popcount(flips), 1) << gate_name(type) << " " << k;
+      }
+    }
+  }
+  // The channels of paper §3.1.
+  const auto flips = [](GateType type) {
+    const FaultPattern& f = gate_info(type).faults;
+    return std::vector<unsigned>(f.flips.begin(),
+                                 f.flips.begin() + f.symbols);
+  };
+  using V = std::vector<unsigned>;
+  EXPECT_EQ(flips(GateType::X_ERROR), V{kFlipXa});
+  EXPECT_EQ(flips(GateType::Y_ERROR), V{kFlipXa | kFlipZa});
+  EXPECT_EQ(flips(GateType::Z_ERROR), V{kFlipZa});
+  EXPECT_EQ(flips(GateType::DEPOLARIZE1), (V{kFlipXa, kFlipZa}));
+  EXPECT_EQ(flips(GateType::DEPOLARIZE2),
+            (V{kFlipXa, kFlipZa, kFlipXb, kFlipZb}));
 }
 
 }  // namespace

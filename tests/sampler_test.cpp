@@ -43,7 +43,7 @@ TEST(SymbolValueSampler, CoinRowIsBalanced) {
 
 TEST(SymbolValueSampler, BernoulliRate) {
   SymbolTable table;
-  const auto s = table.add_bernoulli(0.05);
+  const auto s = table.add_fault(0.05, 1);
   SymbolValueSampler sampler(table, {s});
   constexpr std::size_t kShots = 100000;
   const BitMatrix b = generate_b(sampler, kShots, 3);
@@ -53,7 +53,7 @@ TEST(SymbolValueSampler, BernoulliRate) {
 
 TEST(SymbolValueSampler, Depolarize1JointDistribution) {
   SymbolTable table;
-  const auto s = table.add_depolarize1(0.3);
+  const auto s = table.add_fault(0.3, 2);
   SymbolValueSampler sampler(table, {s, s + 1});
   constexpr std::size_t kShots = 200000;
   const BitMatrix b = generate_b(sampler, kShots, 4);
@@ -73,7 +73,7 @@ TEST(SymbolValueSampler, Depolarize1JointDistribution) {
 
 TEST(SymbolValueSampler, Depolarize2UniformOverFifteen) {
   SymbolTable table;
-  const auto s = table.add_depolarize2(0.75);
+  const auto s = table.add_fault(0.75, 4);
   SymbolValueSampler sampler(table, {s, s + 1, s + 2, s + 3});
   constexpr std::size_t kShots = 150000;
   const BitMatrix b = generate_b(sampler, kShots, 5);
@@ -95,7 +95,7 @@ TEST(SymbolValueSampler, Depolarize2UniformOverFifteen) {
 
 TEST(SymbolValueSampler, UnusedGroupMembersSkipped) {
   SymbolTable table;
-  const auto s = table.add_depolarize1(0.2);  // symbols 1,2
+  const auto s = table.add_fault(0.2, 2);  // symbols 1,2
   // Only the X component used.
   SymbolValueSampler sampler(table, {s});
   EXPECT_EQ(sampler.num_rows(), 1u);
@@ -108,8 +108,8 @@ TEST(SymbolValueSampler, UnusedGroupMembersSkipped) {
 TEST(SymbolValueSampler, DeterministicInSeed) {
   SymbolTable table;
   table.add_coin();
-  table.add_bernoulli(0.1);
-  table.add_depolarize1(0.05);
+  table.add_fault(0.1, 1);
+  table.add_fault(0.05, 2);
   SymbolValueSampler sampler(table, {0, 1, 2, 3, 4});
   EXPECT_EQ(generate_b(sampler, 1000, 7), generate_b(sampler, 1000, 7));
 }
@@ -139,8 +139,8 @@ TEST(SymPhaseSampling, ConstantExpressions) {
 
 TEST(SymPhaseSampling, XorOfTwoBernoullis) {
   SymbolTable table;
-  const auto s1 = table.add_bernoulli(0.2);
-  const auto s2 = table.add_bernoulli(0.3);
+  const auto s1 = table.add_fault(0.2, 1);
+  const auto s2 = table.add_fault(0.3, 1);
   std::vector<MeasurementExpression> exprs = {{{s1, s2}, false}};
   SymPhaseSampler sampler(table, exprs);
   const double expected = 0.2 * 0.7 + 0.8 * 0.3;
@@ -155,7 +155,7 @@ TEST(SymPhaseSampling, ShardPathAndReferenceAgreeExactly) {
   SymbolTable table;
   std::vector<std::uint32_t> ids;
   for (int i = 0; i < 10; ++i) {
-    ids.push_back(table.add_bernoulli(0.1 + 0.05 * i));
+    ids.push_back(table.add_fault(0.1 + 0.05 * i, 1));
   }
   std::vector<MeasurementExpression> exprs;
   exprs.push_back({{ids[0], ids[3], ids[7]}, false});
@@ -170,13 +170,13 @@ TEST(SymPhaseSampling, ShardPathAndReferenceAgreeExactly) {
 TEST(OutcomeProbability, CoinDominates) {
   SymbolTable table;
   const auto c = table.add_coin();
-  const auto b = table.add_bernoulli(0.01);
+  const auto b = table.add_fault(0.01, 1);
   EXPECT_DOUBLE_EQ(outcome_probability(table, {c, b}), 0.5);
 }
 
 TEST(OutcomeProbability, ConstantInverts) {
   SymbolTable table;
-  const auto b = table.add_bernoulli(0.1);
+  const auto b = table.add_fault(0.1, 1);
   EXPECT_NEAR(outcome_probability(table, {0, b}), 0.9, 1e-12);
 }
 
@@ -184,7 +184,7 @@ TEST(OutcomeProbability, DepolarizePairParity) {
   // Expression = s_x ^ s_z of one DEPOLARIZE1(p): parity is 1 for X or Z
   // patterns (10, 01), 0 for I and Y (00, 11) -> P = 2p/3.
   SymbolTable table;
-  const auto s = table.add_depolarize1(0.3);
+  const auto s = table.add_fault(0.3, 2);
   EXPECT_NEAR(outcome_probability(table, {s, s + 1}), 0.2, 1e-12);
 }
 

@@ -61,28 +61,28 @@ Synthetic make_synthetic() {
   pool.push_back(s.table.add_coin());
   pool.push_back(s.table.add_coin());
   for (const double p : {0.0, 1e-4, 1e-3, 0.02, 0.1, 0.5, 0.99, 1.0}) {
-    pool.push_back(s.table.add_bernoulli(p));
+    pool.push_back(s.table.add_fault(p, 1));
   }
   std::vector<std::uint32_t> pairs;  // both members of one group
   for (const double p : {1e-3, 0.015, 0.02, 0.1}) {
-    const std::uint32_t d1 = s.table.add_depolarize1(p);
+    const std::uint32_t d1 = s.table.add_fault(p, 2);
     pool.insert(pool.end(), {d1, d1 + 1});
     pairs.push_back(d1);
-    pool.push_back(s.table.add_depolarize1(p) + 1);  // X member unused
-    const std::uint32_t d2 = s.table.add_depolarize2(p);
+    pool.push_back(s.table.add_fault(p, 2) + 1);  // X member unused
+    const std::uint32_t d2 = s.table.add_fault(p, 4);
     pool.insert(pool.end(), {d2, d2 + 1, d2 + 2, d2 + 3});
     pairs.push_back(d2 + 2);
-    const std::uint32_t half = s.table.add_depolarize2(p);
+    const std::uint32_t half = s.table.add_fault(p, 4);
     pool.insert(pool.end(), {half, half + 3});  // members 1, 2 unused
   }
 
   // The path rule weighs p against the group's Mᵀ weight W. At these p
   // a group read by one or two rows takes the event path and one read
   // by a dozen rows the scratch path, in both expression sets.
-  const std::uint32_t light_bernoulli = s.table.add_bernoulli(0.0035);
-  const std::uint32_t heavy_bernoulli = s.table.add_bernoulli(0.0035);
-  const std::uint32_t light_depolarize = s.table.add_depolarize1(0.015);
-  const std::uint32_t heavy_depolarize = s.table.add_depolarize1(0.015);
+  const std::uint32_t light_bernoulli = s.table.add_fault(0.0035, 1);
+  const std::uint32_t heavy_bernoulli = s.table.add_fault(0.0035, 1);
+  const std::uint32_t light_depolarize = s.table.add_fault(0.015, 2);
+  const std::uint32_t heavy_depolarize = s.table.add_fault(0.015, 2);
 
   Rng rng(2024);
   s.measurements.push_back({{}, false});
@@ -177,7 +177,7 @@ TEST(ScatterSampling, NoisySurfaceCodeMatchesDenseReference) {
 
 TEST(ScatterSampling, NoUsedSymbolsGivesZeroRows) {
   SymbolTable table;
-  table.add_bernoulli(0.01);
+  table.add_fault(0.01, 1);
   const std::vector<MeasurementExpression> exprs = {{{}, false},
                                                     {{}, false}};
   const SymPhaseSampler sampler(table, exprs);
