@@ -6,6 +6,9 @@
 /// Two tiers, following the usual contract/recoverable split:
 ///  - SYMPHASE_CHECK: always-on validation of *caller-supplied* data
 ///    (circuit text, qubit indices, sizes). Throws std::invalid_argument.
+///    SYMPHASE_CHECK_MSG's message is its detail alone, written for the
+///    user who supplied the input; a bare SYMPHASE_CHECK has no detail,
+///    so it names the failed condition and where it is.
 ///  - SYMPHASE_ASSERT: internal invariants. Compiled out in NDEBUG builds
 ///    except where a function documents otherwise.
 
@@ -15,27 +18,22 @@
 
 namespace symphase {
 
-/// Builds the standard "what failed, where" message for check failures.
+/// The "what failed, where" message of a check or assert with no detail.
 inline std::string format_check_message(const char* expr, const char* file,
-                                        int line, const std::string& detail) {
+                                        int line) {
   std::ostringstream oss;
   oss << "check failed: " << expr << " (" << file << ":" << line << ")";
-  if (!detail.empty()) {
-    oss << ": " << detail;
-  }
   return oss.str();
 }
 
 [[noreturn]] inline void throw_check_failure(const char* expr, const char* file,
-                                             int line,
-                                             const std::string& detail = {}) {
-  throw std::invalid_argument(format_check_message(expr, file, line, detail));
+                                             int line) {
+  throw std::invalid_argument(format_check_message(expr, file, line));
 }
 
 [[noreturn]] inline void throw_assert_failure(const char* expr,
-                                              const char* file, int line,
-                                              const std::string& detail = {}) {
-  throw std::logic_error(format_check_message(expr, file, line, detail));
+                                              const char* file, int line) {
+  throw std::logic_error(format_check_message(expr, file, line));
 }
 
 }  // namespace symphase
@@ -49,14 +47,14 @@ inline std::string format_check_message(const char* expr, const char* file,
     }                                                                 \
   } while (false)
 
-/// Always-on precondition check with a formatted detail message.
+/// Always-on precondition check whose std::invalid_argument carries the
+/// formatted detail `msg` alone.
 #define SYMPHASE_CHECK_MSG(cond, msg)                                 \
   do {                                                                \
     if (!(cond)) {                                                    \
       std::ostringstream symphase_oss_;                               \
       symphase_oss_ << msg;                                           \
-      ::symphase::throw_check_failure(#cond, __FILE__, __LINE__,      \
-                                      symphase_oss_.str());           \
+      throw std::invalid_argument(symphase_oss_.str());               \
     }                                                                 \
   } while (false)
 

@@ -7,7 +7,8 @@
 /// runs eight forked lanes in lockstep across one WideWord: every step
 /// is elementwise shift/add/xor/rotate and compiles to two AVX2 or one
 /// AVX-512 vector op (the multiplies by 5 and 9 are shift+add because
-/// 64-bit vector multiply is not universally available). The lane count
+/// 64-bit vector multiply is not universally available; a rotate is one
+/// vprolq on AVX-512 and a shift pair elsewhere). The lane count
 /// is fixed at 8 on every backend, so the stream is bit-identical on
 /// scalar, AVX2, and AVX-512 builds — rng_test's golden pins depend on
 /// that, as does the seeding chain below, which must stay exactly
@@ -71,7 +72,7 @@ class XoshiroLanes {
   /// The next kLanes coin words, one per lane, as a single WideWord.
   WideWord next() {
     const WideWord x = s1_.shl(2) + s1_;  // s1 * 5
-    const WideWord r = rot(x, 7);
+    const WideWord r = x.rotl<7>();
     const WideWord out = r.shl(3) + r;  // rotl(s1 * 5, 7) * 9
     const WideWord t = s1_.shl(17);
     s2_ ^= s0_;
@@ -79,13 +80,11 @@ class XoshiroLanes {
     s1_ ^= s2_;
     s0_ ^= s3_;
     s2_ ^= t;
-    s3_ = rot(s3_, 45);
+    s3_ = s3_.rotl<45>();
     return out;
   }
 
  private:
-  static WideWord rot(WideWord x, int k) { return x.shl(k) | x.shr(64 - k); }
-
   WideWord s0_;
   WideWord s1_;
   WideWord s2_;

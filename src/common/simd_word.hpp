@@ -90,6 +90,13 @@ struct WideWord {
   }
   WideWord shl(int k) const { return {(__m512i)((Lanes)v << k)}; }
   WideWord shr(int k) const { return {(__m512i)((Lanes)v >> k)}; }
+  /// Lanewise rotate left by K in [1, 63]: one vprolq. The masked form
+  /// with every lane selected merges from `v` itself, where the plain
+  /// intrinsic would merge from `_mm512_undefined_epi32()`.
+  template <int K>
+  WideWord rotl() const {
+    return {_mm512_mask_rol_epi64(v, __mmask8(0xFF), v, K)};
+  }
 
   bool nonzero() const { return _mm512_test_epi64_mask(v, v) != 0; }
 
@@ -181,6 +188,11 @@ struct WideWord {
   }
   WideWord shr(int k) const {
     return {{_mm256_srli_epi64(v[0], k), _mm256_srli_epi64(v[1], k)}};
+  }
+  /// Lanewise rotate left by K in [1, 63] (AVX2 has no rotate).
+  template <int K>
+  WideWord rotl() const {
+    return shl(K) | shr(64 - K);
   }
 
   bool nonzero() const {
@@ -287,6 +299,11 @@ struct WideWord {
       r.v[i] = v[i] >> k;
     }
     return r;
+  }
+  /// Lanewise rotate left by K in [1, 63].
+  template <int K>
+  WideWord rotl() const {
+    return shl(K) | shr(64 - K);
   }
 
   bool nonzero() const {

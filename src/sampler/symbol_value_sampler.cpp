@@ -1,6 +1,7 @@
 #include "sampler/symbol_value_sampler.hpp"
 
 #include <algorithm>
+#include <unordered_map>
 
 #include "common/parallel.hpp"
 #include "common/simd_word.hpp"
@@ -13,7 +14,6 @@ namespace {
 // as fill_pauli_patterns does per noise block.
 static_assert(kSampleShardWords <= kNoiseBlockWords);
 
-constexpr std::uint32_t kNoRow = UINT32_MAX;
 constexpr unsigned kMaxMembers = 4;
 
 // Cost model behind the scatter's path choice (docs/performance.md,
@@ -21,21 +21,20 @@ constexpr unsigned kMaxMembers = 4;
 // 64 · q · W output bits, where W is its Mᵀ weight (readers, summed over
 // its used members) and q the chance that an event flips a given member
 // (the group's flip_probability()); a flip costs about kFlipWords word
-// XORs. A scratch row costs W word XORs plus a fixed overhead: clearing
-// the row (a one-member group), or also filling the event row and
-// scanning it for patterns (a group with a pattern). Fitted on d9
-// surface codes.
+// XORs. A filled row costs W word stores or XORs plus a fixed overhead:
+// about one word for a one-member group, more for a group that also
+// fills an event row and scans it for patterns. Fitted on d9 surface
+// codes with scratch rows XORed into a cleared block; write-once
+// deposits only make filled rows cheaper.
 constexpr double kFlipWords = 6;
 constexpr double kSiteOverheadWords = 1;
 constexpr double kPatternOverheadWords = 20;
 
 /// Whether the scatter hands a fault group's events to the output rows
-/// one bit at a time (an event group) rather than through a scratch row.
-/// `weight()` gives the group's W; it is only asked for when p is high
-/// enough for W to matter.
-template <typename Weight>
+/// one bit at a time (an event group) rather than through a scratch row;
+/// `weight` is the group's W.
 bool scatters_events(const SymbolGroup& group, const BiasedBitPlan& plan,
-                     Weight&& weight) {
+                     std::size_t weight) {
   if (plan.strategy() != BiasStrategy::kGeometric) {
     return false;
   }
@@ -50,7 +49,7 @@ bool scatters_events(const SymbolGroup& group, const BiasedBitPlan& plan,
           group.flip_probability() -
       1;
   const double overhead = site ? kSiteOverheadWords : kPatternOverheadWords;
-  return excess <= 0 || static_cast<double>(weight()) * excess < overhead;
+  return excess <= 0 || static_cast<double>(weight) * excess < overhead;
 }
 
 /// generate_shard_block's deposit: every group is generated straight
@@ -58,16 +57,20 @@ bool scatters_events(const SymbolGroup& group, const BiasedBitPlan& plan,
 struct BRowDeposit {
   static constexpr bool kScatters = false;
 
-  Word* row(unsigned /*member*/, std::uint32_t b_row) { return b.row(b_row); }
-  void commit(const std::uint32_t* /*b_rows*/, unsigned /*members*/) {}
+  Word* row(unsigned /*member*/, std::uint32_t b_row, bool /*pattern*/) {
+    return b.row(b_row);
+  }
+  void commit(std::uint32_t /*b_row*/, const Word* /*bits*/) {}
 
   BitMatrix& b;
 };
 
 /// scatter_shard_block's deposit: a bit of B row r lands in every output
 /// row that reads r, i.e. in the rows Mᵀ lists for r. Event groups flip
-/// single output bits; every other group is generated into scratch rows
-/// that commit() XORs into their output rows.
+/// single output bits. Every other group is generated, member by member,
+/// into the first output row that the member reaches first (a scratch
+/// row if it reaches none), then commit() copies that row into the
+/// member's other first readers and XORs it into the rest.
 class ScatterDeposit {
  public:
   static constexpr bool kScatters = true;
@@ -76,32 +79,26 @@ class ScatterDeposit {
                  std::size_t words)
       : targets_(targets), out_(out), words_(words) {}
 
-  Word* row(unsigned member, std::uint32_t /*b_row*/) {
-    // Pattern fills XOR their bits in, so rows start cleared.
-    wide::clear_words(scratch_[member], words_);
-    return scratch_[member];
+  Word* row(unsigned member, std::uint32_t b_row, bool pattern) {
+    const std::span<const std::uint32_t> first =
+        targets_.first_readers(b_row);
+    Word* row = first.empty() ? scratch_[member] : out_.row(first.front());
+    // Pattern fills XOR their bits in; every other fill overwrites.
+    if (pattern) {
+      wide::clear_words(row, words_);
+    }
+    return row;
   }
 
-  void commit(const std::uint32_t* b_rows, unsigned members) {
-    for (unsigned k = 0; k < members; ++k) {
-      if (b_rows[k] == kNoRow) {
-        continue;
-      }
-      for (const std::uint32_t t : targets_.readers(b_rows[k])) {
-        wide::xor_words(out_.row(t), scratch_[k], words_);
-      }
+  void commit(std::uint32_t b_row, const Word* bits) {
+    const std::span<const std::uint32_t> first =
+        targets_.first_readers(b_row);
+    for (std::size_t i = 1; i < first.size(); ++i) {
+      wide::copy_words(out_.row(first[i]), bits, words_);
     }
-  }
-
-  /// A group's Mᵀ weight: readers, summed over its used members.
-  std::size_t weight(const std::uint32_t* b_rows, unsigned members) const {
-    std::size_t w = 0;
-    for (unsigned k = 0; k < members; ++k) {
-      if (b_rows[k] != kNoRow) {
-        w += targets_.readers(b_rows[k]).size();
-      }
+    for (const std::uint32_t t : targets_.later_readers(b_row)) {
+      wide::xor_words(out_.row(t), bits, words_);
     }
-    return w;
   }
 
   void flip(std::uint32_t b_row, std::size_t bit) {
@@ -121,37 +118,83 @@ class ScatterDeposit {
 
 }  // namespace
 
-SymbolValueSampler::SymbolValueSampler(const SymbolTable& table,
-                                       std::vector<std::uint32_t> used_symbols)
-    : table_(table), used_symbols_(std::move(used_symbols)) {
-  SYMPHASE_CHECK(std::is_sorted(used_symbols_.begin(), used_symbols_.end()));
-  SYMPHASE_CHECK(std::adjacent_find(used_symbols_.begin(),
-                                    used_symbols_.end()) ==
-                 used_symbols_.end());
-  if (!used_symbols_.empty()) {
-    SYMPHASE_CHECK(used_symbols_.back() < table_.num_symbols());
-    row_lookup_.assign(used_symbols_.back() + 1, 0);
+SymbolValueSampler::SymbolValueSampler(
+    const SymbolTable& table, const std::vector<std::uint32_t>& used_symbols)
+    : table_(table), num_rows_(used_symbols.size()) {
+  SYMPHASE_CHECK(std::is_sorted(used_symbols.begin(), used_symbols.end()));
+  SYMPHASE_CHECK(std::adjacent_find(used_symbols.begin(),
+                                    used_symbols.end()) ==
+                 used_symbols.end());
+  if (used_symbols.empty()) {
+    return;
   }
-  for (std::size_t r = 0; r < used_symbols_.size(); ++r) {
-    row_lookup_[used_symbols_[r]] = static_cast<std::uint32_t>(r) + 1;
-  }
+  SYMPHASE_CHECK(used_symbols.back() < table_.num_symbols());
+  row_lookup_.assign(used_symbols.back() + 1, 0);
+  std::size_t num_groups = 0;
   std::uint32_t last_group = UINT32_MAX;
-  for (const std::uint32_t s : used_symbols_) {
-    const std::uint32_t g = table_.group_index_of(s);
-    if (g != last_group) {
-      active_groups_.push_back(g);
-      last_group = g;
-    }
+  for (const std::uint32_t s : used_symbols) {
+    const std::uint32_t gi = table_.group_index_of(s);
+    num_groups += gi != last_group ? 1 : 0;
+    last_group = gi;
   }
-  // Compile the per-group noise plans once (strategy choice + cached
-  // constants); only active fault groups ever consult theirs.
-  group_plans_.resize(table_.groups().size());
-  for (const std::uint32_t gi : active_groups_) {
+  groups_.reserve(num_groups);
+  plans_.emplace_back();
+  std::unordered_map<double, std::uint32_t> plan_of;
+  for (std::size_t r = 0; r < used_symbols.size(); ++r) {
+    const std::uint32_t s = used_symbols[r];
+    row_lookup_[s] = static_cast<std::uint32_t>(r) + 1;
+    const std::uint32_t gi = table_.group_index_of(s);
     const SymbolGroup& group = table_.groups()[gi];
-    if (group.kind == SymbolGroupKind::kFault) {
-      group_plans_[gi] = BiasedBitPlan(group.probability);
+    if (groups_.empty() || groups_.back().group != gi) {
+      SYMPHASE_ASSERT(group.num_symbols <= kMaxMembers);
+      GroupRecord& g = groups_.emplace_back();
+      g.group = gi;
+      if (group.kind == SymbolGroupKind::kFault) {
+        const auto [it, added] = plan_of.try_emplace(
+            group.probability, static_cast<std::uint32_t>(plans_.size()));
+        if (added) {
+          plans_.emplace_back(group.probability);
+        }
+        g.plan = it->second;
+      }
+      g.kind = group.kind;
+      g.members = static_cast<std::uint8_t>(group.num_symbols);
+    }
+    groups_.back().b_rows[s - group.first_symbol] =
+        static_cast<std::uint32_t>(r);
+  }
+}
+
+void SymbolValueSampler::plan_scatter(const ScatterTargets& targets) {
+  SYMPHASE_CHECK(targets.num_b_rows() == num_rows());
+  std::vector<std::uint8_t> stored(targets.num_outputs(), 0);
+  for (GroupRecord& g : groups_) {
+    std::size_t weight = 0;
+    for (const std::uint32_t b_row : g.b_rows) {
+      if (b_row != kNoRow) {
+        weight += targets.readers(b_row).size();
+      }
+    }
+    g.events =
+        scatters_events(table_.groups()[g.group], plans_[g.plan], weight);
+    if (g.events) {
+      continue;
+    }
+    for (const std::uint32_t b_row : g.b_rows) {
+      if (b_row != kNoRow) {
+        for (const std::uint32_t t : targets.first_readers(b_row)) {
+          stored[t] = 1;
+        }
+      }
     }
   }
+  unstored_rows_.clear();
+  for (std::size_t k = 0; k < stored.size(); ++k) {
+    if (stored[k] == 0) {
+      unstored_rows_.push_back(static_cast<std::uint32_t>(k));
+    }
+  }
+  planned_outputs_ = targets.num_outputs();
 }
 
 template <typename Deposit>
@@ -162,28 +205,17 @@ void SymbolValueSampler::walk_groups(std::size_t words, Rng& rng,
   alignas(64) Word events[kShardWords];
   // Event positions of a sparse pattern group (scatter only).
   std::vector<std::uint32_t> positions;
-  for (const std::uint32_t gi : active_groups_) {
-    const SymbolGroup& group = table_.groups()[gi];
-    const BiasedBitPlan& plan = group_plans_[gi];
-    const unsigned members = group.num_symbols;
-    SYMPHASE_ASSERT(members <= kMaxMembers);
-    // B row of each member, or kNoRow if that member is unused
-    // (row_lookup_ holds row + 1, and 0 - 1 wraps to kNoRow).
-    std::uint32_t b_rows[kMaxMembers];
-    for (unsigned k = 0; k < members; ++k) {
-      const std::uint32_t symbol = group.first_symbol + k;
-      b_rows[k] = symbol < row_lookup_.size() ? row_lookup_[symbol] - 1
-                                              : kNoRow;
-    }
+  for (const GroupRecord& g : groups_) {
+    const unsigned members = g.members;
+    const BiasedBitPlan& plan = plans_[g.plan];
 
     if constexpr (Deposit::kScatters) {
       // Event groups: the draws are the fills' own visitors, so the
       // generator advances identically.
-      if (scatters_events(group, plan,
-                          [&] { return deposit.weight(b_rows, members); })) {
+      if (g.events) {
         if (members == 1) {
           plan.for_each_event(rng, words, [&](std::size_t bit) {
-            deposit.flip(b_rows[0], bit);
+            deposit.flip(g.b_rows[0], bit);
           });
           continue;
         }
@@ -196,8 +228,8 @@ void SymbolValueSampler::walk_groups(std::size_t words, Rng& rng,
         for (const std::uint32_t bit : positions) {
           const std::uint64_t pattern = drawer.next(rng);
           for (unsigned k = 0; k < members; ++k) {
-            if (((pattern >> k) & 1) != 0 && b_rows[k] != kNoRow) {
-              deposit.flip(b_rows[k], bit);
+            if (((pattern >> k) & 1) != 0 && g.b_rows[k] != kNoRow) {
+              deposit.flip(g.b_rows[k], bit);
             }
           }
         }
@@ -205,13 +237,14 @@ void SymbolValueSampler::walk_groups(std::size_t words, Rng& rng,
       }
     }
 
+    const bool pattern = g.kind == SymbolGroupKind::kFault && members > 1;
     Word* rows[kMaxMembers] = {nullptr, nullptr, nullptr, nullptr};
     for (unsigned k = 0; k < members; ++k) {
-      if (b_rows[k] != kNoRow) {
-        rows[k] = deposit.row(k, b_rows[k]);
+      if (g.b_rows[k] != kNoRow) {
+        rows[k] = deposit.row(k, g.b_rows[k], pattern);
       }
     }
-    switch (group.kind) {
+    switch (g.kind) {
       case SymbolGroupKind::kConstant:
         SYMPHASE_ASSERT(rows[0] != nullptr);
         wide::fill_words(rows[0], ~Word{0}, words);
@@ -226,17 +259,23 @@ void SymbolValueSampler::walk_groups(std::size_t words, Rng& rng,
         // pattern over the members: the engine deposits pattern bits
         // straight into the (cleared) member rows; unused members still
         // consume their pattern randomness but are not materialized.
-        if (members == 1) {
+        if (!pattern) {
           SYMPHASE_ASSERT(rows[0] != nullptr);
           plan.fill(rng, rows[0], words);
           break;
         }
         plan.fill(rng, events, words);
         fill_pauli_patterns(rng, events, words, members, rows,
-                            group.probability);
+                            plan.probability());
         break;
     }
-    deposit.commit(b_rows, members);
+    // Members in ascending order: a member's row is read here before any
+    // higher member of the group XORs into it.
+    for (unsigned k = 0; k < members; ++k) {
+      if (rows[k] != nullptr) {
+        deposit.commit(g.b_rows[k], rows[k]);
+      }
+    }
   }
 }
 
@@ -270,10 +309,19 @@ void SymbolValueSampler::scatter_shard_block(std::size_t shard,
   const ShardExtent e = sample_shard_extent(shard, num_samples);
   SYMPHASE_CHECK(shard < num_sample_shards(num_samples));
   SYMPHASE_CHECK(targets.num_b_rows() == num_rows());
+  SYMPHASE_CHECK(targets.num_outputs() == planned_outputs_);
   SYMPHASE_CHECK(out.rows() == targets.num_outputs());
   SYMPHASE_CHECK(out.words_per_row() >= e.words);
-  // Every deposit XORs into the block, so it starts from zero.
-  out.clear_all();
+  // The first deposit into a row stores, every later one XORs. Stores
+  // cover a row's `e.words` words: a full shard zeroes only the rows no
+  // store reaches, a shorter one the whole block.
+  if (e.words < out.words_per_row()) {
+    out.clear_all();
+  } else {
+    for (const std::uint32_t r : unstored_rows_) {
+      wide::clear_words(out.row(r), e.words);
+    }
+  }
   Rng rng = Rng(seed).stream(shard);
   ScatterDeposit deposit(targets, out, e.words);
   walk_groups(e.words, rng, deposit);

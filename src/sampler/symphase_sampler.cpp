@@ -50,7 +50,9 @@ SymPhaseSampler::SymPhaseSampler(const SymbolTable& symbols,
                      ++k;
                    }
                  }
-               }) {}
+               }) {
+  values_.plan_scatter(targets_);
+}
 
 void SymPhaseSampler::sample_shard_block(std::size_t shard,
                                          std::size_t num_samples,

@@ -5,13 +5,15 @@
 /// Eq. (4)), where the rows of M are the record's expressions.
 ///
 /// A SymPhaseSampler holds only what its shard path reads: a
-/// SymbolValueSampler over the symbols the expressions use, and Mᵀ as
-/// ScatterTargets. The shard path is symbol-major and never builds B:
-/// it walks the symbol groups and sends each group's bits through Mᵀ
-/// into the output rows that read them — a single bit flip per noise
-/// event and output row for sparse noise, a 128-word row XOR otherwise
-/// (see SymbolValueSampler::scatter_shard_block and
-/// docs/performance.md). Its bits equal generate_shard_block followed
+/// SymbolValueSampler over the symbols the expressions use, planned
+/// once against Mᵀ, and Mᵀ as ScatterTargets. The shard path is
+/// symbol-major and never builds B: it walks the symbol groups and
+/// sends each group's bits through Mᵀ into the output rows that read
+/// them — a single bit flip per noise event and output row for sparse
+/// noise, otherwise a 128-word row store into the rows an expression's
+/// lowest symbol reaches first and a row XOR into the rest (see
+/// SymbolValueSampler::scatter_shard_block and docs/performance.md).
+/// Its bits equal generate_shard_block followed
 /// by SparseBitMatrix::multiply_word_range, the reference the tests pin
 /// it against. Results come back measurement-major: row k of a block is
 /// expression k across the shard's shots, matching Eq. (4)'s

@@ -284,6 +284,18 @@ TEST(BiasedBitPlan, GoldenStreamsStableAcrossBackends) {
     EXPECT_EQ(buf.back(), pin.last) << "p=" << pin.p;
     EXPECT_EQ(ones, pin.ones) << "p=" << pin.p;
   }
+  // The coin stream every coin row draws: the 8-lane engine's words
+  // straight, recorded before its rotates became WideWord::rotl.
+  Rng rng(2024);
+  std::vector<std::uint64_t> coins(256);
+  fill_random_words(rng, coins.data(), coins.size());
+  std::size_t ones = 0;
+  for (const auto w : coins) {
+    ones += static_cast<std::size_t>(popcount(w));
+  }
+  EXPECT_EQ(coins.front(), 0x1eaec3fa236ec7daull);
+  EXPECT_EQ(coins.back(), 0xedaa41b8886fcb61ull);
+  EXPECT_EQ(ones, 8192u);
 }
 
 /// fill_pauli_patterns invariants for both the dense (word-parallel

@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <vector>
 
 #include "bitvec/bit_matrix.hpp"
@@ -277,6 +278,15 @@ TEST(WideWord, AddShiftLanesMatchScalar) {
     for (std::size_t i = 0; i < WideWord::kWords; ++i) {
       EXPECT_EQ(got[i], a[i] >> k);
     }
+  }
+  // The two rotates of the xoshiro lanes.
+  va.rotl<7>().store(got);
+  for (std::size_t i = 0; i < WideWord::kWords; ++i) {
+    EXPECT_EQ(got[i], std::rotl(a[i], 7));
+  }
+  va.rotl<45>().store(got);
+  for (std::size_t i = 0; i < WideWord::kWords; ++i) {
+    EXPECT_EQ(got[i], std::rotl(a[i], 45));
   }
 }
 
