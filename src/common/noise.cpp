@@ -60,7 +60,9 @@ bool refine_digit_zero(Word* undecided, const Word* r, std::size_t n) {
 /// Per-event pattern draws for sparse event blocks: one
 /// PauliPatternDrawer per block, deposited with single-bit XORs — cheap
 /// because set bits are few, and no counting pre-scan is needed (the
-/// word walk skips empty words at one test each).
+/// word walk skips empty words at one test each). Each member's XOR is
+/// masked by its pattern bit rather than branched on: the bit is a fresh
+/// coin, a branch no predictor learns.
 void sparse_patterns(Rng& rng, const Word* events, std::size_t n,
                      unsigned members, Word* const* masks,
                      std::size_t mask_offset) {
@@ -68,12 +70,12 @@ void sparse_patterns(Rng& rng, const Word* events, std::size_t n,
   for (std::size_t w = 0; w < n; ++w) {
     Word bits = events[w];
     while (bits != 0) {
-      const auto k = static_cast<std::size_t>(std::countr_zero(bits));
-      bits &= bits - 1;
+      const Word bit = bits & (0 - bits);
+      bits ^= bit;
       const std::uint64_t pattern = drawer.next(rng);
       for (unsigned j = 0; j < members; ++j) {
-        if (((pattern >> j) & 1) != 0 && masks[j] != nullptr) {
-          masks[j][mask_offset + w] ^= Word{1} << k;
+        if (masks[j] != nullptr) {
+          masks[j][mask_offset + w] ^= bit & (0 - ((pattern >> j) & 1));
         }
       }
     }

@@ -7,12 +7,17 @@
 /// runs eight forked lanes in lockstep across one WideWord: every step
 /// is elementwise shift/add/xor/rotate and compiles to two AVX2 or one
 /// AVX-512 vector op (the multiplies by 5 and 9 are shift+add because
-/// 64-bit vector multiply is not universally available; a rotate is one
-/// vprolq on AVX-512 and a shift pair elsewhere). The lane count
-/// is fixed at 8 on every backend, so the stream is bit-identical on
-/// scalar, AVX2, and AVX-512 builds — rng_test's golden pins depend on
-/// that, as does the seeding chain below, which must stay exactly
-/// fill_random_words' historical one.
+/// AVX2 has no 64-bit vector multiply; a rotate is one vprolq on AVX-512
+/// and a shift pair elsewhere). The lane count is fixed at 8 on every
+/// backend, so the stream is bit-identical on scalar, AVX2, and AVX-512
+/// builds — rng_test's golden pins depend on that.
+///
+/// Seeding draws the eight parent words serially, in lane order, then
+/// runs the eight lanes' splitmix64 chains (one mix, then four state
+/// words each) as one WideWord chain of 5 vector mixes through the
+/// lanewise multiply. The lane states must stay those of
+/// fill_random_words' per-lane scalar chain, so that every coin word
+/// does. Every 128-word coin row pays for a seeding.
 ///
 /// fill_random_words (rng.cpp) drains the engine into a buffer; the
 /// noise engine's kRefine digit passes (noise.cpp) consume next() words
@@ -38,18 +43,22 @@ class XoshiroLanes {
   /// zero-guard cannot trigger on splitmix64 output). Consumes exactly
   /// kLanes draws from `rng`; the parent stays deterministic.
   explicit XoshiroLanes(Rng& rng) {
-    alignas(64) std::uint64_t seed_lane[4][kLanes];
+    alignas(64) std::uint64_t mix[kLanes];
     for (std::size_t l = 0; l < kLanes; ++l) {
-      std::uint64_t sm = rng() ^ (0x9E3779B97F4A7C15ull * (l + 1));
-      std::uint64_t seed = splitmix64(sm);
-      for (std::size_t k = 0; k < 4; ++k) {
-        seed_lane[k][l] = splitmix64(seed);
-      }
+      mix[l] = rng() ^ (kGamma * (l + 1));
     }
-    s0_ = WideWord::load(seed_lane[0]);
-    s1_ = WideWord::load(seed_lane[1]);
-    s2_ = WideWord::load(seed_lane[2]);
-    s3_ = WideWord::load(seed_lane[3]);
+    // splitmix64 per lane: seed = splitmix64(mix), then four draws of
+    // splitmix64(seed), each a state step and a finalizer.
+    const WideWord gamma = WideWord::splat(kGamma);
+    WideWord seed = finalize(WideWord::load(mix) + gamma);
+    seed = seed + gamma;
+    s0_ = finalize(seed);
+    seed = seed + gamma;
+    s1_ = finalize(seed);
+    seed = seed + gamma;
+    s2_ = finalize(seed);
+    seed = seed + gamma;
+    s3_ = finalize(seed);
   }
 
   /// Drains the next `n` coin words into `out` (lane-major blocks, with
@@ -85,6 +94,15 @@ class XoshiroLanes {
   }
 
  private:
+  static constexpr std::uint64_t kGamma = 0x9E3779B97F4A7C15ull;
+
+  /// splitmix64's output function (rng.hpp), lanewise.
+  static WideWord finalize(WideWord z) {
+    z = (z ^ z.shr(30)) * WideWord::splat(0xBF58476D1CE4E5B9ull);
+    z = (z ^ z.shr(27)) * WideWord::splat(0x94D049BB133111EBull);
+    return z ^ z.shr(31);
+  }
+
   WideWord s0_;
   WideWord s1_;
   WideWord s2_;

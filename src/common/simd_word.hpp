@@ -35,7 +35,8 @@ namespace symphase {
 /// 512-bit SIMD word, AVX-512 backend. `andnot`, the shifts and the
 /// popcount sum are written with GCC vector extensions: their intrinsics
 /// pass `_mm512_undefined_epi32()` as a merge source, which GCC 12 reports
-/// as -Wmaybe-uninitialized at every inlined call.
+/// as -Wmaybe-uninitialized at every inlined call. The multiply is one
+/// too, so it builds without AVX-512DQ (GCC then emulates vpmullq).
 struct WideWord {
   using Lanes = std::uint64_t __attribute__((vector_size(64)));
 
@@ -88,6 +89,10 @@ struct WideWord {
   friend WideWord operator+(WideWord a, WideWord b) {
     return {_mm512_add_epi64(a.v, b.v)};
   }
+  /// Lanewise 64-bit multiply, low half: one vpmullq.
+  friend WideWord operator*(WideWord a, WideWord b) {
+    return {(__m512i)((Lanes)a.v * (Lanes)b.v)};
+  }
   WideWord shl(int k) const { return {(__m512i)((Lanes)v << k)}; }
   WideWord shr(int k) const { return {(__m512i)((Lanes)v >> k)}; }
   /// Lanewise rotate left by K in [1, 63]: one vprolq. The masked form
@@ -133,6 +138,8 @@ struct WideWord {
 
 /// 512-bit SIMD word, AVX2 backend (two 256-bit halves).
 struct WideWord {
+  using HalfLanes = std::uint64_t __attribute__((vector_size(32)));
+
   __m256i v[2];
 
   static constexpr std::size_t kWords = 8;
@@ -182,6 +189,12 @@ struct WideWord {
   friend WideWord operator+(WideWord a, WideWord b) {
     return {{_mm256_add_epi64(a.v[0], b.v[0]),
              _mm256_add_epi64(a.v[1], b.v[1])}};
+  }
+  /// Lanewise 64-bit multiply, low half. AVX2 has no 64-bit multiply;
+  /// GCC emulates one per half from 32-bit vpmuludq products.
+  friend WideWord operator*(WideWord a, WideWord b) {
+    return {{(__m256i)((HalfLanes)a.v[0] * (HalfLanes)b.v[0]),
+             (__m256i)((HalfLanes)a.v[1] * (HalfLanes)b.v[1])}};
   }
   WideWord shl(int k) const {
     return {{_mm256_slli_epi64(v[0], k), _mm256_slli_epi64(v[1], k)}};
@@ -283,6 +296,14 @@ struct WideWord {
     WideWord r;
     for (std::size_t i = 0; i < kWords; ++i) {
       r.v[i] = a.v[i] + b.v[i];
+    }
+    return r;
+  }
+  /// Lanewise 64-bit multiply, low half.
+  friend WideWord operator*(WideWord a, WideWord b) {
+    WideWord r;
+    for (std::size_t i = 0; i < kWords; ++i) {
+      r.v[i] = a.v[i] * b.v[i];
     }
     return r;
   }

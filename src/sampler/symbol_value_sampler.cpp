@@ -24,11 +24,19 @@ constexpr unsigned kMaxMembers = 4;
 // XORs. A filled row costs W word stores or XORs plus a fixed overhead:
 // about one word for a one-member group, more for a group that also
 // fills an event row and scans it for patterns. Fitted on d9 surface
-// codes with scratch rows XORed into a cleared block; write-once
-// deposits only make filled rows cheaper.
+// codes with scratch rows XORed into a cleared block and a branch on
+// every pattern bit; write-once deposits only make filled rows cheaper,
+// and after the masked deposit below kFlipWords was re-checked at 3, 4,
+// 10 and 16, none better than 6.
 constexpr double kFlipWords = 6;
 constexpr double kSiteOverheadWords = 1;
 constexpr double kPatternOverheadWords = 20;
+
+// An event group's member read by at most this many output rows flips
+// them whatever its pattern bit, masked by it: a branch on a fresh coin
+// mispredicts half the time, which costs more than a few wasted XORs.
+// A heavier member branches, so a zero bit skips its readers.
+constexpr std::size_t kLightReaders = 4;
 
 /// Whether the scatter hands a fault group's events to the output rows
 /// one bit at a time (an event group) rather than through a scratch row;
@@ -101,9 +109,8 @@ class ScatterDeposit {
     }
   }
 
-  void flip(std::uint32_t b_row, std::size_t bit) {
-    const std::size_t w = word_index(bit);
-    const Word mask = bit_mask(bit);
+  /// XORs `mask` into word `w` of every output row that reads `b_row`.
+  void flip(std::uint32_t b_row, std::size_t w, Word mask) {
     for (const std::uint32_t t : targets_.readers(b_row)) {
       out_.row(t)[w] ^= mask;
     }
@@ -170,9 +177,14 @@ void SymbolValueSampler::plan_scatter(const ScatterTargets& targets) {
   std::vector<std::uint8_t> stored(targets.num_outputs(), 0);
   for (GroupRecord& g : groups_) {
     std::size_t weight = 0;
-    for (const std::uint32_t b_row : g.b_rows) {
-      if (b_row != kNoRow) {
-        weight += targets.readers(b_row).size();
+    g.light = 0;
+    for (unsigned k = 0; k < g.members; ++k) {
+      if (g.b_rows[k] != kNoRow) {
+        const std::size_t readers = targets.readers(g.b_rows[k]).size();
+        weight += readers;
+        if (readers <= kLightReaders) {
+          g.light |= static_cast<std::uint8_t>(1u << k);
+        }
       }
     }
     g.events =
@@ -215,7 +227,7 @@ void SymbolValueSampler::walk_groups(std::size_t words, Rng& rng,
       if (g.events) {
         if (members == 1) {
           plan.for_each_event(rng, words, [&](std::size_t bit) {
-            deposit.flip(g.b_rows[0], bit);
+            deposit.flip(g.b_rows[0], word_index(bit), bit_mask(bit));
           });
           continue;
         }
@@ -227,9 +239,13 @@ void SymbolValueSampler::walk_groups(std::size_t words, Rng& rng,
         PauliPatternDrawer drawer(members);
         for (const std::uint32_t bit : positions) {
           const std::uint64_t pattern = drawer.next(rng);
+          const std::size_t w = word_index(bit);
           for (unsigned k = 0; k < members; ++k) {
-            if (((pattern >> k) & 1) != 0 && g.b_rows[k] != kNoRow) {
-              deposit.flip(g.b_rows[k], bit);
+            const Word drawn = 0 - ((pattern >> k) & 1);
+            if (((g.light >> k) & 1) != 0) {
+              deposit.flip(g.b_rows[k], w, bit_mask(bit) & drawn);
+            } else if (drawn != 0 && g.b_rows[k] != kNoRow) {
+              deposit.flip(g.b_rows[k], w, bit_mask(bit));
             }
           }
         }

@@ -195,10 +195,14 @@ class SymbolValueSampler {
     std::uint32_t plan = 0;   // index in plans_: a fault's Bernoulli(p)
     SymbolGroupKind kind = SymbolGroupKind::kConstant;
     std::uint8_t members = 1;
-    // Scatter only (set by plan_scatter): the group's events are flipped
-    // into the output rows one bit at a time.
+    // Scatter only (set by plan_scatter): whether the group's events are
+    // flipped into the output rows one bit at a time, and which used
+    // members (bit k: member k) have so few readers that their flips are
+    // masked by the pattern bit instead of branched on.
     bool events = false;
+    std::uint8_t light = 0;
   };
+  static_assert(sizeof(GroupRecord) == 28);
 
   /// The one walk over the groups of a `words`-word shard, in group
   /// order with the shard's draws; `Deposit` decides where each group's

@@ -83,6 +83,12 @@ Synthetic make_synthetic() {
   const std::uint32_t heavy_bernoulli = s.table.add_fault(0.0035, 1);
   const std::uint32_t light_depolarize = s.table.add_fault(0.015, 2);
   const std::uint32_t heavy_depolarize = s.table.add_fault(0.015, 2);
+  // An event group whose members sit on both sides of the scatter's
+  // light cut (at most four readers flip masked by the pattern bit, more
+  // branch on it): member 0 is read by eight rows, members 1-3 by one or
+  // two each, and member 3 shares a row with member 1. At p = 1e-3 a
+  // four-member group takes the event path at any weight.
+  const std::uint32_t mixed = s.table.add_fault(1e-3, 4);
 
   Rng rng(2024);
   s.measurements.push_back({{}, false});
@@ -95,6 +101,18 @@ Synthetic make_synthetic() {
     if (k % 2 == 0) {
       symbols.insert(symbols.end(), {heavy_bernoulli, heavy_depolarize,
                                      heavy_depolarize + 1});
+    }
+    if (k % 3 == 0) {
+      symbols.push_back(mixed);
+    }
+    if (k == 1) {
+      symbols.insert(symbols.end(), {mixed + 1, mixed + 3});
+    }
+    if (k == 4 || k == 5) {
+      symbols.push_back(mixed + 2);
+    }
+    if (k == 10) {
+      symbols.push_back(mixed + 3);
     }
     std::sort(symbols.begin(), symbols.end());
     symbols.erase(std::unique(symbols.begin(), symbols.end()), symbols.end());

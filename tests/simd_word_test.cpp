@@ -288,6 +288,19 @@ TEST(WideWord, AddShiftLanesMatchScalar) {
   for (std::size_t i = 0; i < WideWord::kWords; ++i) {
     EXPECT_EQ(got[i], std::rotl(a[i], 45));
   }
+  // The lanewise multiply, over random lanes and by the splatted
+  // constants of the lanes' splitmix64 seeding.
+  (va * vb).store(got);
+  for (std::size_t i = 0; i < WideWord::kWords; ++i) {
+    EXPECT_EQ(got[i], a[i] * b[i]);
+  }
+  for (const Word c : {Word{0xBF58476D1CE4E5B9ull},
+                       Word{0x94D049BB133111EBull}, Word{1}, ~Word{0}}) {
+    (va * WideWord::splat(c)).store(got);
+    for (std::size_t i = 0; i < WideWord::kWords; ++i) {
+      EXPECT_EQ(got[i], a[i] * c);
+    }
+  }
 }
 
 TEST(WideSpans, AndnotAndMaskedXorMatchScalar) {

@@ -293,7 +293,7 @@ TEST(WireFuzz, OutOfOrderChunkIndexRejected) {
     const std::uint32_t k = prefix(rng);
     for (std::uint32_t i = 0; i < k; ++i) {
       frame.header.chunk_index = i;
-      frame.payload = "d";
+      frame.payload.assign(1, 'd');
       EXPECT_FALSE(assembler.accept(frame).has_value());
       EXPECT_FALSE(assembler.failed());
     }

@@ -132,7 +132,7 @@ class Options {
         usage("unexpected argument '" + key + "'");
       }
       if (flags.contains(key.substr(2))) {
-        values_[key.substr(2)] = "1";
+        values_[key.substr(2)].assign(1, '1');
         continue;
       }
       if (i + 1 >= argc) {
